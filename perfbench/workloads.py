@@ -181,8 +181,16 @@ def exit_ladder(seed: int) -> list:
 H_SCALING = {"eps_ladder": [0.2, 0.1, 0.05], "M": 1000, "T": 2e-4}
 CONTROLLED = {"eps_ladder": [0.2, 0.1, 0.05], "M": 100,
               "control": {"kind": "sin", "T": 1.5, "N": 256}}
+# Criterion 9 passes at M=6000 on its one fixed seed, but the benchmark
+# draws a new seed per run.  At eps = 0.125 only ~0.3% of the weights
+# exp(-cost/eps) carry the mean, so at M=6000 the rung is flagged for a
+# wide CI and about 1 seed in 100-300 misses enough of them to push the
+# gap past 0.25 (one such seed gave 0.271).  Resampling a pool of 400000
+# paths per rung puts the 99.9% quantile of the gap at 0.29 for M=6000,
+# 0.14 for M=24000 and 0.11 for M=36000, so M=36000 keeps the acceptance
+# tolerance with room for a heavier tail than resampling shows.
 LAPLACE = {"terminal_cost": "10*(q1-0.8)^2",
-           "eps_ladder": [0.25, 1.0 / 6.0, 0.125], "M": 6000, "T": 1.0}
+           "eps_ladder": [0.25, 1.0 / 6.0, 0.125], "M": 36000, "T": 1.0}
 SIMULATE = {"eps": 0.1, "T": 1.0, "n_paths": 12, "with_convolution": True,
             "gzip": True}
 ALPHA_MAX = {"p1": 1.0, "p2": 3.0}
