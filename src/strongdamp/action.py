@@ -12,8 +12,7 @@ discretized the same way: forward differences on segments, coefficients at
 segment midpoints.
 
 The drift-free form 1/2 int alpha^2 f'^T a^{-1} f' appears as the transport
-cost inside reaction-front functionals; running_cost_action combines it with
-the integrated reaction rate.
+cost inside reaction-front functionals.
 """
 
 from __future__ import annotations
@@ -260,14 +259,3 @@ def controlled_skeleton(p: ProblemDefinition, u: ControlSignal, q0,
         raise NumericalError("skeleton flow diverged")
     return DiscretePath(T=u.T, points=out)
 
-
-def reaction_rate_on_path(p: ProblemDefinition, f: DiscretePath) -> np.ndarray:
-    """c(f(t_n), 0) on the path nodes."""
-    return p.eval_c(f.points, u=0.0)
-
-
-def running_cost_action(p: ProblemDefinition, f: DiscretePath) -> float:
-    """Reaction gain minus transport cost along the path:
-    int c(f, 0) ds - 1/2 int alpha^2 f'^T a^{-1} f' ds."""
-    gain = float(np.trapezoid(reaction_rate_on_path(p, f), dx=f.h))
-    return gain - float(np.sum(segment_costs(p, f, "driftfree")))

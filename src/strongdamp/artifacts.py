@@ -140,12 +140,6 @@ def write_grid(path: str, field) -> None:
     })
 
 
-def write_polyline(path: str, points: np.ndarray) -> None:
-    pts = np.asarray(points, dtype=float)
-    header = ["x"] if pts.ndim == 1 or pts.shape[1] == 1 else ["x", "y"]
-    write_csv(path, header, np.atleast_2d(pts.reshape(len(pts), -1)))
-
-
 def write_path_csv(path: str, times: np.ndarray, points: np.ndarray,
                    prefix: str = "f") -> None:
     pts = np.asarray(points, dtype=float)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -35,8 +34,9 @@ from .front import extract_front, fit_front_speed, front_field_constant, \
 from .ldpcheck import controlled_convergence, h_eps_scaling, laplace_check
 from .quasipotential import check_action_equivalence, quasipotential, \
     quasipotential_boundary
-from .sde import NoisePath, SimParams, Trajectory, dump_trajectory, \
-    simulate_first_order, simulate_inertial, stochastic_convolution
+from .sde import NoisePath, SimParams, Trajectory, default_step, \
+    dump_trajectory, simulate_first_order, simulate_inertial, snap_step, \
+    stochastic_convolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,13 +119,6 @@ def _atomic_dump(tr: Trajectory, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _snap_step(p, eps: float, T: float, h) -> float:
-    if h is None:
-        h = 0.2 * eps**2 / p.alpha_max
-    steps = max(int(math.ceil(T / h - 1e-9)), 1)
-    return T / steps
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (output relpaths, tidy plot rows)
 
@@ -142,7 +135,8 @@ def cmd_simulate(p, cfg, out, seed, threads):
     blk = _block(cfg, "simulate")
     eps = float(blk["eps"])
     T = float(blk["T"])
-    h = _snap_step(p, eps, T, blk.get("h"))
+    h = blk.get("h")
+    h = snap_step(T, default_step(p, eps) if h is None else h)
     sp = SimParams(eps=eps, T=T, h=h, scheme=blk.get("scheme", "exponential"))
     q0 = np.asarray(blk.get("q0", p.O), dtype=float)
     p0 = np.asarray(blk.get("p0", np.zeros(p.d)), dtype=float)

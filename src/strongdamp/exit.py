@@ -23,14 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .fields import ProblemDefinition
-from .sde import NoisePath, StabilityError, _apply_sigma, make_generator
+from .sde import NoisePath, default_step, make_generator, make_step
 
 DEFAULT_CHUNK = 4096
-
-
-def default_step(p: ProblemDefinition, eps: float) -> float:
-    """Step with a fixed relaxation resolution alpha*h/eps^2 = 0.2."""
-    return 0.2 * eps**2 / p.alpha_max
 
 
 def default_max_steps(eps: float) -> int:
@@ -114,27 +109,8 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
         gens = {int(i): make_generator(seed, stream_ids[int(i)])
                 for i in active}
 
-    eps2 = eps * eps
-    noise_pow = eps ** (0.5 - p.beta)
+    step = make_step(p, eps, h, scheme)
     sqrt_h = math.sqrt(h)
-    const_alpha = p.alpha_is_constant
-    const_sigma = p.sigma_is_constant
-    sig_c = p.eval_sigma(p.O[None, :])[0] if const_sigma else None
-    al_c = float(p.eval_alpha(p.O[None, :])[0]) if const_alpha else None
-    if scheme == "euler":
-        h_max = 0.2 * eps2 / p.alpha_max
-        if h > h_max * (1 + 1e-9):
-            raise StabilityError(
-                f"euler scheme needs h <= 0.2*eps^2/alpha_max = {h_max:.3e}, "
-                f"got h = {h:.3e}")
-    elif scheme != "exponential":
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    if const_alpha and scheme == "exponential":
-        theta = al_c * h / eps2
-        decay_c = math.exp(-theta)
-        mu1_c = (eps2 / al_c) * (1.0 - decay_c)
-        amp_c = noise_pow * math.sqrt((1.0 - decay_c**2) / (2.0 * al_c * eps2))
-
     step_count = 0
     while active.size and step_count < max_steps:
         n_chunk = min(chunk_steps, max_steps - step_count)
@@ -155,30 +131,7 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
             rows = np.flatnonzero(alive)
             if rows.size == 0:
                 break
-            qn = q[rows]
-            vn = v[rows]
-            dW = inc[rows, k, :]
-            sig_n = sig_c if const_sigma else p.eval_sigma(qn)
-            bn = p.eval_b(qn)
-            if scheme == "exponential":
-                if const_alpha:
-                    al, decay, mu1, amp = al_c, decay_c, mu1_c, amp_c
-                else:
-                    al = p.eval_alpha(qn)[:, None]
-                    decay = np.exp(-al * h / eps2)
-                    mu1 = (eps2 / al) * (1.0 - decay)
-                    amp = noise_pow * np.sqrt(
-                        (1.0 - decay**2) / (2.0 * al * eps2))
-                drift = bn / al
-                xi = amp * _apply_sigma(sig_n, dW) / sqrt_h
-                v1 = decay * vn + (1.0 - decay) * drift + xi
-                q1 = qn + vn * mu1 + drift * (h - mu1) + (0.5 * h) * xi
-            else:
-                al = al_c if const_alpha else p.eval_alpha(qn)[:, None]
-                v1 = (vn + (h / eps2) * (bn - al * vn)
-                      + noise_pow * _apply_sigma(sig_n, dW) / eps2)
-                q1 = qn + h * vn
-
+            q1, v1, _ = step(q[rows], v[rows], inc[rows, k, :])
             phi1 = p.eval_phi(q1)
             crossed = phi1 >= 0
             if np.any(crossed):
@@ -274,6 +227,8 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     ladder = np.asarray(eps_ladder, dtype=float)
     if ladder.ndim != 1 or ladder.size < 1 or np.any(np.diff(ladder) >= 0):
         raise ConfigError("eps ladder must be strictly decreasing")
+    if not np.all((ladder > 0) & (ladder <= 1)):
+        raise ConfigError("eps must lie in (0, 1]")
     if M < 1:
         raise ConfigError("need at least one sample per rung")
     q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)

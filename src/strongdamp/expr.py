@@ -6,11 +6,16 @@ function set sin, cos, exp, log, sqrt, tanh, abs, min, max (min and max
 take two arguments).  Parsing is a small Pratt parser; syntax errors carry
 the byte offset and the token set that would have been accepted.
 
-The AST supports four consumers: a checked tree-walking evaluator that
-reports domain violations with the offending sub-expression, a code
-generator that emits a fast numpy closure for hot loops, a symbolic
-derivative for polynomial trees, and a canonical printer whose output
-re-parses to the identical tree.
+The AST supports four consumers:
+
+* a code generator that emits a numpy closure, compiled once per
+  expression; `evaluate` and `evaluate_all` run it under a floating-point
+  trap, and every field evaluation in the package goes through them;
+* a checked tree-walking evaluator, `eval_field`, the reference those
+  closures are tested against; it re-runs only when a closure traps, and
+  then reports the domain violation with the offending sub-expression;
+* a symbolic derivative for polynomial trees, cached per coordinate;
+* a canonical printer whose output re-parses to the identical tree.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,18 +246,30 @@ class ScalarExpr:
         return _is_polynomial(self.root)
 
     def derivative(self, q_index: int) -> Optional["ScalarExpr"]:
-        """Symbolic d/dq_{q_index+1}, or None when the tree is not polynomial."""
-        if not _is_polynomial(self.root):
-            return None
-        node = _simplify(_diff(self.root, q_index))
-        return ScalarExpr(node, to_string(node))
+        """Symbolic d/dq_{q_index+1}, or None when the tree is not
+        polynomial.  Cached, so its compiled closure is built once too."""
+        cache = self._derivatives
+        if q_index not in cache:
+            node = (_simplify(_diff(self.root, q_index))
+                    if _is_polynomial(self.root) else None)
+            cache[q_index] = (None if node is None
+                              else ScalarExpr(node, to_string(node)))
+        return cache[q_index]
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        return {}
+
+    @cached_property
+    def _closure(self) -> Callable:
+        return self.compile()
 
     def compile(self) -> Callable:
-        """Build an unchecked numpy closure f(Q, U=None) for hot loops.
+        """Build an unchecked numpy closure f(Q, U=None).
 
         Q has shape (..., d); the result broadcasts against Q[..., 0].
-        Domain checking is the job of eval_field; compiled closures assume
-        arguments already validated.
+        The closure itself checks nothing; `evaluate` runs it under a
+        floating-point trap and falls back to eval_field.
         """
         src = _codegen(self.root)
         code = compile(src, "<field>", "eval")
@@ -352,6 +370,45 @@ def eval_field(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     out = eval_node(f.root, points, u)
     return np.broadcast_to(np.asarray(out, dtype=float),
                            points.shape[:-1]).copy()
+
+
+# A trapped floating-point operation, a coordinate beyond the point
+# dimension, or a missing u: the checked walker decides what it was.
+_FALLBACK = (ArithmeticError, LookupError, TypeError)
+
+
+def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
+    """Values of f on points (..., d), shape points.shape[:-1].
+
+    Runs the cached compiled closure with division by zero and invalid
+    operations trapped.  When it traps, or when f needs u and none is
+    given, the checked walker eval_field runs instead: it raises
+    EvalDomainError naming the sub-expression, or returns the same values.
+    """
+    points = np.asarray(points, dtype=float)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            out = f._closure(points, u)
+    except _FALLBACK:
+        return eval_field(f, points, u)
+    out = np.asarray(out, dtype=float)
+    shape = points.shape[:-1]
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
+    """evaluate for a sequence of fields, stacked on a new last axis:
+    shape points.shape[:-1] + (len(fs),), under a single trap."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty(points.shape[:-1] + (len(fs),))
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            for i, f in enumerate(fs):
+                out[..., i] = f._closure(points, u)
+    except _FALLBACK:
+        for i, f in enumerate(fs):
+            out[..., i] = eval_field(f, points, u)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +574,9 @@ def _codegen(root) -> str:
         if kind == "bin":
             op = node[1]
             if op == "^":
-                return f"({emit(node[2])})**({emit(node[3])})"
+                # np.power, like the walker: on Python floats, ** would
+                # return a complex number for a negative base, untrapped
+                return f"_np.power({emit(node[2])},{emit(node[3])})"
             return f"({emit(node[2])}{op}{emit(node[3])})"
         fname = node[1]
         np_name = {"min": "minimum", "max": "maximum", "abs": "abs"}.get(
@@ -525,7 +584,10 @@ def _codegen(root) -> str:
         args = ",".join(emit(a) for a in node[2])
         return f"_np.{np_name}({args})"
 
-    return f"lambda Q, U=None: {emit(root)}"
+    body = emit(root)
+    if root[0] == "var":
+        body = f"+{body}"  # a copy, not a view of the caller's points
+    return f"lambda Q, U=None: {body}"
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +597,17 @@ def grad_field(f: ScalarExpr, points: np.ndarray, d: int) -> np.ndarray:
     """Gradient of f at points (..., d), analytic for polynomial trees,
     centered finite differences with step 1e-5*(1+|q|) otherwise."""
     points = np.asarray(points, dtype=float)
+    derivs = [f.derivative(i) for i in range(d)]
+    if derivs[0] is not None:
+        return evaluate_all(derivs, points)
     out = np.empty(points.shape[:-1] + (d,))
-    if f.is_polynomial():
-        for i in range(d):
-            df = f.derivative(i)
-            out[..., i] = eval_field(df, points)
-        return out
     step = 1e-5 * (1.0 + np.linalg.norm(points, axis=-1))
     for i in range(d):
         hp = points.copy()
         hm = points.copy()
         hp[..., i] += step
         hm[..., i] -= step
-        out[..., i] = (eval_field(f, hp) - eval_field(f, hm)) / (2.0 * step)
+        out[..., i] = (evaluate(f, hp) - evaluate(f, hm)) / (2.0 * step)
     return out
 
 

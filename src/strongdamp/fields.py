@@ -28,7 +28,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConfigError, NumericalError
-from .expr import ScalarExpr, eval_field, grad_field, parse_expression
+from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, \
+    parse_expression
 
 _ALLOWED_KEYS = {"d", "r", "b", "sigma", "alpha", "alpha0", "U", "l", "c",
                  "g", "G", "O", "beta", "box"}
@@ -36,12 +37,6 @@ _ALLOWED_KEYS = {"d", "r", "b", "sigma", "alpha", "alpha0", "U", "l", "c",
 
 class ProblemError(ConfigError):
     pass
-
-
-def _eval_compiled(fn, Q, u=None):
-    Q = np.asarray(Q, dtype=float)
-    out = fn(Q, u)
-    return np.broadcast_to(np.asarray(out, dtype=float), Q.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -62,19 +57,9 @@ class ProblemDefinition:
     G: Optional[ScalarExpr] = None
     name: str = ""
 
-    # -- compiled closures ---------------------------------------------------
-
     @cached_property
-    def _b_fns(self):
-        return [e.compile() for e in self.b]
-
-    @cached_property
-    def _sigma_fns(self):
-        return [[e.compile() for e in row] for row in self.sigma]
-
-    @cached_property
-    def _alpha_fn(self):
-        return self.alpha.compile()
+    def _sigma_flat(self) -> tuple:
+        return tuple(e for row in self.sigma for e in row)
 
     @cached_property
     def sigma_is_constant(self) -> bool:
@@ -84,25 +69,17 @@ class ProblemDefinition:
     def alpha_is_constant(self) -> bool:
         return not self.alpha.variables
 
-    # -- field evaluation ----------------------------------------------------
+    # -- field evaluation (expr.evaluate: compiled, checked on failure) -------
 
     def eval_alpha(self, Q) -> np.ndarray:
-        return _eval_compiled(self._alpha_fn, Q)
+        return evaluate(self.alpha, Q)
 
     def eval_b(self, Q) -> np.ndarray:
-        Q = np.asarray(Q, dtype=float)
-        out = np.empty(Q.shape[:-1] + (self.d,))
-        for i, fn in enumerate(self._b_fns):
-            out[..., i] = _eval_compiled(fn, Q)
-        return out
+        return evaluate_all(self.b, Q)
 
     def eval_sigma(self, Q) -> np.ndarray:
-        Q = np.asarray(Q, dtype=float)
-        out = np.empty(Q.shape[:-1] + (self.d, self.r))
-        for i, row in enumerate(self._sigma_fns):
-            for j, fn in enumerate(row):
-                out[..., i, j] = _eval_compiled(fn, Q)
-        return out
+        out = evaluate_all(self._sigma_flat, Q)
+        return out.reshape(out.shape[:-1] + (self.d, self.r))
 
     def eval_a(self, Q) -> np.ndarray:
         """Diffusion matrix a = sigma sigma^T, shape (..., d, d)."""
@@ -112,7 +89,7 @@ class ProblemDefinition:
     def eval_U(self, Q) -> np.ndarray:
         if self.U is None:
             raise ProblemError("problem declares no potential U")
-        return eval_field(self.U, Q)
+        return evaluate(self.U, Q)
 
     def grad_U(self, Q) -> np.ndarray:
         if self.U is None:
@@ -120,28 +97,24 @@ class ProblemDefinition:
         return grad_field(self.U, Q, self.d)
 
     def eval_l(self, Q) -> np.ndarray:
-        Q = np.asarray(Q, dtype=float)
         if self.l is None:
-            return np.zeros(Q.shape[:-1] + (self.d,))
-        out = np.empty(Q.shape[:-1] + (self.d,))
-        for i, e in enumerate(self.l):
-            out[..., i] = eval_field(e, Q)
-        return out
+            return np.zeros(np.shape(Q)[:-1] + (self.d,))
+        return evaluate_all(self.l, Q)
 
     def eval_c(self, Q, u) -> np.ndarray:
         if self.c is None:
             raise ProblemError("problem declares no reaction rate c")
-        return eval_field(self.c, Q, u=u)
+        return evaluate(self.c, Q, u=u)
 
     def eval_g(self, Q) -> np.ndarray:
         if self.g is None:
             raise ProblemError("problem declares no initial datum g")
-        return eval_field(self.g, Q)
+        return evaluate(self.g, Q)
 
     def eval_phi(self, Q) -> np.ndarray:
         if self.G is None:
             raise ProblemError("problem declares no domain G")
-        return eval_field(self.G, Q)
+        return evaluate(self.G, Q)
 
     def grad_phi(self, Q) -> np.ndarray:
         if self.G is None:
@@ -151,19 +124,11 @@ class ProblemDefinition:
     # -- sampled coefficient ranges -------------------------------------------
 
     @cached_property
-    def _alpha_range(self):
+    def alpha_max(self) -> float:
+        """Largest friction over a Sobol sample of the box and O."""
         pts = box_samples(self.box, 4096, seed=0)
         pts = np.vstack([pts, self.O[None, :]])
-        a = self.eval_alpha(pts)
-        return float(np.min(a)), float(np.max(a))
-
-    @property
-    def alpha_max(self) -> float:
-        return self._alpha_range[1]
-
-    @property
-    def alpha_min_sampled(self) -> float:
-        return self._alpha_range[0]
+        return float(np.max(self.eval_alpha(pts)))
 
     def in_box(self, q) -> bool:
         q = np.asarray(q, dtype=float)

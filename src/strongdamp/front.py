@@ -32,7 +32,8 @@ from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
 from .expr import fd_derivative
 from .fields import ProblemDefinition, ProblemError
-from .sde import NoisePath, SimParams, simulate_inertial
+from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
+    snap_step
 
 PENALTY_DEFAULT = 1e3
 
@@ -443,9 +444,7 @@ def feynman_kac_bound(p: ProblemDefinition, q, pvel, t: float, eps: float,
     q = np.asarray(q, dtype=float)
     pvel = np.zeros(p.d) if pvel is None else np.asarray(pvel, dtype=float)
     if h is None:
-        h = 0.2 * eps**2 / p.alpha_max
-        steps = max(int(math.ceil(t / h)), 1)
-        h = t / steps
+        h = snap_step(t, default_step(p, eps))
     sp = SimParams(eps=eps, T=t, h=h)
     logs = np.empty(M)
     done = 0

@@ -25,10 +25,10 @@ from scipy.special import logsumexp
 from .action import ControlSignal, DiscretePath, controlled_skeleton, \
     segment_costs_grad
 from .errors import ConfigError, NumericalError
-from .expr import ScalarExpr, eval_field, grad_field, parse_expression
+from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
-from .sde import NoisePath, SimParams, simulate_inertial, \
-    stochastic_convolution
+from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
+    snap_step, stochastic_convolution
 
 BATCH = 250
 
@@ -59,13 +59,9 @@ def _fit_loglog(eps_values, metrics) -> ScalingFit:
                       fitted_exponent=float(slope), r_squared=r2)
 
 
-def _sim_step(p: ProblemDefinition, eps: float, T: float,
-              min_steps: int = 64) -> float:
-    """Step bounded by the stability budget 0.2 eps^2/alpha_max and by
-    T/min_steps, snapped so that T is an exact multiple."""
-    h_raw = min(0.2 * eps**2 / p.alpha_max, T / min_steps)
-    steps = max(int(math.ceil(T / h_raw)), min_steps)
-    return T / steps
+def _sim_step(p: ProblemDefinition, eps: float, T: float) -> float:
+    """default_step snapped to divide T into at least 64 steps."""
+    return snap_step(T, default_step(p, eps), min_steps=64)
 
 
 def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
@@ -205,7 +201,7 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
         pts[1:] = x.reshape(N, d)
         path = DiscretePath(T=T, points=pts)
         costs, g_left, g_right = segment_costs_grad(p, path, "standard")
-        lam = float(eval_field(cost, pts[-1][None, :])[0])
+        lam = float(evaluate(cost, pts[-1][None, :])[0])
         grad = np.zeros((N, d))
         grad[:-1] = g_right[:-1] + g_left[1:]
         grad[-1] = g_right[-1] + grad_field(cost, pts[-1][None, :], d)[0]
@@ -263,7 +259,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
             tr = simulate_inertial(p, sp,
                                    np.broadcast_to(q0, (m, p.d)).copy(),
                                    np.zeros((m, p.d)), noise)
-            lam = eval_field(cost, tr.q[:, -1, :])
+            lam = evaluate(cost, tr.q[:, -1, :])
             logw[done:done + m] = -lam / eps
             done += m
         log_mean = float(logsumexp(logw) - math.log(M))

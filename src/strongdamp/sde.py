@@ -8,13 +8,17 @@ with initial velocity q'(0) = p0/eps, together with the first-order limit
 
     g' = b(g)/alpha(g) + sigma(g) u / alpha(g) + eps^(1/2-beta) sigma(g)/alpha(g) w'.
 
-Two schemes are provided for the stiff system.  The default exponential
-scheme freezes coefficients over a step and advances the velocity as an
-Ornstein-Uhlenbeck bridge, which keeps it stable for steps far larger than
-eps^2, with the position updated by the exact integral of the frozen
-relaxation (the noise part of the position keeps the trapezoidal weight
-h/2).  The explicit Euler-Maruyama scheme is retained as a cross check and
-enforces h <= 0.2 eps^2 / alpha_max.
+The stiff system has one step, built by make_step and used both by
+simulate_inertial, which stores the path, and by the streaming exit
+kernel.  Its default exponential scheme freezes coefficients over a step
+and advances the velocity as an Ornstein-Uhlenbeck bridge, which keeps it
+stable for steps far larger than eps^2, with the position updated by the
+exact integral of the frozen relaxation (the noise part of the position
+keeps the trapezoidal weight h/2).  The explicit Euler-Maruyama scheme is
+retained as a cross check and only accepts h <= default_step.
+
+default_step is the package's one step-size rule, alpha_max h / eps^2 =
+0.2, and snap_step shortens a step so that it divides the horizon.
 
 Noise is reproducible: every path owns a counter-based generator keyed by
 mixing (seed, stream_id) through a fixed 64-bit finalizer, so results do
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -111,6 +116,17 @@ class NoisePath:
                          seed=self.seed, stream_id=self.stream_id)
 
 
+def default_step(p: ProblemDefinition, eps: float) -> float:
+    """Step with a fixed relaxation resolution alpha_max*h/eps^2 = 0.2."""
+    return 0.2 * eps**2 / p.alpha_max
+
+
+def snap_step(T: float, h: float, min_steps: int = 1) -> float:
+    """T split into the fewest equal steps, at least min_steps, that are
+    no longer than h (up to rounding)."""
+    return T / max(math.ceil(T / h - 1e-9), min_steps)
+
+
 @dataclass
 class SimParams:
     eps: float
@@ -179,20 +195,91 @@ def _control_values(control: ControlLike, times: np.ndarray, steps: int,
     return vals
 
 
-def _check_noise(noise: NoisePath, sp: SimParams, r: int) -> None:
+def _initial_position(p: ProblemDefinition, sp: SimParams, q0,
+                      noise: NoisePath) -> np.ndarray:
+    """q0 as a (d,) or (M, d) array, checked against the noise grid."""
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+    if q0.shape[-1] != p.d:
+        raise ConfigError(f"q0 must have d = {p.d} components")
     if abs(noise.dt - sp.h) > 1e-12 * max(1.0, sp.h):
         raise GridMismatchError(
             f"noise grid dt = {noise.dt} does not match h = {sp.h}")
     if noise.steps < sp.steps:
         raise GridMismatchError(
             f"noise provides {noise.steps} steps, need {sp.steps}")
-    if noise.r != r:
-        raise GridMismatchError(f"noise has r = {noise.r}, problem needs {r}")
+    if noise.r != p.r:
+        raise GridMismatchError(
+            f"noise has r = {noise.r}, problem needs {p.r}")
+    if q0.ndim == 2 and (noise.increments.ndim != 3
+                         or noise.increments.shape[0] != q0.shape[0]):
+        raise GridMismatchError("batched q0 needs one noise path per row")
+    return q0
 
 
 def _apply_sigma(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
     # sig: (..., d, r) or (d, r); vec: (..., r) -> (..., d)
     return np.einsum("...dr,...r->...d", sig, vec)
+
+
+def make_step(p: ProblemDefinition, eps: float, h: float,
+              scheme: str = "exponential") -> Callable:
+    """One step of the damped second-order system, coefficients frozen at
+    the left point.
+
+    Returns step(q, v, dW, u=None) -> (q1, v1, alpha): positions and
+    velocities (..., d), Brownian increments dW (..., r), an optional
+    control value u (r,), and the friction at q, (...,) or a float when
+    constant, for the friction integral.  The Euler scheme raises
+    StabilityError for h > default_step.
+    """
+    if scheme not in ("exponential", "euler"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    if scheme == "euler":
+        h_max = default_step(p, eps)
+        if h > h_max * (1 + 1e-9):
+            raise StabilityError(
+                f"euler scheme needs h <= 0.2*eps^2/alpha_max = {h_max:.3e}, "
+                f"got h = {h:.3e}")
+    eps2 = eps * eps
+    noise_pow = eps ** (0.5 - p.beta)
+    sqrt_h = math.sqrt(h)
+    sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
+    al_c = float(p.eval_alpha(p.O[None, :])[0]) if p.alpha_is_constant \
+        else None
+    if al_c is not None:
+        decay_c = np.exp(-(al_c * h / eps2))
+        mu1_c = (eps2 / al_c) * (1.0 - decay_c)
+        amp_c = noise_pow * np.sqrt((1.0 - decay_c**2) / (2.0 * al_c * eps2))
+
+    def frozen(q, u):
+        sig = sig_c if sig_c is not None else p.eval_sigma(q)
+        al = al_c if al_c is not None else p.eval_alpha(q)[..., None]
+        drift = p.eval_b(q)
+        if u is not None:
+            drift = drift + _apply_sigma(sig, u)
+        return sig, al, drift
+
+    def euler(q, v, dW, u=None):
+        sig, al, drift = frozen(q, u)
+        v1 = (v + (h / eps2) * (drift - al * v)
+              + noise_pow * _apply_sigma(sig, dW) / eps2)
+        return q + h * v, v1, al if al_c is not None else al[..., 0]
+
+    def exponential(q, v, dW, u=None):
+        sig, al, drift = frozen(q, u)
+        if al_c is None:
+            decay = np.exp(-al * h / eps2)
+            mu1 = (eps2 / al) * (1.0 - decay)
+            amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
+        else:
+            decay, mu1, amp = decay_c, mu1_c, amp_c
+        drift = drift / al
+        xi = amp * _apply_sigma(sig, dW) / sqrt_h
+        v1 = decay * v + (1.0 - decay) * drift + xi
+        q1 = q + v * mu1 + drift * (h - mu1) + (0.5 * h) * xi
+        return q1, v1, al if al_c is not None else al[..., 0]
+
+    return euler if scheme == "euler" else exponential
 
 
 def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
@@ -207,24 +294,11 @@ def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
     """
     eps = sp.eps
     steps = sp.steps
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    if q0.shape[-1] != p.d:
-        raise ConfigError(f"q0 must have d = {p.d} components")
+    q0 = _initial_position(p, sp, q0, noise)
     p0 = np.broadcast_to(np.asarray(p0, dtype=float), q0.shape).copy()
-    _check_noise(noise, sp, p.r)
-    if q0.ndim == 2 and (noise.increments.ndim != 3
-                         or noise.increments.shape[0] != q0.shape[0]):
-        raise GridMismatchError("batched q0 needs one noise path per row")
-
     times = np.arange(steps + 1) * sp.h
     u_vals = _control_values(control, times, steps, p.r)
-
-    if sp.scheme == "euler":
-        h_max = 0.2 * eps**2 / p.alpha_max
-        if sp.h > h_max * (1 + 1e-9):
-            raise StabilityError(
-                f"euler scheme needs h <= 0.2*eps^2/alpha_max = {h_max:.3e}, "
-                f"got h = {sp.h:.3e}")
+    step = make_step(p, eps, sp.h, sp.scheme)
 
     lead = q0.shape[:-1]
     q = np.empty(lead + (steps + 1, p.d))
@@ -233,62 +307,12 @@ def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
     q[..., 0, :] = q0
     pv[..., 0, :] = p0 / eps
     A[..., 0] = 0.0
-
-    h = sp.h
-    eps2 = eps * eps
-    noise_pow = eps ** (0.5 - p.beta)
-    sqrt_h = np.sqrt(h)
-    const_alpha = p.alpha_is_constant
-    const_sigma = p.sigma_is_constant
-    sig_c = p.eval_sigma(p.O[None, :])[0] if const_sigma else None  # (d, r)
-    al_c = float(p.eval_alpha(p.O[None, :])[0]) if const_alpha else None
-
     inc = noise.increments
-
-    if sp.scheme == "exponential":
-        if const_alpha:
-            theta = al_c * h / eps2
-            decay_c = np.exp(-theta)
-            mu1_c = (eps2 / al_c) * (1.0 - decay_c)
-            amp_c = noise_pow * np.sqrt(
-                (1.0 - decay_c**2) / (2.0 * al_c * eps2))
-        for n in range(steps):
-            qn = q[..., n, :]
-            pn = pv[..., n, :]
-            if const_alpha:
-                al, decay, mu1, amp = al_c, decay_c, mu1_c, amp_c
-            else:
-                al = p.eval_alpha(qn)[..., None]
-                decay = np.exp(-al * h / eps2)
-                mu1 = (eps2 / al) * (1.0 - decay)
-                amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
-            sig_n = sig_c if const_sigma else p.eval_sigma(qn)
-            drift = p.eval_b(qn)
-            if u_vals is not None:
-                drift = drift + _apply_sigma(sig_n, u_vals[n])
-            drift = drift / (al if not const_alpha else al_c)
-            dW = inc[..., n, :]
-            xi = amp * _apply_sigma(sig_n, dW) / sqrt_h
-            pv[..., n + 1, :] = decay * pn + (1.0 - decay) * drift + xi
-            q[..., n + 1, :] = (qn + pn * mu1 + drift * (h - mu1)
-                                + (0.5 * h) * xi)
-            A[..., n + 1] = A[..., n] + (al_c if const_alpha
-                                         else al[..., 0]) * h
-    else:
-        for n in range(steps):
-            qn = q[..., n, :]
-            pn = pv[..., n, :]
-            al = al_c if const_alpha else p.eval_alpha(qn)[..., None]
-            drift = p.eval_b(qn)
-            sig_n = sig_c if const_sigma else p.eval_sigma(qn)
-            if u_vals is not None:
-                drift = drift + _apply_sigma(sig_n, u_vals[n])
-            dW = inc[..., n, :]
-            pv[..., n + 1, :] = (pn + (h / eps2) * (drift - al * pn)
-                                 + noise_pow * _apply_sigma(sig_n, dW) / eps2)
-            q[..., n + 1, :] = qn + h * pn
-            A[..., n + 1] = A[..., n] + (al_c if const_alpha
-                                         else al[..., 0]) * h
+    for n in range(steps):
+        q[..., n + 1, :], pv[..., n + 1, :], al = step(
+            q[..., n, :], pv[..., n, :], inc[..., n, :],
+            None if u_vals is None else u_vals[n])
+        A[..., n + 1] = A[..., n] + al * sp.h
 
     if not np.all(np.isfinite(q[..., steps, :])):
         raise NumericalError("trajectory diverged (non-finite position)")
@@ -301,11 +325,7 @@ def simulate_first_order(p: ProblemDefinition, sp: SimParams, q0,
     """Euler-Maruyama for the first-order limit equation."""
     eps = sp.eps
     steps = sp.steps
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    if q0.shape[-1] != p.d:
-        raise ConfigError(f"q0 must have d = {p.d} components")
-    _check_noise(noise, sp, p.r)
-
+    q0 = _initial_position(p, sp, q0, noise)
     times = np.arange(steps + 1) * sp.h
     u_vals = _control_values(control, times, steps, p.r)
 

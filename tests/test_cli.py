@@ -83,6 +83,15 @@ def test_euler_instability_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_rejects_eps_above_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "problem": "p1", "exit": {"eps_ladder": [1.5], "M": 2}})
+    rc = cli.main(["exit", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "eps must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     outs = [str(tmp_path / f"out{i}") for i in (0, 1)]

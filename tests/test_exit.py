@@ -5,7 +5,8 @@ from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.exit import (exit_location_histogram, exit_scaling,
                              sample_exit)
 from strongdamp.fields import load_preset, load_problem
-from strongdamp.sde import NoisePath
+from strongdamp.sde import NoisePath, SimParams, default_step, \
+    simulate_inertial
 
 
 P1 = load_preset("p1")
@@ -69,6 +70,33 @@ def test_scaling_ladder_validation():
         exit_scaling(P1, [0.2, 0.3], M=4, seed=0)
     with pytest.raises(ConfigError):
         exit_scaling(P1, [], M=4, seed=0)
+    with pytest.raises(ConfigError, match="eps must lie"):
+        exit_scaling(P1, [1.5], M=4, seed=0)
+    with pytest.raises(ConfigError, match="eps must lie"):
+        exit_scaling(P1, [0.5, 0.0], M=4, seed=0)
+
+
+@pytest.mark.parametrize("preset", ["p1", "p2"])
+@pytest.mark.parametrize("scheme", ["exponential", "euler"])
+def test_exit_kernel_follows_simulator(preset, scheme):
+    """On the same noise, the exit kernel and simulate_inertial share one
+    step: the crossing rebuilt from the stored path is bit-identical."""
+    p = load_preset(preset)
+    eps, steps = 0.5, 5000
+    h = default_step(p, eps)
+    noise = NoisePath.generate(5, 0, steps, 1, h)
+    q0, p0 = np.array([0.3]), np.array([0.2])
+    res = sample_exit(p, eps, q0=q0, p0=p0, seed=5, h=h, scheme=scheme,
+                      noise=noise)
+    tr = simulate_inertial(p, SimParams(eps=eps, T=steps * h, h=h,
+                                        scheme=scheme), q0, p0, noise)
+    phi = p.eval_phi(tr.q)
+    n = int(np.argmax(phi >= 0)) - 1
+    assert n >= 0 and not res.timeout
+    frac = phi[n] / (phi[n] - phi[n + 1])
+    assert res.tau == (n + frac) * h
+    assert res.exit_point[0] == tr.q[n, 0] + frac * (tr.q[n + 1, 0]
+                                                     - tr.q[n, 0])
 
 
 def test_single_rung_limit_is_its_own_elm():

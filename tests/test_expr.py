@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdamp.expr import (EvalDomainError, ExpressionSyntaxError,
-                             eval_field, grad_field, fd_derivative,
-                             parse_expression)
+                             eval_field, evaluate, evaluate_all, grad_field,
+                             fd_derivative, parse_expression)
+from strongdamp.fields import load_preset
 
 
 def ev(src, pts, u=None):
@@ -69,6 +70,21 @@ def test_domain_errors():
         ev("1/q1", np.array([[0.0]]))
 
 
+@pytest.mark.parametrize("src, pts, subexpr", [
+    ("log(q1) + 1", [[-1.0]], "log(q1)"),
+    ("2*sqrt(q1 - 1)", [[0.0], [4.0]], "sqrt(q1 - 1)"),
+    ("q1 + 1/(q1 - 2)", [[2.0]], "1/(q1 - 2)"),
+    ("(q1 - 3)^0.5", [[1.0]], "(q1 - 3)^0.5"),
+    ("(-1)^0.5 + q1", [[1.0]], "(-1)^0.5"),
+    ("q1 + 0^(0 - 1)", [[1.0]], "0^(0 - 1)"),
+    ("1 - u", [[0.0]], "u"),
+])
+def test_compiled_evaluation_reports_domain_errors(src, pts, subexpr):
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(parse_expression(src), np.array(pts))
+    assert err.value.subexpr == subexpr
+
+
 def test_symbolic_derivative_polynomials():
     f = parse_expression("q1^3 - 2*q1*q2 + 4")
     assert f.is_polynomial()
@@ -89,10 +105,48 @@ def test_grad_field_matches_fd():
     np.testing.assert_allclose(g, gfd, atol=1e-7)
 
 
+def _preset_fields(p):
+    fields = [p.alpha, *p.b, *(e for row in p.sigma for e in row)]
+    fields += [e for e in (p.U, p.c, p.g, p.G) if e is not None]
+    return fields + list(p.l or ())
+
+
+PRESETS = ("p1", "p1_tilted", "p2", "p3", "fk1d", "kpp1d", "kpp1d_cosc",
+           "front2d")
+
+
 def test_compile_matches_eval():
+    """The compiled closure and the checked walker agree bit for bit on
+    every preset field and every polynomial derivative."""
+    rng = np.random.default_rng(0)
+    for p in map(load_preset, PRESETS):
+        lo, hi = p.box[:, 0], p.box[:, 1]
+        for shape in ((40,), (3, 5), ()):
+            pts = lo + rng.uniform(size=shape + (p.d,)) * (hi - lo)
+            u = rng.uniform(size=shape)
+            for f in _preset_fields(p):
+                exprs = [f] + [f.derivative(i) for i in range(p.d)
+                               if f.is_polynomial()]
+                for e in exprs:
+                    want = eval_field(e, pts, u)
+                    got = evaluate(e, pts, u)
+                    assert got.shape == want.shape == shape
+                    np.testing.assert_array_equal(got, want, err_msg=str(e))
+                    np.testing.assert_array_equal(
+                        np.broadcast_to(e.compile()(pts, u), shape), want)
+            np.testing.assert_array_equal(
+                evaluate_all(p.b, pts),
+                np.stack([eval_field(e, pts) for e in p.b], axis=-1))
     f = parse_expression("exp(-q1^2) + 0.5*max(q1, q2)")
-    pts = np.random.default_rng(0).normal(size=(40, 2))
-    np.testing.assert_allclose(f.compile()(pts), eval_field(f, pts))
+    pts = rng.normal(size=(40, 2))
+    np.testing.assert_array_equal(f.compile()(pts), eval_field(f, pts))
+
+
+def test_compiled_variable_does_not_alias_points():
+    pts = np.array([[1.0, 2.0]])
+    out = evaluate(parse_expression("q2"), pts)
+    out[0] = 7.0
+    assert pts[0, 1] == 2.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strongdamp.expr import EvalDomainError
 from strongdamp.fields import (ProblemError, boundary_points_by_ray,
                                box_samples, inward_normals, load_preset,
                                load_problem, validate_hypotheses)
@@ -57,6 +58,18 @@ def test_field_evaluation_shapes():
     assert p.eval_alpha(pts).shape == (9,)
     assert p.eval_sigma(pts).shape == (9, 1, 1)
     np.testing.assert_allclose(p.eval_alpha(pts), 2 + np.cos(pts[:, 0]))
+
+
+def test_field_domain_errors_name_the_subexpression():
+    p = make(b=["-q1 + 1/(q1 - 1)"], G="log(q1 + 1) - 1")
+    inside = np.array([[0.0], [0.5]])
+    assert p.eval_b(inside).shape == (2, 1)
+    with pytest.raises(EvalDomainError) as err:
+        p.eval_b(np.array([[0.0], [1.0]]))
+    assert err.value.subexpr == "1/(q1 - 1)"
+    with pytest.raises(EvalDomainError) as err:
+        p.eval_phi(np.array([[0.5], [-2.0]]))
+    assert err.value.subexpr == "log(q1 + 1)"
 
 
 def test_alpha_max_covers_box():

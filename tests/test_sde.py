@@ -91,6 +91,21 @@ def test_batch_equals_loop():
         np.testing.assert_allclose(tr.q[row], one.q, atol=1e-14)
 
 
+def test_batched_q0_needs_one_noise_path_per_row():
+    """A single unbatched path would drive every row with the same
+    increments; both integrators refuse it."""
+    sp = SimParams(eps=0.5, T=0.1, h=0.01)
+    shared = NoisePath.generate(3, 0, sp.steps, 1, sp.h)
+    q0 = np.zeros((4, 1))
+    with pytest.raises(GridMismatchError):
+        simulate_first_order(P1, sp, q0, shared)
+    with pytest.raises(GridMismatchError):
+        simulate_inertial(P1, sp, q0, np.zeros((4, 1)), shared)
+    batch = NoisePath.generate_batch(3, range(4), sp.steps, 1, sp.h)
+    tr = simulate_first_order(P1, sp, q0, batch)
+    assert len({tr.q[i, -1, 0] for i in range(4)}) == 4
+
+
 def test_stream_independence_of_batch_composition():
     a = NoisePath.generate_batch(5, [0, 1, 2, 3], 16, 2, 0.1)
     b = NoisePath.generate_batch(5, [2, 3], 16, 2, 0.1)
