@@ -292,6 +292,11 @@ def criterion_10(scale: float = 1.0, workdir: str = None) -> CriterionResult:
     owned = workdir is None
     workdir = tempfile.mkdtemp(prefix="strongdamp-det-") if owned else workdir
     os.makedirs(workdir, exist_ok=True)
+    # the subprocesses import this copy of the package even when it is on
+    # the caller's sys.path only
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (pkg_root, os.environ.get("PYTHONPATH")))))
     mismatched = []
     empty = []
     for cmd, cfg in _DET_CONFIGS.items():
@@ -303,7 +308,7 @@ def criterion_10(scale: float = 1.0, workdir: str = None) -> CriterionResult:
             proc = subprocess.run(
                 [sys.executable, "-m", "strongdamp.cli", cmd,
                  "--config", cfg_path, "--out", out],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             if proc.returncode != 0:
                 return CriterionResult(
                     10, "artifact determinism", False,

@@ -21,12 +21,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .errors import ConfigError, NumericalError
 from .expr import grad_field
 from .fields import ProblemDefinition
 
 COND_LIMIT = 1e8
+# L-BFGS-B options of the action solves (quasipotential, Laplace check)
+LBFGS_ACTION = {"maxiter": 5000, "maxfun": 20000, "ftol": 1e-14,
+                "gtol": 1e-9}
 
 
 class SingularSigmaError(NumericalError):
@@ -205,6 +209,48 @@ def segment_costs_grad(p: ProblemDefinition, f: DiscretePath,
     g_left = -skew + sym
     g_right = skew + sym
     return costs, g_left, g_right
+
+
+def node_gradient(g_left: np.ndarray, g_right: np.ndarray,
+                  pin_end: bool) -> np.ndarray:
+    """Gradient of the summed segment costs w.r.t. the free nodes 1..N-1,
+    or 1..N when the last node is free too (node 0 is always pinned)."""
+    inner = g_right[:-1] + g_left[1:]
+    if pin_end:
+        return inner
+    return np.concatenate([inner, g_right[-1:]])
+
+
+def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
+                  mode: str, *, pin_end: bool, options: dict = LBFGS_ACTION):
+    """L-BFGS-B over the nodes of a uniform-grid path on [0, T].
+
+    Node 0 of the (N+1, d) starting path init stays fixed, and so does its
+    last node when pin_end.  Each iterate's `mode` segment costs and their
+    endpoint gradients go to body(pts, costs, g_left, g_right), which
+    returns the objective and its gradient over the free nodes.  Returns
+    the final (N+1, d) path and scipy's result (fun and jac there, nit,
+    success).
+    """
+    init = np.asarray(init, dtype=float)
+    free = slice(1, -1 if pin_end else None)
+    shape = init[free].shape
+
+    def unpack(x):
+        pts = init.copy()
+        pts[free] = x.reshape(shape)
+        return pts
+
+    def objective(x):
+        pts = unpack(x)
+        costs, g_left, g_right = segment_costs_grad(
+            p, DiscretePath(T=T, points=pts), mode)
+        value, grad = body(pts, costs, g_left, g_right)
+        return value, grad.ravel()
+
+    res = minimize(objective, init[free].ravel(), jac=True,
+                   method="L-BFGS-B", options=options)
+    return unpack(res.x), res
 
 
 def path_action(p: ProblemDefinition, f: DiscretePath) -> ActionValue:

@@ -3,31 +3,35 @@ interfaces, path-optimized front values, and a Monte Carlo upper bound.
 
 The propagation metric weights Euclidean length by friction and by the
 inverse diffusion tensor: an edge of displacement dq costs
-alpha(mid) * sqrt(dq . a(mid)^{-1} dq).  Distances from the seed set
-G0 = {g > 0} are computed by Dijkstra on the grid graph (2 neighbors in
-d=1, 8 in d=2).  The 8-neighbor graph metric overestimates Euclidean
+alpha(mid) * sqrt(dq . a(mid)^{-1} dq), the length element of the
+drift-free action 1/2 int alpha^2 f'^T a^{-1} f' that the path-optimized
+front values minimize.  Distances from the seed set G0 = {g > 0} are
+computed by scipy's multi-source Dijkstra on the grid graph (2 neighbors
+in d=1, 8 in d=2).  The 8-neighbor graph metric overestimates Euclidean
 distance by at most ~8.24% in the worst direction and is exact along axes
 and diagonals; front-speed fits therefore use the maximum contour radius
 by default, where the stencil is exact.
 
 For constant reaction rate c the front field is R = c t - rho^2 / (2 t).
 For general rates R is estimated by path optimization (reaction gain minus
-transport cost, terminal pinned to G0 by a quadratic penalty), and the
-non-positive variant takes the worst partial sum over path prefixes.
+transport cost, terminal pinned to G0 by a quadratic penalty) through the
+shared free-end driver action.minimize_path, and the non-positive variant
+takes the worst partial sum over path prefixes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.special import logsumexp
 
-from .action import DiscretePath, segment_costs, segment_costs_grad
+from .action import DiscretePath, minimize_path, node_gradient, \
+    segment_costs
 from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
 from .expr import fd_derivative
@@ -36,6 +40,8 @@ from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
     snap_step
 
 PENALTY_DEFAULT = 1e3
+# L-BFGS-B options of the front path solves
+LBFGS_FRONT = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
 
 
 @dataclass
@@ -109,9 +115,10 @@ def riemannian_distance(p: ProblemDefinition, spacing: float,
     h = spacing
 
     def edge_weights(c0, c1, dq):
-        # length element sqrt(alpha * dq^T a^-1 dq): the metric tensor is
-        # alpha * a^-1, so half the squared distance over t bounds the
-        # transport action from below with equality on geodesics
+        # length element alpha * sqrt(dq^T a^-1 dq), the square root of the
+        # drift-free action's integrand alpha^2 dq^T a^-1 dq: half the
+        # squared distance over t bounds the transport action from below
+        # with equality on geodesics
         mid = 0.5 * (c0 + c1)
         flat = mid.reshape(-1, p.d)
         al = p.eval_alpha(flat)
@@ -119,44 +126,31 @@ def riemannian_distance(p: ProblemDefinition, spacing: float,
         w = np.linalg.solve(a, np.broadcast_to(dq, flat.shape)[..., None])
         quad = np.einsum("ki,ki->k", np.broadcast_to(dq, flat.shape),
                          w[..., 0])
-        return np.sqrt(al * quad).reshape(mid.shape[:-1])
+        return (al * np.sqrt(quad)).reshape(mid.shape[:-1])
 
+    # each edge joins the nodes at index slices (s0, s1) of the grid
+    lo, hi, every = slice(None, -1), slice(1, None), slice(None)
     if p.d == 1:
-        W = [edge_weights(coords[:-1], coords[1:], np.array([h]))]
-        offsets = [(1,)]
+        stencil = [((lo,), (hi,), [h])]
     else:
-        W = [edge_weights(coords[:-1, :], coords[1:, :], np.array([h, 0.0])),
-             edge_weights(coords[:, :-1], coords[:, 1:], np.array([0.0, h])),
-             edge_weights(coords[:-1, :-1], coords[1:, 1:],
-                          np.array([h, h])),
-             edge_weights(coords[:-1, 1:], coords[1:, :-1],
-                          np.array([h, -h]))]
-        offsets = [(1, 0), (0, 1), (1, 1), (1, -1)]
-
-    dist = field.values
-    dist[seeds] = 0.0
-    heap = [(0.0, idx) for idx in zip(*np.nonzero(seeds))]
-    heapq.heapify(heap)
-
-    def neighbors(idx):
-        for off, w in zip(offsets, W):
-            for sgn in (1, -1):
-                nb = tuple(i + sgn * o for i, o in zip(idx, off))
-                if all(0 <= c < n for c, n in zip(nb, shape)):
-                    # each weight array is indexed at the componentwise
-                    # smaller corner of its edge
-                    wk = tuple(min(i, j) for i, j in zip(idx, nb))
-                    yield nb, float(w[wk])
-
-    while heap:
-        du, idx = heapq.heappop(heap)
-        if du > dist[idx]:
-            continue
-        for nb, w in neighbors(idx):
-            alt = du + w
-            if alt < dist[nb]:
-                dist[nb] = alt
-                heapq.heappush(heap, (alt, nb))
+        stencil = [((lo, every), (hi, every), [h, 0.0]),
+                   ((every, lo), (every, hi), [0.0, h]),
+                   ((lo, lo), (hi, hi), [h, h]),
+                   ((lo, hi), (hi, lo), [h, -h])]
+    # row k of the graph lists node k's edges in stencil order; a missing
+    # edge at the grid border is an infinite-weight loop, which never relaxes
+    node = np.arange(field.values.size, dtype=np.int32).reshape(shape)
+    nbr = np.repeat(node[..., None], len(stencil), axis=-1)
+    wts = np.full(nbr.shape, np.inf)
+    for k, (s0, s1, dq) in enumerate(stencil):
+        nbr[s0 + (k,)] = node[s1]
+        wts[s0 + (k,)] = edge_weights(coords[s0], coords[s1], np.array(dq))
+    graph = csr_matrix((wts.ravel(), nbr.ravel(),
+                        np.arange(0, wts.size + 1, len(stencil))),
+                       shape=(node.size, node.size))
+    field.values = dijkstra(graph, directed=False,
+                            indices=np.flatnonzero(seeds),
+                            min_only=True).reshape(shape)
     return field
 
 
@@ -271,13 +265,45 @@ class PathFrontResult:
     iterations: int
 
 
-def _line_init(q: np.ndarray, target: np.ndarray, n: int,
-               rng=None, scale: float = 0.0) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n + 1)[:, None]
-    pts = (1.0 - t) * q + t * target
-    if rng is not None and scale > 0:
-        pts[1:] += scale * rng.standard_normal(pts[1:].shape)
-    return pts
+def _best_restart(p: ProblemDefinition, q: np.ndarray, t: float, N: int,
+                  penalty: float, restarts: int, seed: int, g0: np.ndarray,
+                  body, value_of) -> PathFrontResult:
+    """Best of several free-end driftfree solves from q.
+
+    body(pts, costs, g_left, g_right) gives the objective without the
+    terminal penalty * dist^2 to the nearest G0 sample, which is added
+    here.  The first start is the straight line to the G0 sample nearest
+    q, the others seeded perturbations of it; candidates are ranked by
+    value_of(path) minus the terminal penalty.
+    """
+    def penalized(pts, costs, g_left, g_right):
+        val, grad = body(pts, costs, g_left, g_right)
+        target, d2 = _nearest(g0, pts[-1])
+        grad[-1] += 2.0 * penalty * (pts[-1] - target)
+        return val + penalty * d2, grad
+
+    rng = np.random.default_rng(seed)
+    target0, _ = _nearest(g0, q)
+    scale = 0.05 * (1.0 + np.linalg.norm(target0 - q))
+    s = np.linspace(0.0, 1.0, N + 1)[:, None]
+    line = (1.0 - s) * q + s * target0
+    line[0] = q
+    best = None
+    for trial in range(max(restarts, 1)):
+        pts0 = line.copy()
+        if trial:
+            pts0[1:] += scale * rng.standard_normal(pts0[1:].shape)
+        pts, res = minimize_path(p, t, pts0, penalized, "driftfree",
+                                 pin_end=False, options=LBFGS_FRONT)
+        path = DiscretePath(T=t, points=pts)
+        _, d2 = _nearest(g0, pts[-1])
+        cand = PathFrontResult(value=value_of(path), path=path,
+                               terminal_distance=math.sqrt(d2),
+                               converged=bool(res.success),
+                               iterations=int(res.nit))
+        if best is None or cand.value - penalty * d2 > best[1]:
+            best = (cand, cand.value - penalty * d2)
+    return best[0]
 
 
 def front_field_path(p: ProblemDefinition, q, t: float, N: int = 64,
@@ -299,47 +325,18 @@ def front_field_path(p: ProblemDefinition, q, t: float, N: int = 64,
     trapz_w = np.full(N + 1, h)
     trapz_w[0] = trapz_w[-1] = h / 2.0
 
-    def objective(x):
-        pts = np.empty((N + 1, p.d))
-        pts[0] = q
-        pts[1:] = x.reshape(N, p.d)
-        path = DiscretePath(T=t, points=pts)
-        costs, g_left, g_right = segment_costs_grad(p, path, "driftfree")
-        cvals = p.eval_c(pts, u=0.0)
-        gain = float(np.dot(trapz_w, cvals))
-        target, d2 = _nearest(g0, pts[-1])
-        val = float(np.sum(costs)) - gain + penalty * d2
-        grad = np.zeros((N, p.d))
-        grad[:-1] = g_right[:-1] + g_left[1:]
-        grad[-1] = g_right[-1]
-        grad -= trapz_w[1:, None] * _grad_c0(p, pts[1:])
-        grad[-1] += 2.0 * penalty * (pts[-1] - target)
-        return val, grad.ravel()
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for trial in range(max(restarts, 1)):
-        target0, _ = _nearest(g0, q)
-        pts0 = _line_init(q, target0, N, rng if trial else None,
-                          scale=0.05 * (1.0 + np.linalg.norm(target0 - q)))
-        res = minimize(objective, pts0[1:].ravel(), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-12,
-                                "gtol": 1e-8})
-        pts = np.empty((N + 1, p.d))
-        pts[0] = q
-        pts[1:] = res.x.reshape(N, p.d)
-        path = DiscretePath(T=t, points=pts)
+    def body(pts, costs, g_left, g_right):
         gain = float(np.dot(trapz_w, p.eval_c(pts, u=0.0)))
-        cost = float(np.sum(segment_costs(p, path, "driftfree")))
-        _, d2 = _nearest(g0, pts[-1])
-        cand = PathFrontResult(value=gain - cost, path=path,
-                               terminal_distance=math.sqrt(d2),
-                               converged=bool(res.success),
-                               iterations=int(res.nit))
-        if best is None or cand.value - penalty * d2 > best[1]:
-            best = (cand, cand.value - penalty * d2)
-    return best[0]
+        grad = node_gradient(g_left, g_right, pin_end=False)
+        grad -= trapz_w[1:, None] * _grad_c0(p, pts[1:])
+        return float(np.sum(costs)) - gain, grad
+
+    def value_of(path):
+        gain = float(np.dot(trapz_w, p.eval_c(path.points, u=0.0)))
+        return gain - float(np.sum(segment_costs(p, path, "driftfree")))
+
+    return _best_restart(p, q, t, N, penalty, restarts, seed, g0, body,
+                         value_of)
 
 
 def _prefix_profile(p: ProblemDefinition, path: DiscretePath):
@@ -371,51 +368,26 @@ def front_field_prefix(p: ProblemDefinition, q, t: float, N: int = 64,
     g0 = g0_samples(p) if samples is None else samples
     h = t / N
 
-    def objective(x):
-        pts = np.empty((N + 1, p.d))
-        pts[0] = q
-        pts[1:] = x.reshape(N, p.d)
-        path = DiscretePath(T=t, points=pts)
-        costs, g_left, g_right = segment_costs_grad(p, path, "driftfree")
+    def body(pts, costs, g_left, g_right):
         cvals = p.eval_c(pts, u=0.0)
         seg_gain = 0.5 * h * (cvals[:-1] + cvals[1:])
         P = np.concatenate([[0.0], np.cumsum(seg_gain - costs)])
         n_star = int(np.argmin(P))
-        target, d2 = _nearest(g0, pts[-1])
-        val = -P[n_star] + penalty * d2
         grad = np.zeros((N, p.d))
         if n_star > 0:
-            # d P_{n*} / d f_m over free nodes m = 1..N
+            # P_{n*} is a free-end problem on the first n* segments: its
+            # trapezoid gain weighs nodes 1..n*-1 by h and node n* by h/2
+            w = np.full((n_star, 1), h)
+            w[-1] = 0.5 * h
             gc = _grad_c0(p, pts[:n_star + 1])
-            grad[:n_star - 1] -= -(g_right[:n_star - 1] + g_left[1:n_star]) \
-                + h * gc[1:n_star]
-            grad[n_star - 1] -= -g_right[n_star - 1] + 0.5 * h * gc[n_star]
-        grad[-1] += 2.0 * penalty * (pts[-1] - target)
-        return val, grad.ravel()
+            grad[:n_star] -= -node_gradient(
+                g_left[:n_star], g_right[:n_star], pin_end=False) \
+                + w * gc[1:]
+        return -P[n_star], grad
 
-    rng = np.random.default_rng(seed)
-    best = None
-    for trial in range(max(restarts, 1)):
-        target0, _ = _nearest(g0, q)
-        pts0 = _line_init(q, target0, N, rng if trial else None,
-                          scale=0.05 * (1.0 + np.linalg.norm(target0 - q)))
-        res = minimize(objective, pts0[1:].ravel(), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-12,
-                                "gtol": 1e-8})
-        pts = np.empty((N + 1, p.d))
-        pts[0] = q
-        pts[1:] = res.x.reshape(N, p.d)
-        path = DiscretePath(T=t, points=pts)
-        value = float(np.min(_prefix_profile(p, path)))
-        _, d2 = _nearest(g0, pts[-1])
-        cand = PathFrontResult(value=value, path=path,
-                               terminal_distance=math.sqrt(d2),
-                               converged=bool(res.success),
-                               iterations=int(res.nit))
-        if best is None or cand.value - penalty * d2 > best[1]:
-            best = (cand, cand.value - penalty * d2)
-    return best[0]
+    return _best_restart(
+        p, q, t, N, penalty, restarts, seed, g0, body,
+        lambda path: float(np.min(_prefix_profile(p, path))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .action import ControlSignal, DiscretePath, controlled_skeleton, \
-    segment_costs_grad
+    minimize_path, node_gradient
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
@@ -193,30 +192,18 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
     d = p.d
     if T <= 0 or N < 8:
         raise ConfigError("need T > 0 and N >= 8")
-    h = T / N
 
-    def objective(x):
-        pts = np.empty((N + 1, d))
-        pts[0] = q_start
-        pts[1:] = x.reshape(N, d)
-        path = DiscretePath(T=T, points=pts)
-        costs, g_left, g_right = segment_costs_grad(p, path, "standard")
+    def body(pts, costs, g_left, g_right):
         lam = float(evaluate(cost, pts[-1][None, :])[0])
-        grad = np.zeros((N, d))
-        grad[:-1] = g_right[:-1] + g_left[1:]
-        grad[-1] = g_right[-1] + grad_field(cost, pts[-1][None, :], d)[0]
-        return float(np.sum(costs)) + lam, grad.ravel()
+        grad = node_gradient(g_left, g_right, pin_end=False)
+        grad[-1] += grad_field(cost, pts[-1][None, :], d)[0]
+        return float(np.sum(costs)) + lam, grad
 
     rng = np.random.default_rng(seed)
     pts0 = np.tile(q_start, (N + 1, 1))
     pts0[1:] += 1e-3 * rng.standard_normal((N, d))
-    res = minimize(objective, pts0[1:].ravel(), jac=True, method="L-BFGS-B",
-                   options={"maxiter": 5000, "ftol": 1e-14, "gtol": 1e-9})
-    pts = np.empty((N + 1, d))
-    pts[0] = q_start
-    pts[1:] = res.x.reshape(N, d)
-    val, _ = objective(res.x)
-    return float(val), pts[-1].copy(), DiscretePath(T=T, points=pts)
+    pts, res = minimize_path(p, T, pts0, body, "standard", pin_end=False)
+    return float(res.fun), pts[-1].copy(), DiscretePath(T=T, points=pts)
 
 
 @dataclass

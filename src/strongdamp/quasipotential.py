@@ -2,9 +2,11 @@
 
 The quasipotential between two points is the infimum of the path action
 over all travel times T and all paths joining them.  At fixed T the
-discrete action is minimized by a quasi-Newton method over the interior
-nodes (endpoints are hard constraints); the travel time is then optimized
-over a log-spaced ladder followed by a golden-section refinement.
+discrete action is minimized over the interior nodes (endpoints are hard
+constraints) by action.minimize_path, the L-BFGS path driver shared with
+the Laplace check and the front values; the travel time is then
+optimized over a log-spaced ladder followed by a golden-section
+refinement.
 
 When the drift has gradient structure (alpha b = -grad U, sigma sigma^T = I,
 rotational part orthogonal to grad U), the quasipotential from the rest
@@ -19,16 +21,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .action import DiscretePath, segment_costs_grad
+from .action import DiscretePath, minimize_path, node_gradient
 from .contour import arc_length_resample, contour_polylines, point_in_polygon
 from .errors import ConfigError, NumericalError
 from .fields import (ProblemDefinition, ProblemError, boundary_points_by_ray,
                      validate_hypotheses)
 
 GRAD_TOL = 1e-6
-ITER_CAP = 5000
 H_MAX = 0.25          # segment step never coarser than this
 DEFAULT_LADDER = (0.5, 64.0, 8)
 
@@ -88,15 +88,19 @@ def _resample_path(points: np.ndarray, m: int) -> np.ndarray:
 def _initial_points(mp: MinActionProblem, m: int) -> np.ndarray:
     if mp.init is not None:
         pts = _resample_path(mp.init, m)
-        pts[0] = mp.q_start
-        pts[-1] = mp.q_end
-        return pts
-    t = np.linspace(0.0, 1.0, m + 1)[:, None]
-    pts = (1.0 - t) * mp.q_start + t * mp.q_end
-    if np.any(mp.q_start != mp.q_end):
-        rng = np.random.default_rng(mp.seed)
-        pts[1:-1] += 1e-3 * rng.standard_normal(pts[1:-1].shape)
+    else:
+        t = np.linspace(0.0, 1.0, m + 1)[:, None]
+        pts = (1.0 - t) * mp.q_start + t * mp.q_end
+        if np.any(mp.q_start != mp.q_end):
+            rng = np.random.default_rng(mp.seed)
+            pts[1:-1] += 1e-3 * rng.standard_normal(pts[1:-1].shape)
+    pts[0] = mp.q_start
+    pts[-1] = mp.q_end
     return pts
+
+
+def _action_only(pts, costs, g_left, g_right):
+    return float(np.sum(costs)), node_gradient(g_left, g_right, pin_end=True)
 
 
 def minimize_action_fixed_T(p: ProblemDefinition, mp: MinActionProblem,
@@ -116,30 +120,10 @@ def minimize_action_fixed_T(p: ProblemDefinition, mp: MinActionProblem,
     if T <= 0:
         raise ConfigError("travel time must be positive")
     m = max(mp.N, int(math.ceil(T / H_MAX)))
-    d = p.d
-    pts0 = _initial_points(mp, m)
-    shape = (m - 1, d)
-
-    def objective(x):
-        pts = np.empty((m + 1, d))
-        pts[0] = mp.q_start
-        pts[-1] = mp.q_end
-        pts[1:-1] = x.reshape(shape)
-        costs, g_left, g_right = segment_costs_grad(
-            p, DiscretePath(T=T, points=pts), mp.mode)
-        grad = g_right[:-1] + g_left[1:]
-        return float(np.sum(costs)), grad.ravel()
-
-    res = minimize(objective, pts0[1:-1].ravel(), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": ITER_CAP, "maxfun": 4 * ITER_CAP,
-                            "ftol": 1e-14, "gtol": 1e-9})
-    value, grad = objective(res.x)
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    pts = np.empty((m + 1, d))
-    pts[0] = mp.q_start
-    pts[-1] = mp.q_end
-    pts[1:-1] = res.x.reshape(shape)
+    pts, res = minimize_path(p, T, _initial_points(mp, m), _action_only,
+                             mp.mode, pin_end=True)
+    value = float(res.fun)
+    gnorm = float(np.max(np.abs(res.jac))) if res.jac.size else 0.0
     if not np.isfinite(value):
         raise NumericalError("action minimization diverged")
     return MinActionResult(

@@ -3,9 +3,9 @@ import pytest
 
 from strongdamp.action import (ControlSignal, DiscretePath,
                                SingularSigmaError, control_cost,
-                               controlled_skeleton, path_action,
-                               path_action_alt, segment_costs,
-                               segment_costs_grad)
+                               controlled_skeleton, minimize_path,
+                               node_gradient, path_action, path_action_alt,
+                               segment_costs, segment_costs_grad)
 from strongdamp.errors import ConfigError
 from strongdamp.fields import load_preset, load_problem
 
@@ -109,6 +109,48 @@ def test_segment_gradients_match_fd():
                        - segment_costs(P2, DiscretePath(T=0.7, points=fm),
                                        mode)[k]) / (2 * step)
                 assert grad[k, 0] == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("pin_end", [True, False])
+def test_path_driver_gradient_matches_fd(pin_end):
+    """After one L-BFGS step on p2 (state-dependent friction) the driver's
+    free-node gradient matches central differences of the same objective
+    rebuilt from segment_costs: the action alone with both ends pinned,
+    the action plus a terminal cost 3 (f_N - 0.5)^2 with a free end."""
+    T, N = 1.5, 12
+    t = np.linspace(0.0, 1.0, N + 1)[:, None]
+    init = 0.2 + 0.9 * t + 0.1 * np.sin(3.0 * t)
+
+    def body(pts, costs, g_left, g_right):
+        grad = node_gradient(g_left, g_right, pin_end)
+        value = float(np.sum(costs))
+        if not pin_end:
+            value += 3.0 * float(pts[-1, 0] - 0.5) ** 2
+            grad[-1] += 6.0 * (pts[-1] - 0.5)
+        return value, grad
+
+    def objective(pts):
+        value = float(np.sum(segment_costs(P2, DiscretePath(T=T, points=pts),
+                                           "standard")))
+        return value if pin_end else value + 3.0 * (pts[-1, 0] - 0.5) ** 2
+
+    pts, res = minimize_path(P2, T, init, body, "standard",
+                             pin_end=pin_end, options={"maxiter": 1})
+    assert pts[0, 0] == init[0, 0]
+    if pin_end:
+        assert pts[-1, 0] == init[-1, 0]
+    assert res.fun == pytest.approx(objective(pts), rel=1e-12)
+    free = range(1, N if pin_end else N + 1)
+    assert res.jac.shape == (len(free),)
+    step = 1e-6
+    for row, k in enumerate(free):
+        fp = pts.copy()
+        fp[k, 0] += step
+        fm = pts.copy()
+        fm[k, 0] -= step
+        num = (objective(fp) - objective(fm)) / (2 * step)
+        assert res.jac[row] == pytest.approx(num, rel=1e-5, abs=1e-8)
+    assert np.max(np.abs(res.jac)) > 1e-3     # not at the minimizer yet
 
 
 def test_control_identity_on_skeleton():

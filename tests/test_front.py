@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -40,21 +42,85 @@ def test_distance_constant_friction_octile_bounds():
 
 def test_distance_quadrature_oracle_1d():
     """With a point-like seed, the weighted distance reduces to the line
-    integral of sqrt(alpha): for alpha = (1 + q1^2)^2 it is |x + x^3/3|."""
+    integral of alpha: for alpha = (1 + q1^2)^2 it is
+    |x + 2x^3/3 + x^5/5|."""
     p = seed_problem("(1 + q1^2)^2")
     rho = riemannian_distance(p, spacing=0.002)
     xs = rho.axes()[0]
-    expect = np.abs(xs + xs**3 / 3)
+    expect = np.abs(xs + 2 * xs**3 / 3 + xs**5 / 5)
     far = np.abs(xs) > 0.1
     np.testing.assert_allclose(rho.values[far], expect[far], rtol=5e-3)
 
 
-def test_distance_scales_with_sqrt_friction():
+def test_distance_scales_with_friction():
     a = riemannian_distance(seed_problem("1"), spacing=0.002)
     b = riemannian_distance(seed_problem("4"), spacing=0.002)
     xs = a.axes()[0]
     far = np.abs(xs) > 0.1
-    np.testing.assert_allclose(b.values[far], 2 * a.values[far], rtol=1e-6)
+    np.testing.assert_allclose(b.values[far], 4 * a.values[far], rtol=1e-6)
+
+
+def test_grid_front_matches_path_front_at_heavy_friction():
+    """Grid distance and path optimization minimize the same drift-free
+    action: at constant alpha = 4, c = 1, t = 1 the constant-rate field
+    c t - rho^2/(2t) at q = 1 equals the path value, about
+    1 - (4 * 0.9)^2 / 2 = -5.48 for the seed |q| < 0.1, within 5%."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["0"], "sigma": [["1"]], "alpha": "4",
+        "alpha0": 1.0, "O": [0.0], "box": [[-4.0, 4.0]],
+        "g": "max(0, 1 - q1^2/0.01)", "c": "1 - u",
+    })
+    t = 1.0
+    rho = riemannian_distance(p, spacing=0.01)
+    grid = front_field_constant(rho, c=1.0, t=t)
+    xs = grid.axes()[0]
+    at_q = float(np.interp(1.0, xs, grid.values))
+    path = front_field_path(p, [1.0], t, seed=0)
+    assert at_q == pytest.approx(-5.48, rel=0.02)
+    assert path.value == pytest.approx(at_q, rel=0.05)
+
+
+def reference_distance(p, field):
+    """Textbook heapq Dijkstra on the 8-neighbour grid of `field`, with each
+    edge weighed on its own as alpha(mid) * |dq|_{a(mid)^-1}."""
+    X = field.node_coords()
+    n1, n2 = field.values.shape
+    dist = np.full((n1, n2), np.inf)
+    heap = [(0.0, idx) for idx in zip(*np.nonzero(p.eval_g(X) > 0))]
+    for _, idx in heap:
+        dist[idx] = 0.0
+    while heap:
+        du, (i, j) = heapq.heappop(heap)
+        if du > dist[i, j]:
+            continue
+        for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1),
+                       (-1, 0), (0, -1), (-1, -1), (-1, 1)):
+            k, m = i + di, j + dj
+            if not (0 <= k < n1 and 0 <= m < n2):
+                continue
+            mid = 0.5 * (X[i, j] + X[k, m])[None, :]
+            dq = X[k, m] - X[i, j]
+            w = p.eval_alpha(mid)[0] * np.sqrt(
+                dq @ np.linalg.solve(p.eval_a(mid)[0], dq))
+            if du + w < dist[k, m]:
+                dist[k, m] = du + w
+                heapq.heappush(heap, (du + w, (k, m)))
+    return dist
+
+
+def test_distance_matches_reference_dijkstra():
+    """State-dependent friction and a correlated diffusion tensor, where
+    every edge has its own weight."""
+    p = load_problem({
+        "d": 2, "r": 2, "b": ["0", "0"], "sigma": [["1", "0.3"], ["0", "0.8"]],
+        "alpha": "1 + 0.5*q1^2 + 0.25*q2", "alpha0": 0.5, "O": [0.0, 0.0],
+        "box": [[-1.0, 1.0], [-1.0, 1.0]],
+        "g": "max(0, 0.05 - q1^2 - q2^2)", "c": "1 - u",
+    })
+    rho = riemannian_distance(p, spacing=0.1)
+    assert rho.values.shape == (21, 21) and np.all(np.isfinite(rho.values))
+    np.testing.assert_allclose(rho.values, reference_distance(p, rho),
+                               rtol=1e-12, atol=0)
 
 
 def test_distance_requires_seeded_support():

@@ -7,7 +7,8 @@ from strongdamp.quasipotential import (MinActionProblem,
                                        check_action_equivalence,
                                        gradient_case_oracle,
                                        minimize_action_fixed_T,
-                                       quasipotential)
+                                       quasipotential,
+                                       quasipotential_boundary)
 
 
 P1 = load_preset("p1")
@@ -83,3 +84,30 @@ def test_path_runs_from_start_to_end():
     np.testing.assert_allclose(res.path.points[0], [0.0], atol=1e-12)
     np.testing.assert_allclose(res.path.points[-1], [1.0], atol=1e-12)
     assert res.grad_norm < 1e-5 * (1 + abs(res.value))
+
+
+def test_boundary_scan_unit_circle():
+    """p3 has V = |q|^2 = 1 on its whole boundary, the unit circle found
+    by marching squares; every sample sits on it and scans to 1."""
+    p3 = load_preset("p3")
+    scan = quasipotential_boundary(p3, boundary_samples=4, grid_n=61, N=16,
+                                   T_ladder=[2.0, 4.0, 8.0], refine=False)
+    assert scan.points.shape == (4, 2)
+    np.testing.assert_allclose(np.linalg.norm(scan.points, axis=1), 1.0,
+                               atol=5e-3)
+    np.testing.assert_allclose(scan.values, 1.0, rtol=2e-2)
+    assert scan.V0 == scan.values[scan.index] == scan.values.min()
+    np.testing.assert_array_equal(scan.q_star, scan.points[scan.index])
+    assert scan.s[0] == 0.0 and np.all(np.diff(scan.s) > 0)
+
+
+def test_boundary_scan_tilted_well_picks_low_side():
+    """p1_tilted: V = 2 (U(q) - U(O)) is 0.64 at q* = -1 and 1.44 at +1."""
+    scan = quasipotential_boundary(load_preset("p1_tilted"), N=16,
+                                   T_ladder=[2.0, 4.0, 8.0])
+    np.testing.assert_allclose(scan.points[:, 0], [-1.0, 1.0], atol=1e-6)
+    np.testing.assert_allclose(scan.values, [0.64, 1.44], rtol=1e-2)
+    assert scan.index == 0
+    assert scan.V0 == pytest.approx(0.64, rel=1e-2)
+    np.testing.assert_allclose(scan.q_star, [-1.0], atol=1e-6)
+    np.testing.assert_allclose(scan.s, [0.0, 2.0], atol=1e-6)
