@@ -121,7 +121,9 @@ def _midpoint_data(p: ProblemDefinition, f: DiscretePath):
     delta = (pts[1:] - pts[:-1]) / f.h
     alpha = p.eval_alpha(mids)
     sig = p.eval_sigma(mids)
-    sv = np.linalg.svd(sig, compute_uv=False)
+    # a constant sigma has equal rows: one of them decides
+    sv = np.linalg.svd(sig[:1] if p.sigma_is_constant else sig,
+                       compute_uv=False)
     min_sv = sv[..., -1]
     if np.any(min_sv <= 0) or np.any(sv[..., 0] / np.maximum(min_sv, 1e-300)
                                      > COND_LIMIT):
@@ -130,7 +132,7 @@ def _midpoint_data(p: ProblemDefinition, f: DiscretePath):
             f"sigma is numerically singular at path point {mids[k]} "
             f"(min singular value {min_sv[k]:.3g})")
     a = sig @ np.swapaxes(sig, -1, -2)
-    return mids, delta, alpha, a
+    return mids, delta, alpha, sig, a
 
 
 def _residual(p, mode, mids, delta, alpha):
@@ -146,7 +148,7 @@ def _residual(p, mode, mids, delta, alpha):
 def segment_costs(p: ProblemDefinition, f: DiscretePath,
                   mode: str = "standard") -> np.ndarray:
     """Per-segment action contributions, shape (N,)."""
-    mids, delta, alpha, a = _midpoint_data(p, f)
+    mids, delta, alpha, _, a = _midpoint_data(p, f)
     y = _residual(p, mode, mids, delta, alpha)
     w = np.linalg.solve(a, y[..., None])[..., 0]
     return 0.5 * f.h * np.sum(y * w, axis=-1)
@@ -159,12 +161,11 @@ def segment_costs_grad(p: ProblemDefinition, f: DiscretePath,
     Returns (costs (N,), g_left (N, d), g_right (N, d)) where g_left[k] is
     d cost_k / d f_k and g_right[k] is d cost_k / d f_{k+1}.  The gradient
     is assembled analytically from the midpoint-frozen quadratic form;
-    coefficient derivatives come from the field derivative machinery
-    (symbolic for polynomial trees, centered differences otherwise).
+    coefficient derivatives are the fields' compiled symbolic derivatives.
     """
     h = f.h
     d = f.d
-    mids, delta, alpha, a = _midpoint_data(p, f)
+    mids, delta, alpha, sig, a = _midpoint_data(p, f)
     y = _residual(p, mode, mids, delta, alpha)
     w = np.linalg.solve(a, y[..., None])[..., 0]
     costs = 0.5 * h * np.sum(y * w, axis=-1)
@@ -190,15 +191,11 @@ def segment_costs_grad(p: ProblemDefinition, f: DiscretePath,
         sym -= wb[:, None] * grad_alpha
         sym -= alpha[:, None] * np.einsum("kij,ki->kj", jac_b, w)
     if not p.sigma_is_constant:
-        # d a^{-1} = -a^{-1} (d a) a^{-1}; contributes -(h/4) w^T da/dq_j w
-        step = 1e-5 * (1.0 + np.linalg.norm(mids, axis=-1))
-        for j in range(d):
-            hp, hm = mids.copy(), mids.copy()
-            hp[:, j] += step
-            hm[:, j] -= step
-            da = (p.eval_a(hp) - p.eval_a(hm)) / (2.0 * step)[:, None, None]
-            quad = np.einsum("ki,kij,kj->k", w, da, w)
-            sym[:, j] -= 0.5 * quad
+        # d a^{-1} = -a^{-1} (d a) a^{-1} contributes -(h/4) w^T da/dq_j w,
+        # and w^T (da/dq_j) w = 2 (sigma^T w) . (dsigma/dq_j^T w)
+        sw = np.einsum("kir,ki->kr", sig, w)
+        dsw = np.einsum("kirj,ki->krj", p.grad_sigma(mids), w)
+        sym -= np.einsum("kr,krj->kj", sw, dsw)
     sym *= 0.5 * h
 
     # antisymmetric part: dependence through the forward difference

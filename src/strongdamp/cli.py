@@ -124,10 +124,7 @@ def _atomic_dump(tr: Trajectory, path: str) -> None:
 
 def cmd_validate(p, cfg, out, seed, threads):
     rep = validate_hypotheses(p, samples=2000, seed=seed)
-    write_json(os.path.join(out, "validate.json"), {
-        "passed": rep.passed, "failures": list(rep.failures),
-        "metrics": rep.metrics,
-    })
+    write_json(os.path.join(out, "validate.json"), rep.as_dict())
     return ["validate.json"], []
 
 

@@ -2,9 +2,10 @@
 
 Expressions are written over coordinates ``q1 .. qd`` plus the reaction
 variable ``u``, with ``+ - * / ^``, unary minus, parentheses and the
-function set sin, cos, exp, log, sqrt, tanh, abs, min, max (min and max
-take two arguments).  Parsing is a small Pratt parser; syntax errors carry
-the byte offset and the token set that would have been accepted.
+function set sin, cos, exp, log, sqrt, tanh, abs, sign, min, max (min
+and max take two arguments).  Parsing is a small Pratt parser; syntax
+errors carry the byte offset and the token set that would have been
+accepted.
 
 The AST supports four consumers:
 
@@ -14,17 +15,20 @@ The AST supports four consumers:
 * a checked tree-walking evaluator, `eval_field`, the reference those
   closures are tested against; it re-runs only when a closure traps, and
   then reports the domain violation with the offending sub-expression;
-* a symbolic derivative for polynomial trees, cached per coordinate;
-* a canonical printer whose output re-parses to the identical tree.
+* a symbolic derivative of every tree, cached and compiled per
+  coordinate: the chain, product, quotient and power rules, with abs, min
+  and max differentiated piecewise through sign;
+* a canonical printer whose output re-parses to the identical tree (for
+  a derivative, to one of equal value: its negative constants re-parse
+  as negations).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +49,7 @@ _FUNCTIONS = {
     "sqrt": 1,
     "tanh": 1,
     "abs": 1,
+    "sign": 1,
     "min": 2,
     "max": 2,
 }
@@ -57,6 +62,7 @@ _NUMPY_FUNCS = {
     "sqrt": np.sqrt,
     "tanh": np.tanh,
     "abs": np.abs,
+    "sign": np.sign,
     "min": np.minimum,
     "max": np.maximum,
 }
@@ -242,18 +248,13 @@ class ScalarExpr:
     def uses_u(self) -> bool:
         return any(i == -1 for _, _, i in _iter_vars(self.root))
 
-    def is_polynomial(self) -> bool:
-        return _is_polynomial(self.root)
-
-    def derivative(self, q_index: int) -> Optional["ScalarExpr"]:
-        """Symbolic d/dq_{q_index+1}, or None when the tree is not
-        polynomial.  Cached, so its compiled closure is built once too."""
+    def derivative(self, q_index: int) -> "ScalarExpr":
+        """Symbolic d/dq_{q_index+1}.  Cached, so its compiled closure is
+        built once too."""
         cache = self._derivatives
         if q_index not in cache:
-            node = (_simplify(_diff(self.root, q_index))
-                    if _is_polynomial(self.root) else None)
-            cache[q_index] = (None if node is None
-                              else ScalarExpr(node, to_string(node)))
+            node = _simplify(_diff(self.root, q_index))
+            cache[q_index] = ScalarExpr(node, to_string(node))
         return cache[q_index]
 
     @cached_property
@@ -416,6 +417,8 @@ def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
 
 def _prec(node):
     kind = node[0]
+    if kind == "num" and node[1] < 0:
+        return _UNARY_BP  # prints with a leading '-', like a negation
     if kind in ("num", "var", "call"):
         return 100
     if kind == "neg":
@@ -454,34 +457,30 @@ def to_string(node) -> str:
     else:
         if _prec(left) < lp:
             ls = f"({ls})"
-        if _prec(right) <= lp or (right[0] == "neg" and op in "+-*/"):
+        if _prec(right) <= lp or _prec(right) == _UNARY_BP:
             rs = f"({rs})"
     return f"{ls} {op} {rs}" if op in "+-" else f"{ls}{op}{rs}"
 
 
 # ---------------------------------------------------------------------------
-# polynomial detection and symbolic derivative
+# symbolic derivative
 
-def _is_polynomial(node) -> bool:
-    kind = node[0]
-    if kind in ("num", "var"):
-        return True
-    if kind == "neg":
-        return _is_polynomial(node[1])
-    if kind == "bin":
-        op = node[1]
-        if op in "+-*":
-            return _is_polynomial(node[2]) and _is_polynomial(node[3])
-        if op == "/":
-            # allow division by a nonzero constant only
-            return _is_polynomial(node[2]) and node[3][0] == "num" \
-                and node[3][1] != 0
-        if op == "^":
-            e = node[3]
-            return (_is_polynomial(node[2]) and e[0] == "num"
-                    and e[1] == int(e[1]) and e[1] >= 0)
-        return False
-    return False
+def _depends_on(node, qi) -> bool:
+    return any(i == qi for _, _, i in _iter_vars(node))
+
+
+# d f(a) / da for each function f of one argument, as a tree over a
+_OUTER = {
+    "sin": lambda a: ("call", "cos", (a,)),
+    "cos": lambda a: ("neg", ("call", "sin", (a,))),
+    "exp": lambda a: ("call", "exp", (a,)),
+    "log": lambda a: ("bin", "/", ("num", 1.0), a),
+    "sqrt": lambda a: ("bin", "/", ("num", 0.5), ("call", "sqrt", (a,))),
+    "tanh": lambda a: ("bin", "-", ("num", 1.0),
+                       ("bin", "^", ("call", "tanh", (a,)), ("num", 2.0))),
+    "abs": lambda a: ("call", "sign", (a,)),
+    "sign": lambda a: ("num", 0.0),
+}
 
 
 def _diff(node, qi):
@@ -492,6 +491,18 @@ def _diff(node, qi):
         return ("num", 1.0 if node[2] == qi else 0.0)
     if kind == "neg":
         return ("neg", _diff(node[1], qi))
+    if kind == "call":
+        fname, args = node[1], node[2]
+        if fname in ("min", "max"):
+            # min/max(a, b) = (a + b -/+ |a - b|) / 2, piecewise through sign
+            a, b = args
+            da, db = _diff(a, qi), _diff(b, qi)
+            jump = ("bin", "*", ("call", "sign", (("bin", "-", a, b),)),
+                    ("bin", "-", da, db))
+            return ("bin", "*", ("num", 0.5),
+                    ("bin", "-" if fname == "min" else "+",
+                     ("bin", "+", da, db), jump))
+        return ("bin", "*", _OUTER[fname](args[0]), _diff(args[0], qi))
     op = node[1]
     a, b = node[2], node[3]
     if op in "+-":
@@ -501,14 +512,22 @@ def _diff(node, qi):
                 ("bin", "*", _diff(a, qi), b),
                 ("bin", "*", a, _diff(b, qi)))
     if op == "/":
-        return ("bin", "/", _diff(a, qi), b)
-    # a^n with integer n >= 0
-    n = b[1]
-    if n == 0:
+        if not _depends_on(b, qi):
+            return ("bin", "/", _diff(a, qi), b)
+        return ("bin", "/",
+                ("bin", "-", ("bin", "*", _diff(a, qi), b),
+                 ("bin", "*", a, _diff(b, qi))),
+                ("bin", "^", b, ("num", 2.0)))
+    if b == ("num", 0.0):
         return ("num", 0.0)
-    return ("bin", "*",
-            ("bin", "*", ("num", float(n)), ("bin", "^", a, ("num", n - 1))),
-            _diff(a, qi))
+    if not _depends_on(b, qi):
+        # a^n -> n a^(n-1) a'; a constant n - 1 folds in _simplify
+        power = ("bin", "^", a, ("bin", "-", b, ("num", 1.0)))
+        return ("bin", "*", ("bin", "*", b, power), _diff(a, qi))
+    # a^b -> a^b (b' log a + b a' / a)
+    return ("bin", "*", node,
+            ("bin", "+", ("bin", "*", _diff(b, qi), ("call", "log", (a,))),
+             ("bin", "/", ("bin", "*", b, _diff(a, qi)), a)))
 
 
 def _simplify(node):
@@ -591,36 +610,10 @@ def _codegen(root) -> str:
 
 
 # ---------------------------------------------------------------------------
-# numeric gradients of scalar fields
+# gradients of scalar fields
 
-def grad_field(f: ScalarExpr, points: np.ndarray, d: int) -> np.ndarray:
-    """Gradient of f at points (..., d), analytic for polynomial trees,
-    centered finite differences with step 1e-5*(1+|q|) otherwise."""
-    points = np.asarray(points, dtype=float)
-    derivs = [f.derivative(i) for i in range(d)]
-    if derivs[0] is not None:
-        return evaluate_all(derivs, points)
-    out = np.empty(points.shape[:-1] + (d,))
-    step = 1e-5 * (1.0 + np.linalg.norm(points, axis=-1))
-    for i in range(d):
-        hp = points.copy()
-        hm = points.copy()
-        hp[..., i] += step
-        hm[..., i] -= step
-        out[..., i] = (evaluate(f, hp) - evaluate(f, hm)) / (2.0 * step)
-    return out
-
-
-def fd_derivative(fn: Callable, points: np.ndarray, i: int,
-                  rel_step: float = 1e-5) -> np.ndarray:
-    """Centered difference of an arbitrary vectorized field along axis i."""
-    points = np.asarray(points, dtype=float)
-    step = rel_step * (1.0 + np.linalg.norm(points, axis=-1))
-    hp = points.copy()
-    hm = points.copy()
-    hp[..., i] += step
-    hm[..., i] -= step
-    den = (2.0 * step)
-    num = fn(hp) - fn(hm)
-    # broadcast over trailing output axes of vector/matrix fields
-    return num / den.reshape(den.shape + (1,) * (num.ndim - den.ndim))
+def grad_field(f: ScalarExpr, points: np.ndarray, d: int,
+               u=None) -> np.ndarray:
+    """Gradient of f at points (..., d) from its compiled symbolic
+    derivatives, shape points.shape[:-1] + (d,); u as in evaluate."""
+    return evaluate_all([f.derivative(i) for i in range(d)], points, u)

@@ -81,6 +81,12 @@ class ProblemDefinition:
         out = evaluate_all(self._sigma_flat, Q)
         return out.reshape(out.shape[:-1] + (self.d, self.r))
 
+    def grad_sigma(self, Q) -> np.ndarray:
+        """Derivatives d sigma_ik / d q_j, shape (..., d, r, d)."""
+        out = evaluate_all([e.derivative(j) for e in self._sigma_flat
+                            for j in range(self.d)], Q)
+        return out.reshape(out.shape[:-1] + (self.d, self.r, self.d))
+
     def eval_a(self, Q) -> np.ndarray:
         """Diffusion matrix a = sigma sigma^T, shape (..., d, d)."""
         s = self.eval_sigma(Q)
@@ -362,16 +368,8 @@ def validate_hypotheses(p: ProblemDefinition, samples: int = 10_000,
     metrics["b_lipschitz"] = float(
         np.max(np.linalg.norm(db[keep], axis=1) / dist[keep]))
 
-    # bounded derivative of sigma (max column-wise finite difference slope)
-    sig_slope = 0.0
-    for i in range(p.d):
-        step = 1e-5 * (1.0 + np.linalg.norm(pts, axis=1))
-        hp, hm = pts.copy(), pts.copy()
-        hp[:, i] += step
-        hm[:, i] -= step
-        dsig = (p.eval_sigma(hp) - p.eval_sigma(hm)) / (2 * step)[:, None, None]
-        sig_slope = max(sig_slope, float(np.max(np.abs(dsig))))
-    metrics["sigma_derivative_max"] = sig_slope
+    # bounded derivative of sigma
+    metrics["sigma_derivative_max"] = float(np.max(np.abs(p.grad_sigma(pts))))
 
     if p.U is not None:
         gu = p.grad_U(pts)

@@ -34,7 +34,7 @@ from .action import DiscretePath, minimize_path, node_gradient, \
     segment_costs
 from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
-from .expr import fd_derivative
+from .expr import grad_field
 from .fields import ProblemDefinition, ProblemError
 from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
     snap_step
@@ -242,14 +242,6 @@ def g0_samples(p: ProblemDefinition, per_dim: int = 512) -> np.ndarray:
     return pts[keep]
 
 
-def _grad_c0(p: ProblemDefinition, pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    fn = lambda Q: p.eval_c(Q, u=0.0)
-    for i in range(pts.shape[1]):
-        out[:, i] = fd_derivative(fn, pts, i)
-    return out
-
-
 def _nearest(samples: np.ndarray, x: np.ndarray):
     d2 = np.sum((samples - x) ** 2, axis=1)
     k = int(np.argmin(d2))
@@ -328,7 +320,7 @@ def front_field_path(p: ProblemDefinition, q, t: float, N: int = 64,
     def body(pts, costs, g_left, g_right):
         gain = float(np.dot(trapz_w, p.eval_c(pts, u=0.0)))
         grad = node_gradient(g_left, g_right, pin_end=False)
-        grad -= trapz_w[1:, None] * _grad_c0(p, pts[1:])
+        grad -= trapz_w[1:, None] * grad_field(p.c, pts[1:], p.d, u=0.0)
         return float(np.sum(costs)) - gain, grad
 
     def value_of(path):
@@ -379,7 +371,7 @@ def front_field_prefix(p: ProblemDefinition, q, t: float, N: int = 64,
             # trapezoid gain weighs nodes 1..n*-1 by h and node n* by h/2
             w = np.full((n_star, 1), h)
             w[-1] = 0.5 * h
-            gc = _grad_c0(p, pts[:n_star + 1])
+            gc = grad_field(p.c, pts[:n_star + 1], p.d, u=0.0)
             grad[:n_star] -= -node_gradient(
                 g_left[:n_star], g_right[:n_star], pin_end=False) \
                 + w * gc[1:]

@@ -111,6 +111,37 @@ def test_segment_gradients_match_fd():
                 assert grad[k, 0] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("mode", ["standard", "alt", "driftfree"])
+def test_segment_gradients_state_dependent_sigma(mode):
+    """The sigma term of the gradient, 2 (sigma^T w) . (dsigma/dq_j^T w),
+    against central differences of segment_costs on a correlated,
+    non-polynomial, state-dependent sigma (d = r = 2)."""
+    p = load_problem({
+        "d": 2, "r": 2, "b": ["-q1 + 0.5*q2", "-q2 - sin(q1)"],
+        "sigma": [["1 + 0.3*sin(q1)", "0.2*q2"], ["0", "exp(-q1^2/4)"]],
+        "alpha": "1.5 + 0.5*tanh(q2)", "alpha0": 1.0,
+        "O": [0.0, 0.0], "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    })
+    rng = np.random.default_rng(5)
+    pts = np.cumsum(rng.normal(0, 0.2, size=(6, 2)), axis=0)
+    f = DiscretePath(T=0.8, points=pts)
+    cost, g_left, g_right = segment_costs_grad(p, f, mode)
+    np.testing.assert_allclose(cost, segment_costs(p, f, mode), rtol=1e-12)
+    step = 1e-5
+    for k in range(f.N):
+        for grad, node in ((g_left, k), (g_right, k + 1)):
+            for j in range(2):
+                fp = pts.copy()
+                fp[node, j] += step
+                fm = pts.copy()
+                fm[node, j] -= step
+                num = (segment_costs(p, DiscretePath(T=0.8, points=fp),
+                                     mode)[k]
+                       - segment_costs(p, DiscretePath(T=0.8, points=fm),
+                                       mode)[k]) / (2 * step)
+                assert grad[k, j] == pytest.approx(num, rel=1e-6, abs=1e-9)
+
+
 @pytest.mark.parametrize("pin_end", [True, False])
 def test_path_driver_gradient_matches_fd(pin_end):
     """After one L-BFGS step on p2 (state-dependent friction) the driver's

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import strongdamp
 import strongdamp.acceptance
 from strongdamp import __version__, cli
 from strongdamp.acceptance import CriterionResult
@@ -202,8 +203,13 @@ def test_all_success_exit_code(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # the subprocesses import the strongdamp under test, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(strongdamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (pkg_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "strongdamp.cli",
-                           "--version"], capture_output=True, text=True)
+                           "--version"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert __version__ in proc.stdout
 
@@ -211,6 +217,6 @@ def test_module_entry_point(tmp_path):
                                "out_dir": str(tmp_path / "out")})
     proc = subprocess.run([sys.executable, "-m", "strongdamp.cli",
                            "validate", "--config", cfg],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote 1 artifact(s)" in proc.stdout

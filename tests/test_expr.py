@@ -5,12 +5,24 @@ from hypothesis import strategies as st
 
 from strongdamp.expr import (EvalDomainError, ExpressionSyntaxError,
                              eval_field, evaluate, evaluate_all, grad_field,
-                             fd_derivative, parse_expression)
+                             parse_expression)
 from strongdamp.fields import load_preset
 
 
 def ev(src, pts, u=None):
     return eval_field(parse_expression(src), np.asarray(pts, dtype=float), u)
+
+
+def central_difference(f, points, i, u=None):
+    """Centered difference of field f along coordinate i, with step
+    1e-5 * (1 + |q|): the independent oracle for symbolic derivatives."""
+    points = np.asarray(points, dtype=float)
+    step = 1e-5 * (1.0 + np.linalg.norm(points, axis=-1))
+    hp = points.copy()
+    hm = points.copy()
+    hp[..., i] += step
+    hm[..., i] -= step
+    return (eval_field(f, hp, u) - eval_field(f, hm, u)) / (2.0 * step)
 
 
 def test_arithmetic_and_precedence():
@@ -87,22 +99,64 @@ def test_compiled_evaluation_reports_domain_errors(src, pts, subexpr):
 
 def test_symbolic_derivative_polynomials():
     f = parse_expression("q1^3 - 2*q1*q2 + 4")
-    assert f.is_polynomial()
     d1 = f.derivative(0)
     pts = np.array([[1.5, -0.5], [0.0, 2.0]])
     np.testing.assert_allclose(eval_field(d1, pts),
                                3 * pts[:, 0] ** 2 - 2 * pts[:, 1])
-    # non-polynomial trees fall back to None (callers use differences)
-    assert parse_expression("sin(q1)").derivative(0) is None
+    # every tree has a symbolic derivative, not only polynomials
+    assert str(parse_expression("sin(q1)").derivative(0)) == "cos(q1)"
+    # a folded negative constant prints as a parenthesized base
+    assert str(parse_expression("q1*(-2)^q2").derivative(0)) == "(-2)^q2"
 
 
 def test_grad_field_matches_fd():
     f = parse_expression("q1^2*q2 + q2^3")
     pts = np.array([[0.3, 0.7], [-1.0, 0.2]])
     g = grad_field(f, pts, 2)
-    gfd = np.stack([fd_derivative(lambda x: eval_field(f, x), pts, i)
-                    for i in range(2)], axis=-1)
+    gfd = np.stack([central_difference(f, pts, i) for i in range(2)],
+                   axis=-1)
     np.testing.assert_allclose(g, gfd, atol=1e-7)
+
+
+# points away from every kink and domain edge of the sources below
+RULE_POINTS = np.array([[0.7, 0.4], [1.3, 0.9], [0.4, 1.6]])
+
+
+@pytest.mark.parametrize("src", [
+    "sin(q1*q2)",
+    "cos(q1^2 - q2)",
+    "exp(-q1^2/4)*q2",
+    "log(1 + q1^2*q2)",
+    "sqrt(2 + q1*q2)",
+    "tanh(2*q1 - q2)",
+    "(q1^2 + 1)/(q1 - 3*q2)",
+    "q2/(1 + q1)",
+    "q1^-2 + q2^(-1)",
+    "(2 + q1)^1.5 - q2^0.5",
+    "(2 + q1^2)^q2",
+    "2^(q1*q2)",
+    "abs(q1 - 0.3*q2)",
+    "min(q1, q2^2)",
+    "max(q1*q2, 0.5)",
+    "q2*sign(q1 - 2)",
+])
+def test_derivative_rules_match_central_differences(src):
+    f = parse_expression(src)
+    for i in range(2):
+        d = f.derivative(i)
+        got = evaluate(d, RULE_POINTS)
+        np.testing.assert_allclose(got, central_difference(f, RULE_POINTS, i),
+                                   rtol=1e-6, atol=1e-9, err_msg=str(d))
+        # the canonical source of the derivative re-parses to the same field
+        np.testing.assert_array_equal(
+            evaluate(parse_expression(d.source), RULE_POINTS), got)
+
+
+def test_derivative_outside_its_domain_raises():
+    f = parse_expression("sqrt(q1^2)")
+    assert evaluate(f, np.array([[0.0]]))[0] == 0.0
+    with pytest.raises(EvalDomainError):
+        grad_field(f, np.array([[0.5], [0.0]]), 1)
 
 
 def _preset_fields(p):
@@ -117,7 +171,7 @@ PRESETS = ("p1", "p1_tilted", "p2", "p3", "fk1d", "kpp1d", "kpp1d_cosc",
 
 def test_compile_matches_eval():
     """The compiled closure and the checked walker agree bit for bit on
-    every preset field and every polynomial derivative."""
+    every preset field and every derivative."""
     rng = np.random.default_rng(0)
     for p in map(load_preset, PRESETS):
         lo, hi = p.box[:, 0], p.box[:, 1]
@@ -125,8 +179,7 @@ def test_compile_matches_eval():
             pts = lo + rng.uniform(size=shape + (p.d,)) * (hi - lo)
             u = rng.uniform(size=shape)
             for f in _preset_fields(p):
-                exprs = [f] + [f.derivative(i) for i in range(p.d)
-                               if f.is_polynomial()]
+                exprs = [f] + [f.derivative(i) for i in range(p.d)]
                 for e in exprs:
                     want = eval_field(e, pts, u)
                     got = evaluate(e, pts, u)
@@ -140,6 +193,20 @@ def test_compile_matches_eval():
     f = parse_expression("exp(-q1^2) + 0.5*max(q1, q2)")
     pts = rng.normal(size=(40, 2))
     np.testing.assert_array_equal(f.compile()(pts), eval_field(f, pts))
+
+
+def test_preset_derivatives_match_central_differences():
+    rng = np.random.default_rng(1)
+    for p in map(load_preset, PRESETS):
+        lo, hi = p.box[:, 0], p.box[:, 1]
+        pts = lo + rng.uniform(size=(25, p.d)) * (hi - lo)
+        u = rng.uniform(size=25)
+        for f in _preset_fields(p):
+            np.testing.assert_allclose(
+                grad_field(f, pts, p.d, u),
+                np.stack([central_difference(f, pts, i, u)
+                          for i in range(p.d)], axis=-1),
+                rtol=1e-6, atol=1e-8, err_msg=f"{p.name}: {f}")
 
 
 def test_compiled_variable_does_not_alias_points():

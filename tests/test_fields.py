@@ -27,6 +27,14 @@ def test_presets_load_and_validate():
         assert rep.passed, f"{name}: {rep.failures}"
 
 
+def test_sigma_derivative_metric_is_exact():
+    """max |dsigma/dq| of sigma = 1 + 0.3 sin(q1) is 0.3, reached at the
+    sampled equilibrium O = 0."""
+    p = make(sigma=[["1 + 0.3*sin(q1)"]])
+    rep = validate_hypotheses(p, samples=200, seed=0)
+    assert rep.metrics["sigma_derivative_max"] == 0.3
+
+
 def test_unknown_preset():
     with pytest.raises(ProblemError):
         load_preset("nope")
