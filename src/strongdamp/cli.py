@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,15 +66,21 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@functools.cache
+def _validator():
+    """The config validator, with the schema checked once per process."""
+    from jsonschema import Draft202012Validator
+    schema = _schema()
+    Draft202012Validator.check_schema(schema)
+    return Draft202012Validator(schema)
+
+
 def validate_config(cfg) -> None:
-    import jsonschema
-    try:
-        jsonschema.validate(cfg, _schema(),
-                            cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(k) for k in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") \
-            from None
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(k) for k in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error.message}")
 
 
 def _resolve_problem(cfg: dict):

@@ -26,6 +26,7 @@ from .fields import ProblemDefinition
 from .sde import NoisePath, default_step, make_generator, make_step
 
 DEFAULT_CHUNK = 4096
+FIRST_DRAW = 256           # steps in a row's first noise draw
 
 
 def default_max_steps(eps: float) -> int:
@@ -72,9 +73,12 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
                  noise: Optional[NoisePath] = None):
     """Advance M paths until each exits G or hits the step cap.
 
-    Returns (tau (M,), exit_points (M, d), timed_out (M,)).  Exited and
-    capped rows are compressed out between chunks, so long-lived paths do
-    not pay for finished ones.  When `noise` is given its increments are
+    Returns (tau (M,), exit_points (M, d), timed_out (M,)).  The state
+    keeps only the rows inside G: a step where a row exits drops it, and
+    `live` maps the state rows to their rows of the chunk's noise.  Each
+    row draws from its own generator as it goes (FIRST_DRAW steps, then as
+    many as have run, at most chunk_steps), which gives the numbers of one
+    long draw.  When `noise` is given its increments are
     consumed instead of fresh draws (pilot refinement studies); running
     out of provided increments is an error, not a timeout.
     """
@@ -90,9 +94,7 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     exit_pts[immediate] = q0[immediate]
 
     active = np.flatnonzero(~immediate)
-    q = q0[active].copy()
-    v = v0[active].copy()
-    phi = phi_init[active].copy()
+    q, v, phi = q0[active], v0[active], phi_init[active]
 
     inc_given = None
     gens = None
@@ -113,7 +115,8 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     sqrt_h = math.sqrt(h)
     step_count = 0
     while active.size and step_count < max_steps:
-        n_chunk = min(chunk_steps, max_steps - step_count)
+        n_chunk = min(chunk_steps, max(FIRST_DRAW, step_count),
+                      max_steps - step_count)
         if inc_given is not None:
             avail = inc_given.shape[1] - step_count
             if avail <= 0:
@@ -126,35 +129,30 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
             for row, i in enumerate(active):
                 inc[row] = gens[int(i)].standard_normal((n_chunk, r)) * sqrt_h
 
-        alive = np.ones(active.size, dtype=bool)
+        live = None                # chunk rows of the state, once compacted
         for k in range(n_chunk):
-            rows = np.flatnonzero(alive)
-            if rows.size == 0:
-                break
-            q1, v1, _ = step(q[rows], v[rows], inc[rows, k, :])
+            q1, v1, _ = step(q, v, inc[:, k] if live is None else inc[live, k])
             phi1 = p.eval_phi(q1)
-            crossed = phi1 >= 0
-            if np.any(crossed):
-                cr = rows[crossed]
-                ph0 = phi[cr]
-                ph1 = phi1[crossed]
-                frac = ph0 / (ph0 - ph1)
-                ids = active[cr]
-                tau[ids] = (step_count + k + frac) * h
-                exit_pts[ids] = q[cr] + frac[:, None] * (q1[crossed] - q[cr])
-                alive[cr] = False
-            q[rows] = q1
-            v[rows] = v1
-            phi[rows] = phi1
-            if not np.all(np.isfinite(phi[rows])):
+            if not np.isfinite(phi1).all():
                 raise NumericalError("exit path diverged (non-finite state)")
+            crossed = phi1 >= 0
+            if crossed.any():
+                if live is None:
+                    live = np.arange(active.size)
+                frac = phi[crossed] / (phi[crossed] - phi1[crossed])
+                ids = active[live[crossed]]
+                tau[ids] = (step_count + k + frac) * h
+                exit_pts[ids] = q[crossed] + frac[:, None] * (
+                    q1[crossed] - q[crossed])
+                stay = ~crossed
+                live, q1, v1, phi1 = live[stay], q1[stay], v1[stay], phi1[stay]
+            q, v, phi = q1, v1, phi1
+            if phi.size == 0:
+                break
 
         step_count += n_chunk
-        if not np.all(alive):
-            active = active[alive]
-            q = q[alive]
-            v = v[alive]
-            phi = phi[alive]
+        if live is not None:
+            active = active[live]
 
     timed_out[active] = True
     return tau, exit_pts, timed_out

@@ -25,7 +25,6 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, \
@@ -250,6 +249,7 @@ def load_preset(name: str) -> ProblemDefinition:
 
 def box_samples(box: np.ndarray, n: int, seed: int) -> np.ndarray:
     """n Sobol-like stratified points in the box, deterministic in seed."""
+    from scipy.stats import qmc    # importing scipy.stats is slow
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
     with warnings.catch_warnings():

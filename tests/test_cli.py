@@ -13,6 +13,7 @@ import strongdamp.acceptance
 from strongdamp import __version__, cli
 from strongdamp.acceptance import CriterionResult
 from strongdamp.artifacts import hash_tree, load_manifest, write_path_csv
+from strongdamp.errors import ConfigError
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -57,6 +58,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "config invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"problem": "p1", "simulte": {}},
+    {"problem": "p1", "seed": "7"},
+    {"problem": "p1", "exit": {"eps_ladder": [0.5], "M": 0}},
+    {"problem": "p1", "simulate": {"eps": 0.3}},
+    {"problem": 3},
+], ids=["unknown_key", "wrong_type", "M_below_minimum", "missing_key",
+        "no_branch"])
+def test_config_errors_match_jsonschema_validate(cfg):
+    """The cached validator reports the error jsonschema.validate picks."""
+    import jsonschema
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, cli._schema(),
+                            cls=jsonschema.Draft202012Validator)
+    where = "/".join(str(k) for k in ref.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        cli.validate_config(cfg)
+    assert str(got.value) == f"config invalid at {where}: {ref.value.message}"
+
+
 def test_seed_is_mandatory(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM_CFG)
     rc = cli.main(["simulate", "--config", cfg,
@@ -91,6 +112,19 @@ def test_exit_rejects_eps_above_one(tmp_path, capsys):
                    "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "eps must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_exit_drift_domain_error_is_numerical_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "problem": {
+            "d": 1, "r": 1, "b": ["2 + 0.001*log(2 - q1)"],
+            "sigma": [["0.1"]], "alpha": "1", "alpha0": 1.0,
+            "G": "q1^2 - 9", "O": [0.0], "box": [[-3.0, 3.0]]},
+        "exit": {"eps_ladder": [0.15], "M": 4}})
+    rc = cli.main(["exit", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "log(2 - q1)" in capsys.readouterr().err
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -220,3 +254,15 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote 1 artifact(s)" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    pkg_root = os.path.dirname(os.path.dirname(strongdamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (pkg_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, strongdamp.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

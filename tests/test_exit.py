@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from strongdamp.errors import ConfigError, NumericalError
-from strongdamp.exit import (exit_location_histogram, exit_scaling,
+from strongdamp.exit import (DEFAULT_CHUNK, FIRST_DRAW, _exit_kernel,
+                             exit_location_histogram, exit_scaling,
                              sample_exit)
+from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import NoisePath, SimParams, default_step, \
     simulate_inertial
@@ -97,6 +99,61 @@ def test_exit_kernel_follows_simulator(preset, scheme):
     assert res.tau == (n + frac) * h
     assert res.exit_point[0] == tr.q[n, 0] + frac * (tr.q[n + 1, 0]
                                                      - tr.q[n, 0])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 300, DEFAULT_CHUNK])
+@pytest.mark.parametrize("preset, eps, steps", [("p2", 0.8, 2000),
+                                                ("p3", 0.45, 1000)])
+def test_batched_kernel_follows_simulator(preset, eps, steps, chunk):
+    """32 rows through the kernel against crossings rebuilt from stored
+    paths on generate_batch noise with the same stream ids.  The rows exit
+    over hundreds to ~1600 steps, so the kernel's piecewise noise draws,
+    its compaction on exit and its index from state rows to noise rows
+    all have to keep each row's own noise and step, bit for bit."""
+    p = load_preset(preset)
+    h = default_step(p, eps)
+    M, seed = 32, 11
+    ids = list(range(40, 40 + M))
+    q0 = np.broadcast_to(p.O, (M, p.d)).copy()
+    p0 = np.zeros((M, p.d))
+    tau, pts, out = _exit_kernel(p, eps, h, "exponential", q0, p0 / eps,
+                                 seed, ids, steps, chunk_steps=chunk)
+    noise = NoisePath.generate_batch(seed, ids, steps, p.r, h)
+    tr = simulate_inertial(p, SimParams(eps=eps, T=steps * h, h=h), q0, p0,
+                           noise)
+    phi = p.eval_phi(tr.q)
+    assert np.all(np.any(phi >= 0, axis=1)) and not np.any(out)
+    rows = np.arange(M)
+    n = np.argmax(phi >= 0, axis=1) - 1
+    assert np.all(n >= 0) and n.max() > FIRST_DRAW
+    frac = phi[rows, n] / (phi[rows, n] - phi[rows, n + 1])
+    np.testing.assert_array_equal(tau, (n + frac) * h)
+    q_n, q_n1 = tr.q[rows, n], tr.q[rows, n + 1]
+    np.testing.assert_array_equal(pts, q_n + frac[:, None] * (q_n1 - q_n))
+
+
+def test_drift_leaving_its_domain_names_the_subexpression():
+    """The drift is defined only for q1 < 2; the path reaches q1 = 2 after
+    some hundreds of steps, inside the exit domain |q1| < 3."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["2 + 0.001*log(2 - q1)"], "sigma": [["0.1"]],
+        "alpha": "1", "alpha0": 1.0, "G": "q1^2 - 9", "O": [0.0],
+        "box": [[-3.0, 3.0]],
+    })
+    with pytest.raises(EvalDomainError, match=r"'log\(2 - q1\)'"):
+        sample_exit(p, eps=0.15, seed=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_domain_function_is_numerical_error():
+    """phi = -exp(q1) overflows to -inf without crossing zero, once the
+    path passes q1 = 710 after ~700 steps."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["20"], "sigma": [["0.1"]], "alpha": "1",
+        "alpha0": 1.0, "G": "-exp(q1)", "O": [0.0], "box": [[-1.0, 1.0]],
+    })
+    with pytest.raises(NumericalError, match="non-finite"):
+        sample_exit(p, eps=0.5, seed=2)
 
 
 def test_single_rung_limit_is_its_own_elm():
