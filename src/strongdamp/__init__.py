@@ -8,9 +8,8 @@ from .errors import ConfigError, NumericalError, StrongdampError
 from .expr import ScalarExpr, eval_field, parse_expression
 from .fields import (ProblemDefinition, ProblemError, ValidationReport,
                      load_preset, load_problem, validate_hypotheses)
-from .sde import (NoisePath, SimParams, Trajectory, stochastic_convolution,
-                  rescale_to_original_time, simulate_first_order,
-                  simulate_inertial)
+from .sde import (NoisePath, SimParams, Trajectory, simulate_first_order,
+                  simulate_inertial, stochastic_convolution)
 from .action import (ActionValue, ControlSignal, DiscretePath,
                      SingularSigmaError, control_cost, controlled_skeleton,
                      path_action, path_action_alt, segment_costs)
@@ -33,8 +32,8 @@ __all__ = [
     "ScalarExpr", "eval_field", "parse_expression",
     "ProblemDefinition", "ValidationReport", "load_preset", "load_problem",
     "validate_hypotheses",
-    "NoisePath", "SimParams", "Trajectory", "stochastic_convolution",
-    "rescale_to_original_time", "simulate_first_order", "simulate_inertial",
+    "NoisePath", "SimParams", "Trajectory", "simulate_first_order",
+    "simulate_inertial", "stochastic_convolution",
     "ActionValue", "ControlSignal", "DiscretePath", "SingularSigmaError",
     "control_cost", "controlled_skeleton", "path_action", "path_action_alt",
     "segment_costs",

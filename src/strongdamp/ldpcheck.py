@@ -26,9 +26,11 @@ from .action import ControlSignal, DiscretePath, controlled_skeleton, \
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
-from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
-    snap_step, stochastic_convolution
+from .sde import NoisePath, SimParams, batch_rows, default_step, \
+    simulate_inertial, snap_step, stochastic_convolution
 
+# Rows per batch of the checks that sum per-batch partial sums: another
+# split would round those sums differently.
 BATCH = 250
 
 
@@ -226,6 +228,9 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     linearly in eps; the right side is one deterministic path
     optimization with a free endpoint.  Rungs whose relative CI of
     E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
+    Batches are sized by row-steps (batch_rows); every row's weight goes
+    into one array that one logsumexp reduces, so the split cannot change
+    the result.
     """
     cost = _as_expr(terminal_cost)
     q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
@@ -238,9 +243,10 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
         logw = np.empty(M)
+        rows = batch_rows(sp.steps)
         done = 0
         while done < M:
-            m = min(BATCH, M - done)
+            m = min(rows, M - done)
             ids = range(j * M + done, j * M + done + m)
             noise = NoisePath.generate_batch(seed, ids, sp.steps, p.r, sp.h)
             tr = simulate_inertial(p, sp,

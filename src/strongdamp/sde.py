@@ -20,9 +20,16 @@ retained as a cross check and only accepts h <= default_step.
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
 
-Noise is reproducible: every path owns a counter-based generator keyed by
-mixing (seed, stream_id) through a fixed 64-bit finalizer, so results do
-not depend on scheduling or batch composition.
+Noise is reproducible: every path owns a counter-based Philox stream keyed
+by mixing (seed, stream_id) through a fixed 64-bit finalizer, so results
+do not depend on scheduling or batch composition.  A batch draw re-keys one
+Philox bit generator per row (zero counter, empty buffer) instead of
+building a generator per row, which gives the same numbers.
+
+Batched paths are stored time-major, (K+1, M, d), so each step reads and
+writes contiguous (M, d) blocks; batch draws store their increments the
+same way.  The arrays handed out keep the (M, K+1, d) and (M, K, r) shapes
+as views of that storage.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import gzip
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, \
+    Union
 
 import numpy as np
 
@@ -58,12 +66,20 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _philox_keys(seed: int, stream_ids: Iterable[int]
+                 ) -> Iterator[tuple[int, int]]:
+    """The Philox key (k0, k1) of (seed, stream_id) for each stream id;
+    NumPy integers are taken as the Python integers they hold."""
+    k0 = mix64(int(seed) & _MASK64)
+    for sid in stream_ids:
+        yield k0, mix64(k0 ^ mix64(int(sid) & _MASK64))
+
+
 def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Independent counter-based generator for (seed, stream_id)."""
-    k0 = mix64(seed & _MASK64)
-    k1 = mix64(k0 ^ mix64(stream_id & _MASK64))
-    key = np.array([k0, k1], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    (key,) = _philox_keys(seed, [stream_id])
+    return np.random.Generator(
+        np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass
@@ -71,7 +87,7 @@ class NoisePath:
     """Brownian increments on a uniform grid; increment variance equals dt."""
 
     dt: float
-    increments: np.ndarray  # (steps, r) or (M, steps, r)
+    increments: np.ndarray  # (steps, r) or (M, steps, r); batches time-major
     seed: int = -1
     stream_id: int = -1
 
@@ -86,22 +102,39 @@ class NoisePath:
     @classmethod
     def generate(cls, seed: int, stream_id: int, steps: int, r: int,
                  dt: float) -> "NoisePath":
-        if steps < 1 or r < 1 or dt <= 0:
-            raise ConfigError("NoisePath needs steps >= 1, r >= 1, dt > 0")
-        gen = make_generator(seed, stream_id)
-        inc = gen.standard_normal((steps, r)) * np.sqrt(dt)
-        return cls(dt=dt, increments=inc, seed=seed, stream_id=stream_id)
+        batch = cls.generate_batch(seed, [stream_id], steps, r, dt)
+        return cls(dt=dt, increments=batch.increments[0], seed=seed,
+                   stream_id=stream_id)
 
     @classmethod
     def generate_batch(cls, seed: int, stream_ids: Sequence[int], steps: int,
                        r: int, dt: float) -> "NoisePath":
         """Stack of independent paths; stream ids are pre-assigned so the
-        result is identical however the batch is later split."""
-        inc = np.empty((len(stream_ids), steps, r))
+        result is identical however the batch is later split.
+
+        Row i holds make_generator(seed, stream_ids[i]).standard_normal(
+        (steps, r)) * sqrt(dt): one Philox bit generator is re-keyed per
+        row, with a zero counter and an empty buffer, so no buffered word
+        of one row reaches the next.
+        """
+        if steps < 1 or r < 1 or dt <= 0:
+            raise ConfigError("NoisePath needs steps >= 1, r >= 1, dt > 0")
+        inc = np.empty((steps, len(stream_ids), r))
         root = np.sqrt(dt)
-        for row, sid in enumerate(stream_ids):
-            inc[row] = make_generator(seed, sid).standard_normal((steps, r)) * root
-        return cls(dt=dt, increments=inc, seed=seed, stream_id=-1)
+        bits = np.random.Philox(0)
+        gen = np.random.Generator(bits)
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        draw = np.empty((steps, r))
+        for row, key in enumerate(_philox_keys(seed, stream_ids)):
+            fresh["state"]["key"] = key
+            bits.state = fresh
+            gen.standard_normal(out=draw)
+            np.multiply(draw, root, out=inc[:, row])
+        return cls(dt=dt, increments=inc.transpose(1, 0, 2), seed=seed,
+                   stream_id=-1)
 
     def coarsen(self, factor: int) -> "NoisePath":
         """Sum consecutive groups of increments; same Brownian path on a
@@ -125,6 +158,15 @@ def snap_step(T: float, h: float, min_steps: int = 1) -> float:
     """T split into the fewest equal steps, at least min_steps, that are
     no longer than h (up to rounding)."""
     return T / max(math.ceil(T / h - 1e-9), min_steps)
+
+
+ROW_STEPS_PER_BATCH = 2**19
+
+
+def batch_rows(steps: int) -> int:
+    """Rows per stored batch of `steps`-step paths: the row-step budget
+    ROW_STEPS_PER_BATCH (about 4 MB per stored array), at least one row."""
+    return max(ROW_STEPS_PER_BATCH // (steps + 1), 1)
 
 
 @dataclass
@@ -169,6 +211,13 @@ class Trajectory:
     @property
     def is_batch(self) -> bool:
         return self.q.ndim == 3
+
+    def row(self, i: int) -> "Trajectory":
+        """Path i of a batch, as views."""
+        return replace(self, q=self.q[i], p=self.p[i],
+                       friction_integral=self.friction_integral[i],
+                       convolution=None if self.convolution is None
+                       else self.convolution[i])
 
 
 ControlLike = Union[None, np.ndarray, Callable]
@@ -301,22 +350,23 @@ def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
     step = make_step(p, eps, sp.h, sp.scheme)
 
     lead = q0.shape[:-1]
-    q = np.empty(lead + (steps + 1, p.d))
-    pv = np.empty(lead + (steps + 1, p.d))
-    A = np.empty(lead + (steps + 1,))
-    q[..., 0, :] = q0
-    pv[..., 0, :] = p0 / eps
-    A[..., 0] = 0.0
-    inc = noise.increments
+    q = np.empty((steps + 1,) + lead + (p.d,))
+    pv = np.empty((steps + 1,) + lead + (p.d,))
+    A = np.empty((steps + 1,) + lead)
+    q[0] = q0
+    pv[0] = p0 / eps
+    A[0] = 0.0
+    inc = np.moveaxis(noise.increments, -2, 0)
     for n in range(steps):
-        q[..., n + 1, :], pv[..., n + 1, :], al = step(
-            q[..., n, :], pv[..., n, :], inc[..., n, :],
-            None if u_vals is None else u_vals[n])
-        A[..., n + 1] = A[..., n] + al * sp.h
+        q[n + 1], pv[n + 1], al = step(
+            q[n], pv[n], inc[n], None if u_vals is None else u_vals[n])
+        A[n + 1] = A[n] + al * sp.h
 
-    if not np.all(np.isfinite(q[..., steps, :])):
+    if not np.all(np.isfinite(q[steps])):
         raise NumericalError("trajectory diverged (non-finite position)")
-    return Trajectory(times=times, q=q, p=pv, eps=eps, friction_integral=A)
+    return Trajectory(times=times, q=np.moveaxis(q, 0, -2),
+                      p=np.moveaxis(pv, 0, -2), eps=eps,
+                      friction_integral=np.moveaxis(A, 0, -1))
 
 
 def simulate_first_order(p: ProblemDefinition, sp: SimParams, q0,
@@ -330,39 +380,30 @@ def simulate_first_order(p: ProblemDefinition, sp: SimParams, q0,
     u_vals = _control_values(control, times, steps, p.r)
 
     lead = q0.shape[:-1]
-    q = np.empty(lead + (steps + 1, p.d))
-    A = np.empty(lead + (steps + 1,))
-    q[..., 0, :] = q0
-    A[..., 0] = 0.0
+    q = np.empty((steps + 1,) + lead + (p.d,))
+    A = np.empty((steps + 1,) + lead)
+    q[0] = q0
+    A[0] = 0.0
     h = sp.h
     noise_pow = eps ** (0.5 - p.beta)
-    inc = noise.increments
+    inc = np.moveaxis(noise.increments, -2, 0)
 
     for n in range(steps):
-        qn = q[..., n, :]
+        qn = q[n]
         al = p.eval_alpha(qn)[..., None]
         drift = p.eval_b(qn)
         sig_n = p.eval_sigma(qn)
         if u_vals is not None:
             drift = drift + _apply_sigma(sig_n, u_vals[n])
-        dW = inc[..., n, :]
-        q[..., n + 1, :] = (qn + h * drift / al
-                            + noise_pow * _apply_sigma(sig_n, dW) / al)
-        A[..., n + 1] = A[..., n] + al[..., 0] * h
+        q[n + 1] = qn + h * drift / al + noise_pow * _apply_sigma(
+            sig_n, inc[n]) / al
+        A[n + 1] = A[n] + al[..., 0] * h
 
-    if not np.all(np.isfinite(q[..., steps, :])):
+    if not np.all(np.isfinite(q[steps])):
         raise NumericalError("trajectory diverged (non-finite position)")
-    return Trajectory(times=times, q=q,
+    return Trajectory(times=times, q=np.moveaxis(q, 0, -2),
                       p=np.zeros(lead + (steps + 1, 0)),
-                      eps=eps, friction_integral=A)
-
-
-def rescale_to_original_time(tr: Trajectory, inverse: bool = False,
-                             ) -> Trajectory:
-    """View of the path on the original (slow) clock: times scaled by 1/eps,
-    values unchanged.  inverse=True undoes the scaling."""
-    factor = tr.eps if inverse else 1.0 / tr.eps
-    return replace(tr, times=tr.times * factor)
+                      eps=eps, friction_integral=np.moveaxis(A, 0, -1))
 
 
 def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
@@ -390,27 +431,28 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
         raise GridMismatchError(f"stride {stride} must divide {steps} steps")
 
     sl = slice(None, None, stride)
-    q = tr.q[..., sl, :]
-    A = tr.friction_integral[..., sl]
+    q = np.moveaxis(tr.q, -2, 0)[sl]
+    A = np.moveaxis(tr.friction_integral, -1, 0)[sl]
     times = tr.times[sl]
-    inc = noise.increments[..., :steps, :]
+    inc = np.moveaxis(noise.increments, -2, 0)[:steps]
     if stride > 1:
-        shp = inc.shape
-        inc = inc.reshape(shp[:-2] + (steps // stride, stride, shp[-1])
-                          ).sum(axis=-2)
-    m = q.shape[-2] - 1
+        inc = inc.reshape((steps // stride, stride) + inc.shape[1:]).sum(
+            axis=1)
+    m = q.shape[0] - 1
 
     eps2 = tr.eps**2
     noise_pow = tr.eps ** (0.5 - p.beta)
-    H = np.zeros_like(q)
+    H = np.zeros(q.shape)
     for n in range(m):
-        sig_n = p.eval_sigma(q[..., n, :])
-        kick = noise_pow * _apply_sigma(sig_n, inc[..., n, :])
-        decay = np.exp(-(A[..., n + 1] - A[..., n]) / eps2)[..., None]
-        H[..., n + 1, :] = decay * (H[..., n, :] + kick)
+        sig_n = p.eval_sigma(q[n])
+        kick = noise_pow * _apply_sigma(sig_n, inc[n])
+        decay = np.exp(-(A[n + 1] - A[n]) / eps2)[..., None]
+        H[n + 1] = decay * (H[n] + kick)
 
-    return Trajectory(times=times, q=q, p=tr.p[..., sl, :], eps=tr.eps,
-                      friction_integral=A, convolution=H)
+    return Trajectory(times=times, q=tr.q[..., sl, :], p=tr.p[..., sl, :],
+                      eps=tr.eps,
+                      friction_integral=tr.friction_integral[..., sl],
+                      convolution=np.moveaxis(H, 0, -2))
 
 
 # ---------------------------------------------------------------------------

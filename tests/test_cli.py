@@ -138,6 +138,37 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert set(a) == {"traj_0000.csv", "traj_0001.csv"}
 
 
+def test_simulate_batch_matches_single_path_reference(tmp_path):
+    """`simulate` runs its paths as one batch; each file matches the path
+    simulated, convolved and dumped on its own."""
+    from strongdamp.fields import load_preset
+    from strongdamp.sde import NoisePath, SimParams, default_step, \
+        dump_trajectory, simulate_inertial, snap_step, \
+        stochastic_convolution
+    blk = {"eps": 0.2, "T": 0.3, "n_paths": 3, "with_convolution": True,
+           "q0": [0.4], "p0": [0.1]}
+    cfg = write_cfg(tmp_path, {"problem": "p2", "simulate": blk})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg,
+                     "--seed", "17", "--out", str(out)]) == 0
+    p = load_preset("p2")
+    sp = SimParams(eps=0.2, T=0.3, h=snap_step(0.3, default_step(p, 0.2)))
+    for i in range(3):
+        noise = NoisePath.generate(17, i, sp.steps, p.r, sp.h)
+        tr = simulate_inertial(p, sp, np.array([0.4]), np.array([0.1]),
+                               noise)
+        ref = tmp_path / f"ref_{i}.csv"
+        dump_trajectory(stochastic_convolution(tr, p, noise), str(ref))
+        got = (out / f"traj_{i:04d}.csv").read_text().splitlines()
+        want = ref.read_text().splitlines()
+        assert got[0] == want[0] == "t,q1,p1,H1"
+        a = np.array([row.split(",") for row in got[1:]], dtype=float)
+        b = np.array([row.split(",") for row in want[1:]], dtype=float)
+        assert a.shape == b.shape == (sp.steps + 1, 4)
+        np.testing.assert_array_equal(a[:, 0], b[:, 0])
+        np.testing.assert_allclose(a[:, 1:], b[:, 1:], rtol=0, atol=1e-14)
+
+
 def test_seed_flag_changes_bytes(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     outs = [str(tmp_path / f"out{i}") for i in (0, 1)]

@@ -10,8 +10,8 @@ from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import (GridMismatchError, NoisePath, SimParams,
                             dump_trajectory, make_generator,
-                            rescale_to_original_time, simulate_first_order,
-                            simulate_inertial, stochastic_convolution)
+                            simulate_first_order, simulate_inertial,
+                            stochastic_convolution)
 
 
 P1 = load_preset("p1")
@@ -75,20 +75,75 @@ def test_schemes_agree_on_shared_noise():
     assert np.max(np.abs(qs["exponential"] - qs["euler"])) < 5e-3
 
 
-def test_batch_equals_loop():
+def _check_batch_equals_loop(p, first_order=False, control=False):
+    """Each row of a stored batch equals the path simulated on its own."""
     eps = 0.25
-    sp = SimParams(eps=eps, T=0.2, h=snap(0.2, 0.1 * eps**2 / P2.alpha_max))
+    sp = SimParams(eps=eps, T=0.2, h=snap(0.2, 0.1 * eps**2 / p.alpha_max))
     ids = [4, 7, 9]
-    batch = NoisePath.generate_batch(11, ids, sp.steps, 1, sp.h)
-    q0 = np.tile(np.array([0.3]), (3, 1))
-    p0 = np.zeros((3, 1))
-    tr = simulate_inertial(P2, sp, q0, p0, batch)
+    batch = NoisePath.generate_batch(11, ids, sp.steps, p.r, sp.h)
+    starts = p.O + 0.3 * np.arange(1, 4)[:, None] / p.d
+    p0 = np.full(p.d, 0.2)
+    u = None
+    if control:
+        t = np.arange(sp.steps)[:, None] * sp.h
+        u = np.sin(8.0 * t + np.arange(p.r))
+    if first_order:
+        tr = simulate_first_order(p, sp, starts, batch, control=u)
+    else:
+        tr = simulate_inertial(p, sp, starts, p0, batch, control=u)
+    tr = stochastic_convolution(tr, p, batch)
     for row, sid in enumerate(ids):
-        single = NoisePath.generate(11, sid, sp.steps, 1, sp.h)
+        single = NoisePath.generate(11, sid, sp.steps, p.r, sp.h)
         np.testing.assert_array_equal(single.increments,
                                       batch.increments[row])
-        one = simulate_inertial(P2, sp, np.array([0.3]), np.zeros(1), single)
+        if first_order:
+            one = simulate_first_order(p, sp, starts[row], single, control=u)
+        else:
+            one = simulate_inertial(p, sp, starts[row], p0, single,
+                                    control=u)
+        one = stochastic_convolution(one, p, single)
+        assert tr.q[row].shape == one.q.shape
         np.testing.assert_allclose(tr.q[row], one.q, atol=1e-14)
+        np.testing.assert_allclose(tr.p[row], one.p, atol=1e-14)
+        np.testing.assert_allclose(tr.friction_integral[row],
+                                   one.friction_integral, atol=1e-14)
+        np.testing.assert_allclose(tr.convolution[row], one.convolution,
+                                   atol=1e-14)
+
+
+def test_batch_equals_loop():
+    _check_batch_equals_loop(P2)
+
+
+@pytest.mark.parametrize("name,first_order,control", [
+    ("p2", False, True),
+    ("p3", False, False),
+    ("p3", False, True),
+    ("p2", True, False),
+    ("p3", True, True),
+])
+def test_batch_equals_loop_layouts(name, first_order, control):
+    """Time-major storage: d = r = 2 (p3), a control array and the
+    first-order integrator give each row its single-path values."""
+    _check_batch_equals_loop(load_preset(name), first_order, control)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+def test_batch_rows_equal_own_generator(seed):
+    """Row i of a batch draw is make_generator(seed, id_i)'s draw.  A row
+    holds 3 x 3 = 9 normals, not a multiple of Philox's four-word block,
+    so a buffered word of one row would reach the next row if the batch
+    did not empty the buffer when it re-keys."""
+    ids = [0, 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1, 3]
+    steps, r, dt = 3, 3, 0.04
+    batch = NoisePath.generate_batch(seed, ids, steps, r, dt)
+    assert batch.increments.shape == (len(ids), steps, r)
+    for row, sid in enumerate(ids):
+        want = make_generator(seed, sid).standard_normal((steps, r)) \
+            * np.sqrt(dt)
+        np.testing.assert_array_equal(batch.increments[row], want)
+        np.testing.assert_array_equal(
+            NoisePath.generate(seed, sid, steps, r, dt).increments, want)
 
 
 def test_batched_q0_needs_one_noise_path_per_row():
@@ -110,6 +165,17 @@ def test_stream_independence_of_batch_composition():
     a = NoisePath.generate_batch(5, [0, 1, 2, 3], 16, 2, 0.1)
     b = NoisePath.generate_batch(5, [2, 3], 16, 2, 0.1)
     np.testing.assert_array_equal(a.increments[2:], b.increments)
+
+
+def test_numpy_integer_seeds_and_stream_ids():
+    """np.arange ids and a NumPy seed key the same streams as Python ints
+    (masking a NumPy int64 with 2**64 - 1 used to overflow)."""
+    a = NoisePath.generate_batch(np.int64(-3), np.arange(3), 5, 2, 0.1)
+    b = NoisePath.generate_batch(-3, [0, 1, 2], 5, 2, 0.1)
+    np.testing.assert_array_equal(a.increments, b.increments)
+    np.testing.assert_array_equal(
+        make_generator(np.uint64(2**64 - 1), np.int64(7)).standard_normal(4),
+        make_generator(-1, 7).standard_normal(4))
 
 
 def test_generator_streams_do_not_collide():
@@ -193,16 +259,6 @@ def test_first_order_limit_tracks_inertial():
     tr1 = simulate_first_order(P2, sp, np.array([0.6]), noise)
     skip = tr1.times > 20 * eps**2
     assert np.max(np.abs(tr1.q[skip, 0] - tr2.q[skip, 0])) < 0.05
-
-
-def test_rescale_to_original_time():
-    eps = 0.2
-    sp = SimParams(eps=eps, T=0.4, h=snap(0.4, 0.2 * eps**2))
-    noise = zero_noise(sp.steps, 1, sp.h)
-    tr = simulate_inertial(P1, sp, np.array([0.5]), np.zeros(1), noise)
-    orig = rescale_to_original_time(tr)
-    np.testing.assert_allclose(orig.times, tr.times / eps)
-    np.testing.assert_array_equal(orig.q, tr.q)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
