@@ -5,6 +5,10 @@ directory), floats are serialized with repr (shortest round-trip), JSON
 keys are sorted, so a re-run with the same seed reproduces artifact
 bytes exactly.  The manifest is the one file carrying timing, and
 determinism checks exclude it.
+
+Array tables are formatted from `ndarray.tolist()` rows, so each cell is
+one repr of a Python float; a grid CSV formats each axis value once and
+its values one x-row at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +89,18 @@ def fmt(v) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
+    """CSV of `rows`: each a sequence of cells (formatted by `fmt`) or a
+    line already formatted (a str)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(row if isinstance(row, str) else ",".join(map(fmt, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def float_lines(rows) -> Iterator[str]:
+    """One CSV line per row of Python floats (`ndarray.tolist()` rows),
+    each cell in `fmt`'s float format."""
+    return (",".join(map(repr, row)) for row in rows)
 
 
 def read_csv(path: str):
@@ -111,6 +123,15 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _grid_lines(xs, ys, values) -> Iterator[str]:
+    """x,y,value lines in row-major order; each axis value is formatted
+    once and each x-row of values is formatted as it is written."""
+    rys = [repr(y) for y in ys.tolist()]
+    for rx, row in zip(map(repr, xs.tolist()), values):
+        for ry, v in zip(rys, row.tolist()):
+            yield rx + "," + ry + "," + repr(v)
+
+
 def write_grid(path: str, field) -> None:
     """Grid values as CSV (x[,y],value) plus a .meta.json sidecar carrying
     origin, spacing, shape, and the field kind."""
@@ -122,14 +143,12 @@ def write_grid(path: str, field) -> None:
     if d == 1:
         header = ["x", "value"]
         xs = origin[0] + spacing[0] * np.arange(values.shape[0])
-        rows = ([x, v] for x, v in zip(xs, values))
+        rows = float_lines(np.column_stack([xs, values]).tolist())
     elif d == 2:
         header = ["x", "y", "value"]
         xs = origin[0] + spacing[0] * np.arange(values.shape[0])
         ys = origin[1] + spacing[1] * np.arange(values.shape[1])
-        rows = ([xs[i], ys[j], values[i, j]]
-                for i in range(values.shape[0])
-                for j in range(values.shape[1]))
+        rows = _grid_lines(xs, ys, values)
     else:
         raise ConfigError("grid dumps support d <= 2")
     write_csv(path, header, rows)

@@ -1,9 +1,12 @@
 """Zero-level-set extraction on regular 2d grids (marching squares).
 
-Cells are scanned for sign changes of ``values - level``; crossing points
-are placed by linear interpolation along cell edges and chained into
-polylines by shared edge identity, so closed loops come back closed.
-Saddle cells are disambiguated by the cell-center average.
+The 4-bit corner-sign case of every cell of ``values - level`` is built
+with numpy in one pass; only the cells whose case holds a crossing (neither
+all corners above nor all below) are visited in Python, in row-major order.
+Crossing points are placed by linear interpolation along cell edges and the
+crossing segments are chained into polylines by shared edge identity, so
+closed loops come back closed.  Saddle cells are disambiguated by the
+cell-center average.
 """
 
 from __future__ import annotations
@@ -38,44 +41,40 @@ def contour_polylines(values, xs, ys, level: float = 0.0):
     tiny = 1e-12 * max(1.0, float(np.max(np.abs(s))) or 1.0)
     s = np.where(s == 0.0, tiny, s)
 
-    pos = s > 0
+    # 4-bit case of every cell: corner bits (i,j), (i+1,j), (i+1,j+1), (i,j+1)
+    pos = (s > 0).view(np.uint8)
+    case = (pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2
+            | pos[:-1, 1:] << 3)
+    # only crossing cells reach Python, in row-major (i, then j) order
+    ci, cj = np.nonzero((case != 0) & (case != 15))
     segments = []
-    nx, ny = vals.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            c00 = pos[i, j]
-            c10 = pos[i + 1, j]
-            c11 = pos[i + 1, j + 1]
-            c01 = pos[i, j + 1]
-            case = (c00 | (c10 << 1) | (c11 << 2) | (c01 << 3))
-            if case in (0, 15):
-                continue
-            bottom = ("x", i, j)
-            top = ("x", i, j + 1)
-            left = ("y", i, j)
-            right = ("y", i + 1, j)
-            if case in (1, 14):
+    for i, j, c in zip(ci.tolist(), cj.tolist(), case[ci, cj].tolist()):
+        bottom = ("x", i, j)
+        top = ("x", i, j + 1)
+        left = ("y", i, j)
+        right = ("y", i + 1, j)
+        if c in (1, 14):
+            segments.append((left, bottom))
+        elif c in (2, 13):
+            segments.append((bottom, right))
+        elif c in (3, 12):
+            segments.append((left, right))
+        elif c in (4, 11):
+            segments.append((right, top))
+        elif c in (6, 9):
+            segments.append((bottom, top))
+        elif c in (7, 8):
+            segments.append((left, top))
+        else:   # saddles 5 and 10
+            center = 0.25 * (s[i, j] + s[i + 1, j]
+                             + s[i + 1, j + 1] + s[i, j + 1])
+            # join the diagonal pair that the center sign connects
+            if (c == 5) != (center > 0):
                 segments.append((left, bottom))
-            elif case in (2, 13):
-                segments.append((bottom, right))
-            elif case in (3, 12):
-                segments.append((left, right))
-            elif case in (4, 11):
                 segments.append((right, top))
-            elif case in (6, 9):
-                segments.append((bottom, top))
-            elif case in (7, 8):
+            else:
                 segments.append((left, top))
-            elif case in (5, 10):
-                center = 0.25 * (s[i, j] + s[i + 1, j]
-                                 + s[i + 1, j + 1] + s[i, j + 1])
-                # join the diagonal pair that the center sign connects
-                if (case == 5) != (center > 0):
-                    segments.append((left, bottom))
-                    segments.append((right, top))
-                else:
-                    segments.append((left, top))
-                    segments.append((bottom, right))
+                segments.append((bottom, right))
 
     adj = {}
     for a, b in segments:

@@ -35,7 +35,6 @@ as views of that storage.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, \
@@ -43,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, \
 
 import numpy as np
 
+from .artifacts import float_lines
 from .errors import ConfigError, NumericalError
 from .fields import ProblemDefinition
 
@@ -458,10 +458,6 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
 # ---------------------------------------------------------------------------
 # artifact output
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def dump_trajectory(tr: Trajectory, path: str) -> None:
     """Write a single trajectory as CSV (t, q_i, p_i, optional H_i);
     gzip-compressed when the path ends in .gz."""
@@ -469,21 +465,15 @@ def dump_trajectory(tr: Trajectory, path: str) -> None:
         raise ConfigError("dump_trajectory expects a single path, not a batch")
     d = tr.d
     cols = ["t"] + [f"q{i+1}" for i in range(d)]
-    has_p = tr.p.shape[-1] > 0
-    if has_p:
+    table = [tr.times, tr.q]
+    if tr.p.shape[-1] > 0:
         cols += [f"p{i+1}" for i in range(d)]
+        table.append(tr.p)
     if tr.convolution is not None:
         cols += [f"H{i+1}" for i in range(d)]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for n in range(tr.times.shape[0]):
-        row = [tr.times[n], *tr.q[n]]
-        if has_p:
-            row += list(tr.p[n])
-        if tr.convolution is not None:
-            row += list(tr.convolution[n])
-        buf.write(_format_row(row) + "\n")
-    data = buf.getvalue().encode()
+        table.append(tr.convolution)
+    lines = float_lines(np.column_stack(table).tolist())
+    data = ("\n".join([",".join(cols), *lines]) + "\n").encode()
     if path.endswith(".gz"):
         # mtime and FNAME pinned so identical content gives identical bytes
         with open(path, "wb") as raw, \

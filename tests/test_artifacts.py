@@ -108,6 +108,44 @@ def test_grid_dump_2d_row_major(tmp_path):
     np.testing.assert_array_equal(data[-1, :2], [1.0, 14.0])
 
 
+def reference_grid_csv(field) -> bytes:
+    """Grid CSV with every cell formatted by `fmt`, node by node."""
+    origin = np.atleast_1d(np.asarray(field.origin, dtype=float))
+    spacing = np.broadcast_to(
+        np.atleast_1d(np.asarray(field.spacing, dtype=float)), origin.shape)
+    values = np.asarray(field.values, dtype=float)
+    axes = [origin[k] + spacing[k] * np.arange(values.shape[k])
+            for k in range(origin.size)]
+    if origin.size == 1:
+        lines = ["x,value"] + [f"{fmt(x)},{fmt(v)}"
+                               for x, v in zip(axes[0], values)]
+    else:
+        lines = ["x,y,value"] + [
+            f"{fmt(axes[0][i])},{fmt(axes[1][j])},{fmt(values[i, j])}"
+            for i in range(values.shape[0]) for j in range(values.shape[1])]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def special_values(shape, seed):
+    vals = np.random.default_rng(seed).standard_normal(shape) * 1e3
+    flat = vals.reshape(-1)
+    flat[[1, 5, 7, 11]] = [-0.0, np.inf, -np.inf, np.nan]
+    return vals
+
+
+@pytest.mark.parametrize("origin, spacing, shape", [
+    (-2.48, 0.02, (251,)),
+    ([-2.5, -2.48], [0.02, 0.02], (251, 13)),
+    ([0.1, -3.0], [0.3, 0.07], (7, 19)),
+])
+def test_grid_dump_matches_per_cell_fmt(tmp_path, origin, spacing, shape):
+    field = GridField(origin=origin, spacing=spacing,
+                      values=special_values(shape, len(shape)), kind="value")
+    path = str(tmp_path / "field.csv")
+    write_grid(path, field)
+    assert open(path, "rb").read() == reference_grid_csv(field)
+
+
 def test_grid_dump_rejects_3d(tmp_path):
     field = GridField(origin=[0.0, 0.0, 0.0], spacing=0.1,
                       values=np.zeros((2, 2, 2)), kind="value")

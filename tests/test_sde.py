@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import (GridMismatchError, NoisePath, SimParams,
-                            dump_trajectory, make_generator,
+                            Trajectory, dump_trajectory, make_generator,
                             simulate_first_order, simulate_inertial,
                             stochastic_convolution)
 
@@ -279,6 +279,36 @@ def test_dump_roundtrip(tmp_path, suffix):
     np.testing.assert_allclose(rows[:, 0], tr.times)
     np.testing.assert_allclose(rows[:, 1], tr.q[:, 0])
     np.testing.assert_allclose(rows[:, 3], tr.convolution[:, 0])
+
+
+@pytest.mark.parametrize("with_p, with_h", [(True, True), (False, False)])
+def test_dump_bytes_match_per_row_repr(tmp_path, with_p, with_h):
+    rng = np.random.default_rng(3)
+    n, d = 40, 2
+    tr = Trajectory(times=np.linspace(0.0, 0.3, n),
+                    q=rng.standard_normal((n, d)) * 1e-7,
+                    p=rng.standard_normal((n, d)) if with_p
+                    else np.zeros((n, 0)),
+                    eps=0.1, friction_integral=np.zeros(n),
+                    convolution=rng.standard_normal((n, d)) if with_h
+                    else None)
+    tr.q[3, 1] = -0.0
+    cols = [tr.times[:, None], tr.q, tr.p]
+    if with_h:
+        cols.append(tr.convolution)
+    header = ["t", "q1", "q2"] + (["p1", "p2"] if with_p else []) \
+        + (["H1", "H2"] if with_h else [])
+    lines = [",".join(header)] + [
+        ",".join(repr(float(v)) for v in np.concatenate([c[k] for c in cols]))
+        for k in range(n)]
+    want = ("\n".join(lines) + "\n").encode()
+    plain, packed = str(tmp_path / "a.csv"), str(tmp_path / "a.csv.gz")
+    dump_trajectory(tr, plain)
+    dump_trajectory(tr, packed)
+    assert open(plain, "rb").read() == want
+    raw = open(packed, "rb").read()
+    assert raw[4:8] == bytes(4)                  # mtime pinned to 0
+    assert gzip.decompress(raw) == want
 
 
 def test_dump_gzip_is_reproducible(tmp_path):
