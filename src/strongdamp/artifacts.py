@@ -8,7 +8,10 @@ determinism checks exclude it.
 
 Array tables are formatted from `ndarray.tolist()` rows, so each cell is
 one repr of a Python float; a grid CSV formats each axis value once and
-its values one x-row at a time.
+its values one x-row at a time.  A CSV is written a bounded chunk of lines
+at a time, so no copy of a whole multi-megabyte table is ever held in
+memory: the cost of a write is the formatting, not page faults on
+throwaway buffers.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,20 +30,31 @@ import numpy as np
 from .errors import ConfigError
 
 MANIFEST_NAME = "manifest.json"
+# lines joined and encoded per write by write_csv: tens of kB of CSV,
+# under malloc's mmap threshold, so chunk buffers reuse heap memory
+CHUNK_LINES = 1024
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextmanager
+def _atomic_file(path: str):
+    """Binary file handle on a temp file in path's directory, renamed onto
+    path when the block ends without an error and removed otherwise."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -91,10 +107,13 @@ def fmt(v) -> str:
 def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     """CSV of `rows`: each a sequence of cells (formatted by `fmt`) or a
     line already formatted (a str)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(row if isinstance(row, str) else ",".join(map(fmt, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = chain([",".join(header)],
+                  (row if isinstance(row, str) else ",".join(map(fmt, row))
+                   for row in rows))
+    with _atomic_file(path) as fh:
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            chunk.append("")
+            fh.write("\n".join(chunk).encode("utf-8"))
 
 
 def float_lines(rows) -> Iterator[str]:

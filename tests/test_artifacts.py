@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strongdamp.artifacts import (MANIFEST_NAME, canonical_json, fmt,
-                                  hash_tree, load_manifest, read_csv,
+from strongdamp.artifacts import (CHUNK_LINES, MANIFEST_NAME,
+                                  canonical_json, fmt, hash_tree,
+                                  load_manifest, read_csv,
                                   read_path_csv, sha256_bytes, write_csv,
                                   write_grid, write_json, write_manifest,
                                   write_path_csv)
@@ -58,6 +59,27 @@ def test_csv_roundtrip(tmp_path):
     header, data = read_csv(path)
     assert header == ["a", "b"]
     np.testing.assert_array_equal(data, np.asarray(rows))
+
+
+@pytest.mark.parametrize("n_rows", [0, CHUNK_LINES - 1, CHUNK_LINES,
+                                    2 * CHUNK_LINES + 1])
+def test_csv_bytes_across_chunk_boundaries(tmp_path, n_rows):
+    rows = [[i / 7.0, "s", i] for i in range(n_rows)]
+    path = str(tmp_path / "table.csv")
+    write_csv(path, ["a", "b", "c"], rows)
+    lines = ["a,b,c"] + [f"{fmt(a)},{b},{c}" for a, b, c in rows]
+    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_row_error_leaves_no_file(tmp_path):
+    def rows():
+        yield from ([float(i)] for i in range(2 * CHUNK_LINES))
+        raise RuntimeError("row failed")
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_csv(str(path), ["a"], rows())
+    assert os.listdir(tmp_path) == []
 
 
 def test_path_csv_roundtrip(tmp_path):
