@@ -18,9 +18,9 @@ from .quasipotential import (BoundaryScan, MinActionResult,
                              quasipotential, quasipotential_boundary)
 from .exit import (ExitHistogram, ExitScaling, ExitStats,
                    exit_location_histogram, exit_scaling, sample_exit)
-from .front import (FKBound, FrontContour, FrontSpeed, GridField,
-                    PathFrontResult, extract_front, feynman_kac_bound,
-                    fit_front_speed, front_field_constant, front_field_path,
+from .front import (FrontContour, FrontSpeed, GridField, PathFrontResult,
+                    extract_front, feynman_kac_bound, fit_front_speed,
+                    front_field_constant, front_field_path,
                     front_field_prefix, g0_samples, riemannian_distance)
 from .ldpcheck import (LaplaceReport, ScalingFit, controlled_convergence,
                        h_eps_scaling, laplace_check,
@@ -41,7 +41,7 @@ __all__ = [
     "gradient_case_oracle", "quasipotential", "quasipotential_boundary",
     "ExitHistogram", "ExitScaling", "ExitStats", "exit_location_histogram",
     "exit_scaling", "sample_exit",
-    "FKBound", "FrontContour", "FrontSpeed", "GridField", "PathFrontResult",
+    "FrontContour", "FrontSpeed", "GridField", "PathFrontResult",
     "extract_front", "feynman_kac_bound", "fit_front_speed",
     "front_field_constant", "front_field_path", "front_field_prefix",
     "g0_samples", "riemannian_distance",

@@ -36,7 +36,7 @@ CHUNK_LINES = 1024
 
 
 @contextmanager
-def _atomic_file(path: str):
+def atomic_file(path: str):
     """Binary file handle on a temp file in path's directory, renamed onto
     path when the block ends without an error and removed otherwise."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -53,7 +53,7 @@ def _atomic_file(path: str):
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    with _atomic_file(path) as fh:
+    with atomic_file(path) as fh:
         fh.write(data)
 
 
@@ -110,7 +110,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     lines = chain([",".join(header)],
                   (row if isinstance(row, str) else ",".join(map(fmt, row))
                    for row in rows))
-    with _atomic_file(path) as fh:
+    with atomic_file(path) as fh:
         while chunk := list(islice(lines, CHUNK_LINES)):
             chunk.append("")
             fh.write("\n".join(chunk).encode("utf-8"))

@@ -35,9 +35,9 @@ from .front import extract_front, fit_front_speed, front_field_constant, \
 from .ldpcheck import controlled_convergence, h_eps_scaling, laplace_check
 from .quasipotential import check_action_equivalence, quasipotential, \
     quasipotential_boundary
-from .sde import NoisePath, SimParams, Trajectory, batch_rows, \
-    default_step, dump_trajectory, simulate_first_order, simulate_inertial, \
-    snap_step, stochastic_convolution
+from .sde import NoisePath, SimParams, default_step, dump_trajectory, \
+    simulate_first_order, simulate_inertial, snap_step, \
+    stochastic_convolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,13 +119,6 @@ def _block(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
-def _atomic_dump(tr: Trajectory, path: str) -> None:
-    tmp = os.path.join(os.path.dirname(path),
-                       ".tmp-" + os.path.basename(path))
-    dump_trajectory(tr, tmp)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (output relpaths, tidy plot rows)
 
@@ -155,21 +148,19 @@ def cmd_simulate(p, cfg, out, seed, threads):
             np.interp(times, ct, cv[:, j]) for j in range(cv.shape[1])])
 
     outputs, plot = [], []
-    rows = batch_rows(sp.steps)
-    for start in range(0, n_paths, rows):
-        ids = range(start, min(start + rows, n_paths))
-        noise = NoisePath.generate_batch(seed, ids, sp.steps, p.r, sp.h)
-        q0s = np.tile(q0, (len(ids), 1))
+    for start, noise in NoisePath.batches(seed, n_paths, sp.steps, p.r,
+                                          sp.h):
         if blk.get("first_order"):
-            batch = simulate_first_order(p, sp, q0s, noise, control=control)
+            batch = simulate_first_order(p, sp, q0, noise, control=control)
         else:
-            batch = simulate_inertial(p, sp, q0s, p0, noise, control=control)
+            batch = simulate_inertial(p, sp, q0, p0, noise, control=control)
         if blk.get("with_convolution"):
             batch = stochastic_convolution(batch, p, noise)
-        for row, i in enumerate(ids):
+        for row in range(batch.q.shape[0]):
             tr = batch.row(row)
+            i = start + row
             name = f"traj_{i:04d}{suffix}"
-            _atomic_dump(tr, os.path.join(out, name))
+            dump_trajectory(tr, os.path.join(out, name))
             outputs.append(name)
             stride = max(len(tr.times) // 512, 1)
             plot += [(f"path{i}_q1", t, v) for t, v in

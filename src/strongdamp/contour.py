@@ -90,13 +90,12 @@ def contour_polylines(values, xs, ys, level: float = 0.0):
         while True:
             nxt = None
             for cand in adj[cur]:
-                if cand != prev and (min(cur, cand, key=repr),
-                                     max(cur, cand, key=repr)) not in used:
+                if cand != prev and frozenset((cur, cand)) not in used:
                     nxt = cand
                     break
             if nxt is None:
                 return chain
-            used.add((min(cur, nxt, key=repr), max(cur, nxt, key=repr)))
+            used.add(frozenset((cur, nxt)))
             chain.append(nxt)
             if nxt == start:
                 return chain

@@ -17,6 +17,11 @@ For general rates R is estimated by path optimization (reaction gain minus
 transport cost, terminal pinned to G0 by a quadratic penalty) through the
 shared free-end driver action.minimize_path, and the non-positive variant
 takes the worst partial sum over path prefixes.
+
+The Monte Carlo upper bound is eps log of the Feynman-Kac mean
+E g(q_eps(t)) exp(eps^{-1} int_0^t c), estimated by
+ldpcheck.log_mean_weight.  The weight is a rare event wherever few paths
+reach G0, not only where R < 0: far from G0 it reads -inf.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from typing import Optional
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.special import logsumexp
 
 from .action import DiscretePath, minimize_path, node_gradient, \
     segment_costs
@@ -36,8 +40,8 @@ from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
 from .expr import grad_field
 from .fields import ProblemDefinition, ProblemError
-from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
-    snap_step
+from .ldpcheck import log_mean_weight
+from .sde import SimParams, default_step, snap_step
 
 PENALTY_DEFAULT = 1e3
 # L-BFGS-B options of the front path solves
@@ -386,48 +390,26 @@ def front_field_prefix(p: ProblemDefinition, q, t: float, N: int = 64,
 # Monte Carlo upper-bound check
 
 
-@dataclass
-class FKBound:
-    estimate: float
-    log_estimate: float
-    eps_log: float
-    n_samples: int
+def feynman_kac_bound(p: ProblemDefinition, q, t: float, eps: float,
+                      M: int, seed: int) -> float:
+    """eps log of the Monte Carlo mean of
+    g(q_eps(t)) * exp(eps^{-1} int_0^t c(q_eps, 0)) over M paths started
+    at rest from q.
 
-
-def feynman_kac_bound(p: ProblemDefinition, q, pvel, t: float, eps: float,
-                      M: int, seed: int, h: float = None,
-                      batch: int = 512) -> FKBound:
-    """Monte Carlo mean of g(q_eps(t)) * exp(eps^{-1} int_0^t c(q_eps, 0)).
-
-    Each sample is accumulated in log space (paths with g = 0 contribute
-    exactly zero), and the mean is assembled by log-sum-exp, so growth or
-    decay never overflows.  Stream ids are pre-assigned per path.
+    Each sample is a log weight (paths ending where g = 0 give -inf), and
+    ldpcheck.log_mean_weight assembles the mean by log-sum-exp, so growth
+    or decay never overflows; no path reaching G0 gives -inf.
     """
     if p.g is None or p.c is None:
         raise ProblemError("bound needs both g and c declared")
-    q = np.asarray(q, dtype=float)
-    pvel = np.zeros(p.d) if pvel is None else np.asarray(pvel, dtype=float)
-    if h is None:
-        h = snap_step(t, default_step(p, eps))
-    sp = SimParams(eps=eps, T=t, h=h)
-    logs = np.empty(M)
-    done = 0
-    while done < M:
-        m = min(batch, M - done)
-        noise = NoisePath.generate_batch(seed, range(done, done + m),
-                                         sp.steps, p.r, sp.h)
-        q0 = np.broadcast_to(q, (m, p.d)).copy()
-        p0 = np.broadcast_to(pvel, (m, p.d)).copy()
-        tr = simulate_inertial(p, sp, q0, p0, noise)
-        cvals = p.eval_c(tr.q, u=0.0)
-        integral = np.trapezoid(cvals, dx=sp.h, axis=-1)
+    sp = SimParams(eps=eps, T=t, h=snap_step(t, default_step(p, eps)))
+
+    def log_weight(tr):
+        integral = np.trapezoid(p.eval_c(tr.q, u=0.0), dx=sp.h, axis=-1)
         gvals = p.eval_g(tr.q[:, -1, :])
         with np.errstate(divide="ignore"):
-            logs[done:done + m] = np.where(
-                gvals > 0, np.log(np.maximum(gvals, 1e-300)), -np.inf) \
-                + integral / eps
-        done += m
-    log_est = float(logsumexp(logs) - math.log(M))
-    est = float(np.exp(log_est))
-    return FKBound(estimate=est, log_estimate=log_est,
-                   eps_log=eps * log_est, n_samples=M)
+            return np.where(gvals > 0, np.log(np.maximum(gvals, 1e-300)),
+                            -np.inf) + integral / eps
+
+    log_mean, _ = log_mean_weight(p, sp, q, M, seed, 0, log_weight)
+    return eps * log_mean

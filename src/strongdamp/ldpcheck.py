@@ -10,6 +10,11 @@ Three independent checks:
 * laplace_check: -eps log E exp(-cost/eps) against the variational value
   min over paths of (terminal cost + action), the two sides computed by
   unrelated machinery (Monte Carlo vs path optimization).
+
+All three draw their paths through sde.NoisePath.batches.  log_mean_weight
+is the one Monte Carlo estimator of a log mean of path weights: the
+Laplace functional uses it per rung, and front.feynman_kac_bound uses it
+for the Feynman-Kac functional.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .action import ControlSignal, DiscretePath, controlled_skeleton, \
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
-from .sde import NoisePath, SimParams, batch_rows, default_step, \
-    simulate_inertial, snap_step, stochastic_convolution
+from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
+    snap_step, stochastic_convolution
 
 # Rows per batch of the checks that sum per-batch partial sums: another
 # split would round those sums differently.
@@ -60,6 +65,24 @@ def _fit_loglog(eps_values, metrics) -> ScalingFit:
                       fitted_exponent=float(slope), r_squared=r2)
 
 
+def log_mean_weight(p: ProblemDefinition, sp: SimParams, q0, M: int,
+                    seed: int, first_id: int, log_weight):
+    """log of the mean of exp(log_weight) over M inertial paths started at
+    rest from q0, on stream ids first_id, ..., first_id + M - 1.
+
+    log_weight maps a batch Trajectory to its rows' log weights.  All M
+    log weights go into one array that one logsumexp reduces, so the
+    batch split cannot change the result.  Returns (log mean, the (M,)
+    log weights).
+    """
+    logw = np.empty(M)
+    for start, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
+                                          first_id):
+        w = log_weight(simulate_inertial(p, sp, q0, np.zeros(p.d), noise))
+        logw[start:start + w.size] = w
+    return float(logsumexp(logw) - math.log(M)), logw
+
+
 def _sim_step(p: ProblemDefinition, eps: float, T: float) -> float:
     """default_step snapped to divide T into at least 64 steps."""
     return snap_step(T, default_step(p, eps), min_steps=64)
@@ -90,21 +113,15 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
         acc = 0.0
-        done = 0
-        while done < M:
-            m = min(BATCH, M - done)
-            ids = range(j * M + done, j * M + done + m)
-            noise = NoisePath.generate_batch(seed, ids, sp.steps, p.r, sp.h)
-            tr = simulate_inertial(p, sp,
-                                   np.broadcast_to(p.O, (m, p.d)).copy(),
-                                   np.zeros((m, p.d)), noise)
+        for _, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
+                                          first_id=j * M, rows=BATCH):
+            tr = simulate_inertial(p, sp, p.O, np.zeros(p.d), noise)
             trH = stochastic_convolution(tr, p, noise)
             Hn = np.linalg.norm(trH.convolution, axis=-1)   # (m, K+1)
             if k is None:
                 acc += float(np.sum(np.max(Hn, axis=-1)))
             else:
                 acc += float(np.sum(Hn[:, -1] ** k))
-            done += m
         mean = acc / M
         metrics.append(mean if k is None else mean ** (1.0 / k))
     return _fit_loglog(ladder, metrics)
@@ -153,18 +170,12 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
         for i in range(p.d):
             g_ref[:, i] = np.interp(times, skel_times, skel.points[:, i])
         acc = 0.0
-        done = 0
-        while done < M:
-            m = min(BATCH, M - done)
-            ids = range(j * M + done, j * M + done + m)
-            noise = NoisePath.generate_batch(seed, ids, sp.steps, p.r, sp.h)
-            tr = simulate_inertial(p, sp,
-                                   np.broadcast_to(q0, (m, p.d)).copy(),
-                                   np.broadcast_to(p0, (m, p.d)).copy(),
-                                   noise, control=u_grid[:-1])
+        for _, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
+                                          first_id=j * M, rows=BATCH):
+            tr = simulate_inertial(p, sp, q0, p0, noise,
+                                   control=u_grid[:-1])
             dev = np.linalg.norm(tr.q - g_ref, axis=-1)
             acc += float(np.sum(np.max(dev, axis=-1)))
-            done += m
         metrics.append(acc / M)
     if ladder.size < 3:
         m = np.asarray(metrics)
@@ -228,9 +239,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     linearly in eps; the right side is one deterministic path
     optimization with a free endpoint.  Rungs whose relative CI of
     E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
-    Batches are sized by row-steps (batch_rows); every row's weight goes
-    into one array that one logsumexp reduces, so the split cannot change
-    the result.
+    Each rung is one log_mean_weight call.
     """
     cost = _as_expr(terminal_cost)
     q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
@@ -242,20 +251,9 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     flagged = np.zeros(ladder.size, dtype=bool)
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        logw = np.empty(M)
-        rows = batch_rows(sp.steps)
-        done = 0
-        while done < M:
-            m = min(rows, M - done)
-            ids = range(j * M + done, j * M + done + m)
-            noise = NoisePath.generate_batch(seed, ids, sp.steps, p.r, sp.h)
-            tr = simulate_inertial(p, sp,
-                                   np.broadcast_to(q0, (m, p.d)).copy(),
-                                   np.zeros((m, p.d)), noise)
-            lam = evaluate(cost, tr.q[:, -1, :])
-            logw[done:done + m] = -lam / eps
-            done += m
-        log_mean = float(logsumexp(logw) - math.log(M))
+        log_mean, logw = log_mean_weight(
+            p, sp, q0, M, seed, j * M,
+            lambda tr: -evaluate(cost, tr.q[:, -1, :]) / eps)
         lhs[j] = -eps * log_mean
         # relative CI of the weight mean via normalized weights
         w = np.exp(logw - logw.max())

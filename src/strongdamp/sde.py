@@ -15,7 +15,9 @@ and advances the velocity as an Ornstein-Uhlenbeck bridge, which keeps it
 stable for steps far larger than eps^2, with the position updated by the
 exact integral of the frozen relaxation (the noise part of the position
 keeps the trapezoidal weight h/2).  The explicit Euler-Maruyama scheme is
-retained as a cross check and only accepts h <= default_step.
+retained as a cross check and only accepts h <= default_step.  make_step
+also builds the Euler-Maruyama step of the limit equation, so one
+stored-path loop drives simulate_inertial and simulate_first_order alike.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
@@ -25,11 +27,14 @@ by mixing (seed, stream_id) through a fixed 64-bit finalizer, so results
 do not depend on scheduling or batch composition.  A batch draw re-keys one
 Philox bit generator per row (zero counter, empty buffer) instead of
 building a generator per row, which gives the same numbers.
+NoisePath.batches is the one place that splits M paths into batches of
+consecutive stream ids; every Monte Carlo loop over stored paths draws
+through it.
 
 Batched paths are stored time-major, (K+1, M, d), so each step reads and
 writes contiguous (M, d) blocks; batch draws store their increments the
 same way.  The arrays handed out keep the (M, K+1, d) and (M, K, r) shapes
-as views of that storage.
+as views of that storage.  A (d,) start drives every row of a batch.
 """
 
 from __future__ import annotations
@@ -37,12 +42,11 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence, \
-    Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import float_lines
+from .artifacts import atomic_file, float_lines
 from .errors import ConfigError, NumericalError
 from .fields import ProblemDefinition
 
@@ -136,6 +140,18 @@ class NoisePath:
         return cls(dt=dt, increments=inc.transpose(1, 0, 2), seed=seed,
                    stream_id=-1)
 
+    @classmethod
+    def batches(cls, seed: int, M: int, steps: int, r: int, dt: float,
+                first_id: int = 0, rows: Optional[int] = None
+                ) -> Iterator[tuple[int, "NoisePath"]]:
+        """M paths on stream ids first_id, ..., first_id + M - 1, drawn
+        `rows` at a time (default batch_rows(steps)).  Yields (start,
+        batch): the batch holds paths start, start + 1, ... of the M."""
+        rows = batch_rows(steps) if rows is None else rows
+        for start in range(0, M, rows):
+            ids = range(first_id + start, first_id + min(start + rows, M))
+            yield start, cls.generate_batch(seed, ids, steps, r, dt)
+
     def coarsen(self, factor: int) -> "NoisePath":
         """Sum consecutive groups of increments; same Brownian path on a
         grid coarser by `factor`."""
@@ -220,23 +236,19 @@ class Trajectory:
                        else self.convolution[i])
 
 
-ControlLike = Union[None, np.ndarray, Callable]
+ControlLike = Optional[np.ndarray]
 
 
-def _control_values(control: ControlLike, times: np.ndarray, steps: int,
+def _control_values(control: ControlLike, steps: int,
                     r: int) -> Optional[np.ndarray]:
     """Control values at left endpoints of the steps, shape (steps, r)."""
     if control is None:
         return None
-    if callable(control):
-        vals = np.asarray([np.atleast_1d(control(t)) for t in times[:-1]],
-                          dtype=float)
-    else:
-        vals = np.asarray(control, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[0] == steps + 1:
-            vals = vals[:-1]
+    vals = np.asarray(control, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.shape[0] == steps + 1:
+        vals = vals[:-1]
     if vals.shape != (steps, r):
         raise GridMismatchError(
             f"control must provide {steps} rows of {r} values, "
@@ -246,7 +258,8 @@ def _control_values(control: ControlLike, times: np.ndarray, steps: int,
 
 def _initial_position(p: ProblemDefinition, sp: SimParams, q0,
                       noise: NoisePath) -> np.ndarray:
-    """q0 as a (d,) or (M, d) array, checked against the noise grid."""
+    """q0 as a (d,) or (M, d) array, checked against the noise grid; a
+    (d,) q0 starts every row of batched noise."""
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     if q0.shape[-1] != p.d:
         raise ConfigError(f"q0 must have d = {p.d} components")
@@ -273,15 +286,17 @@ def _apply_sigma(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def make_step(p: ProblemDefinition, eps: float, h: float,
               scheme: str = "exponential") -> Callable:
     """One step of the damped second-order system, coefficients frozen at
-    the left point.
+    the left point, or with scheme "first_order" one Euler-Maruyama step
+    of the first-order limit equation.
 
     Returns step(q, v, dW, u=None) -> (q1, v1, alpha): positions and
     velocities (..., d), Brownian increments dW (..., r), an optional
     control value u (r,), and the friction at q, (...,) or a float when
-    constant, for the friction integral.  The Euler scheme raises
-    StabilityError for h > default_step.
+    constant, for the friction integral.  The first-order step hands v
+    back unchanged.  The Euler scheme raises StabilityError for
+    h > default_step.
     """
-    if scheme not in ("exponential", "euler"):
+    if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
     if scheme == "euler":
         h_max = default_step(p, eps)
@@ -328,33 +343,34 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
         q1 = q + v * mu1 + drift * (h - mu1) + (0.5 * h) * xi
         return q1, v1, al if al_c is not None else al[..., 0]
 
-    return euler if scheme == "euler" else exponential
+    def first_order(q, v, dW, u=None):
+        sig, al, drift = frozen(q, u)
+        q1 = q + h * drift / al + noise_pow * _apply_sigma(sig, dW) / al
+        return q1, v, al if al_c is not None else al[..., 0]
+
+    return {"euler": euler, "exponential": exponential,
+            "first_order": first_order}[scheme]
 
 
-def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
-                      noise: NoisePath, control: ControlLike = None,
-                      ) -> Trajectory:
-    """Integrate the damped second-order system.
-
-    q0: initial position, shape (d,) or (M, d) for a batch.
-    p0: original-scale momentum; the initial velocity is p0/eps.
-    noise: Brownian increments on the (T, h) grid (batched to match q0).
-    control: optional u, callable of t or an array on the step grid.
-    """
+def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
+                 noise: NoisePath, control: ControlLike,
+                 scheme: str) -> Trajectory:
+    """Run make_step's `scheme` over the (T, h) grid and store the path;
+    p0 is None for the first-order limit, whose paths carry no velocity."""
     eps = sp.eps
     steps = sp.steps
     q0 = _initial_position(p, sp, q0, noise)
-    p0 = np.broadcast_to(np.asarray(p0, dtype=float), q0.shape).copy()
     times = np.arange(steps + 1) * sp.h
-    u_vals = _control_values(control, times, steps, p.r)
-    step = make_step(p, eps, sp.h, sp.scheme)
+    u_vals = _control_values(control, steps, p.r)
+    step = make_step(p, eps, sp.h, scheme)
 
-    lead = q0.shape[:-1]
+    lead = noise.increments.shape[:-2]
     q = np.empty((steps + 1,) + lead + (p.d,))
-    pv = np.empty((steps + 1,) + lead + (p.d,))
+    pv = np.empty((steps + 1,) + lead + (0 if p0 is None else p.d,))
     A = np.empty((steps + 1,) + lead)
     q[0] = q0
-    pv[0] = p0 / eps
+    if p0 is not None:
+        pv[0] = np.asarray(p0, dtype=float) / eps
     A[0] = 0.0
     inc = np.moveaxis(noise.increments, -2, 0)
     for n in range(steps):
@@ -369,41 +385,27 @@ def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
                       friction_integral=np.moveaxis(A, 0, -1))
 
 
+def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
+                      noise: NoisePath, control: ControlLike = None,
+                      ) -> Trajectory:
+    """Integrate the damped second-order system.
+
+    q0: initial position, shape (d,), or (M, d) for a batch; a (d,) q0
+        starts every row of batched noise.
+    p0: original-scale momentum, (d,) or (M, d); the initial velocity is
+        p0/eps.
+    noise: Brownian increments on the (T, h) grid, one path or a batch.
+    control: optional u on the step grid, (K, r) or (K+1, r).
+    """
+    return _stored_path(p, sp, q0, p0, noise, control, sp.scheme)
+
+
 def simulate_first_order(p: ProblemDefinition, sp: SimParams, q0,
                          noise: NoisePath, control: ControlLike = None,
                          ) -> Trajectory:
-    """Euler-Maruyama for the first-order limit equation."""
-    eps = sp.eps
-    steps = sp.steps
-    q0 = _initial_position(p, sp, q0, noise)
-    times = np.arange(steps + 1) * sp.h
-    u_vals = _control_values(control, times, steps, p.r)
-
-    lead = q0.shape[:-1]
-    q = np.empty((steps + 1,) + lead + (p.d,))
-    A = np.empty((steps + 1,) + lead)
-    q[0] = q0
-    A[0] = 0.0
-    h = sp.h
-    noise_pow = eps ** (0.5 - p.beta)
-    inc = np.moveaxis(noise.increments, -2, 0)
-
-    for n in range(steps):
-        qn = q[n]
-        al = p.eval_alpha(qn)[..., None]
-        drift = p.eval_b(qn)
-        sig_n = p.eval_sigma(qn)
-        if u_vals is not None:
-            drift = drift + _apply_sigma(sig_n, u_vals[n])
-        q[n + 1] = qn + h * drift / al + noise_pow * _apply_sigma(
-            sig_n, inc[n]) / al
-        A[n + 1] = A[n] + al[..., 0] * h
-
-    if not np.all(np.isfinite(q[steps])):
-        raise NumericalError("trajectory diverged (non-finite position)")
-    return Trajectory(times=times, q=np.moveaxis(q, 0, -2),
-                      p=np.zeros(lead + (steps + 1, 0)),
-                      eps=eps, friction_integral=np.moveaxis(A, 0, -1))
+    """Euler-Maruyama for the first-order limit equation; arguments as
+    for simulate_inertial, and sp.scheme is not used."""
+    return _stored_path(p, sp, q0, None, noise, control, "first_order")
 
 
 def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
@@ -459,8 +461,8 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
 # artifact output
 
 def dump_trajectory(tr: Trajectory, path: str) -> None:
-    """Write a single trajectory as CSV (t, q_i, p_i, optional H_i);
-    gzip-compressed when the path ends in .gz."""
+    """Write a single trajectory as CSV (t, q_i, p_i, optional H_i),
+    atomically; gzip-compressed when the path ends in .gz."""
     if tr.is_batch:
         raise ConfigError("dump_trajectory expects a single path, not a batch")
     d = tr.d
@@ -474,12 +476,11 @@ def dump_trajectory(tr: Trajectory, path: str) -> None:
         table.append(tr.convolution)
     lines = float_lines(np.column_stack(table).tolist())
     data = ("\n".join([",".join(cols), *lines]) + "\n").encode()
-    if path.endswith(".gz"):
-        # mtime and FNAME pinned so identical content gives identical bytes
-        with open(path, "wb") as raw, \
-                gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                              mtime=0) as fh:
-            fh.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+    with atomic_file(path) as raw:
+        if path.endswith(".gz"):
+            # mtime and FNAME pinned so identical content gives identical bytes
+            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
+                               mtime=0) as fh:
+                fh.write(data)
+        else:
+            raw.write(data)

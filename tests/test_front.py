@@ -196,25 +196,21 @@ def test_g0_samples_guard():
 
 def test_feynman_kac_zero_mass_far_from_support():
     """Paths that never reach the seeded region contribute exactly zero."""
-    fk = feynman_kac_bound(KPP1D, q=[3.5], pvel=None, t=0.05, eps=0.25,
-                           M=64, seed=0)
-    assert fk.estimate == 0.0
-    assert np.isinf(fk.log_estimate) and fk.log_estimate < 0
+    fk = feynman_kac_bound(KPP1D, q=[3.5], t=0.05, eps=0.25, M=64, seed=0)
+    assert np.isinf(fk) and fk < 0
 
 
 def test_feynman_kac_inside_support_grows():
     # mass at the seed is positive and the reaction term makes the
     # log estimate grow with the horizon
-    early = feynman_kac_bound(KPP1D, q=[0.0], pvel=None, t=0.2, eps=0.25,
-                              M=64, seed=0)
-    late = feynman_kac_bound(KPP1D, q=[0.0], pvel=None, t=1.0, eps=0.25,
-                             M=64, seed=0)
-    assert early.estimate > 0
-    assert late.log_estimate > early.log_estimate
-    assert early.n_samples == 64
+    early = feynman_kac_bound(KPP1D, q=[0.0], t=0.2, eps=0.25, M=64,
+                              seed=0)
+    late = feynman_kac_bound(KPP1D, q=[0.0], t=1.0, eps=0.25, M=64, seed=0)
+    assert np.isfinite(early)
+    assert late > early
 
 
 def test_feynman_kac_requires_reaction_data():
     with pytest.raises(ProblemError):
-        feynman_kac_bound(load_preset("p1"), q=[0.0], pvel=None, t=0.1,
-                          eps=0.25, M=8, seed=0)
+        feynman_kac_bound(load_preset("p1"), q=[0.0], t=0.1, eps=0.25,
+                          M=8, seed=0)

@@ -75,33 +75,42 @@ def test_schemes_agree_on_shared_noise():
     assert np.max(np.abs(qs["exponential"] - qs["euler"])) < 5e-3
 
 
-def _check_batch_equals_loop(p, first_order=False, control=False):
-    """Each row of a stored batch equals the path simulated on its own."""
+def _check_batch_equals_loop(p, first_order=False, control=False,
+                             shared_start=False):
+    """Each row of a stored batch equals the path simulated on its own.
+    With shared_start, the batch starts from one (d,) point and must equal
+    the batch started from that point tiled to one row per path."""
     eps = 0.25
     sp = SimParams(eps=eps, T=0.2, h=snap(0.2, 0.1 * eps**2 / p.alpha_max))
     ids = [4, 7, 9]
     batch = NoisePath.generate_batch(11, ids, sp.steps, p.r, sp.h)
     starts = p.O + 0.3 * np.arange(1, 4)[:, None] / p.d
+    if shared_start:
+        starts = np.tile(starts[0], (3, 1))
     p0 = np.full(p.d, 0.2)
     u = None
     if control:
         t = np.arange(sp.steps)[:, None] * sp.h
         u = np.sin(8.0 * t + np.arange(p.r))
-    if first_order:
-        tr = simulate_first_order(p, sp, starts, batch, control=u)
-    else:
-        tr = simulate_inertial(p, sp, starts, p0, batch, control=u)
-    tr = stochastic_convolution(tr, p, batch)
+
+    def run(q0, noise):
+        if first_order:
+            tr = simulate_first_order(p, sp, q0, noise, control=u)
+        else:
+            tr = simulate_inertial(p, sp, q0, p0, noise, control=u)
+        return stochastic_convolution(tr, p, noise)
+
+    tr = run(starts[0] if shared_start else starts, batch)
+    if shared_start:
+        tiled = run(starts, batch)
+        for field in ("q", "p", "friction_integral", "convolution"):
+            np.testing.assert_array_equal(getattr(tr, field),
+                                          getattr(tiled, field))
     for row, sid in enumerate(ids):
         single = NoisePath.generate(11, sid, sp.steps, p.r, sp.h)
         np.testing.assert_array_equal(single.increments,
                                       batch.increments[row])
-        if first_order:
-            one = simulate_first_order(p, sp, starts[row], single, control=u)
-        else:
-            one = simulate_inertial(p, sp, starts[row], p0, single,
-                                    control=u)
-        one = stochastic_convolution(one, p, single)
+        one = run(starts[row], single)
         assert tr.q[row].shape == one.q.shape
         np.testing.assert_allclose(tr.q[row], one.q, atol=1e-14)
         np.testing.assert_allclose(tr.p[row], one.p, atol=1e-14)
@@ -126,6 +135,14 @@ def test_batch_equals_loop_layouts(name, first_order, control):
     """Time-major storage: d = r = 2 (p3), a control array and the
     first-order integrator give each row its single-path values."""
     _check_batch_equals_loop(load_preset(name), first_order, control)
+
+
+@pytest.mark.parametrize("name,first_order", [("p2", False),
+                                               ("p3", True)])
+def test_batch_shared_start(name, first_order):
+    """A (d,) start with batched noise starts every row there."""
+    _check_batch_equals_loop(load_preset(name), first_order,
+                             shared_start=True)
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
@@ -159,6 +176,17 @@ def test_batched_q0_needs_one_noise_path_per_row():
     batch = NoisePath.generate_batch(3, range(4), sp.steps, 1, sp.h)
     tr = simulate_first_order(P1, sp, q0, batch)
     assert len({tr.q[i, -1, 0] for i in range(4)}) == 4
+
+
+def test_batches_split_one_draw():
+    """Batches of M = 7 paths, 3 rows at a time from stream id 5, hold
+    exactly one generate_batch draw over ids 5..11, the last batch short."""
+    whole = NoisePath.generate_batch(5, range(5, 12), 6, 2, 0.1)
+    parts = list(NoisePath.batches(5, 7, 6, 2, 0.1, first_id=5, rows=3))
+    assert [start for start, _ in parts] == [0, 3, 6]
+    assert [b.increments.shape[0] for _, b in parts] == [3, 3, 1]
+    np.testing.assert_array_equal(
+        np.concatenate([b.increments for _, b in parts]), whole.increments)
 
 
 def test_stream_independence_of_batch_composition():
