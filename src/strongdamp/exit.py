@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import NoisePath, default_step, make_generator, make_step
+from .sde import NoisePath, default_step, make_step, philox_states
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
@@ -73,20 +74,22 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
                  noise: Optional[NoisePath] = None):
     """Advance M paths until each exits G or hits the step cap.
 
-    Returns (tau (M,), exit_points (M, d), timed_out (M,)).  The state
-    keeps only the rows inside G: a step where a row exits drops it, and
-    `live` maps the state rows to their rows of the chunk's noise.  Each
-    row draws from its own generator as it goes (FIRST_DRAW steps, then as
-    many as have run, at most chunk_steps), which gives the numbers of one
-    long draw.  When `noise` is given its increments are
-    consumed instead of fresh draws (pilot refinement studies); running
-    out of provided increments is an error, not a timeout.
+    Returns (tau (M,), exit_points (M, d), timed_out (M,)); a row that
+    times out keeps tau = nan.  The state keeps only the rows inside G: a
+    step where a row exits drops it, and `live` maps the state rows to
+    their rows of the chunk's noise.  Each row draws from its own Philox
+    stream as it goes (FIRST_DRAW steps, then as many as have run, at most
+    chunk_steps), which gives the numbers of one long draw; each row's
+    bit-generator state is kept between chunks.  When `noise` is given its
+    increments are consumed instead of fresh draws (pilot refinement
+    studies); running out of provided increments is an error, not a
+    timeout.  A chunk runs under one trap, and phi is checked finite on
+    the rows that cross and on all rows at its end: a NaN never crosses,
+    as NaN >= 0 is false.
     """
     M, d = q0.shape
-    r = p.r
     tau = np.full(M, np.nan)
     exit_pts = np.full((M, d), np.nan)
-    timed_out = np.zeros(M, dtype=bool)
 
     phi_init = p.eval_phi(q0)
     immediate = phi_init >= 0
@@ -96,28 +99,48 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     active = np.flatnonzero(~immediate)
     q, v, phi = q0[active], v0[active], phi_init[active]
 
-    inc_given = None
-    gens = None
     if noise is not None:
-        inc_given = noise.increments
-        if inc_given.ndim == 2:
-            inc_given = inc_given[None, :, :]
-        if inc_given.shape[0] != M or inc_given.shape[2] != r:
+        inc_given = noise.increments.reshape(-1, noise.steps, noise.r)
+        if inc_given.shape[0] != M or inc_given.shape[2] != p.r:
             raise ConfigError("provided noise must have shape (M, steps, r)")
         if abs(noise.dt - h) > 1e-12 * max(1.0, h):
             raise ConfigError(
                 f"provided noise has dt = {noise.dt}, kernel step is {h}")
     else:
-        gens = {int(i): make_generator(seed, stream_ids[int(i)])
-                for i in active}
+        states = list(philox_states(seed, stream_ids))
+        gen = np.random.Generator(np.random.Philox(0))
 
-    step = make_step(p, eps, h, scheme)
-    sqrt_h = math.sqrt(h)
+    step, G = make_step(p, eps, h, scheme), compiled_all([p.G])
+
+    def advance(k, checked):
+        """Step k of the chunk; the rows that cross leave the state.
+        True once no row is left."""
+        nonlocal q, v, phi, live
+        st, phi_of = (step.checked, p.eval_phi) if checked else (step, G)
+        q1, v1, _ = st(q, v, inc[:, k] if live is None else inc[live, k])
+        phi1 = phi_of(q1).reshape(phi.shape)
+        if phi1.max() >= 0:
+            crossed = phi1 >= 0
+            gap = phi[crossed] - phi1[crossed]
+            if not np.isfinite(gap).all():
+                raise NumericalError("exit path diverged (non-finite state)")
+            if live is None:
+                live = np.arange(active.size)
+            frac = phi[crossed] / gap
+            ids = active[live[crossed]]
+            tau[ids] = (step_count + k + frac) * h
+            exit_pts[ids] = q[crossed] + frac[:, None] * (
+                q1[crossed] - q[crossed])
+            stay = ~crossed
+            live, q1, v1, phi1 = live[stay], q1[stay], v1[stay], phi1[stay]
+        q, v, phi = q1, v1, phi1
+        return phi.size == 0
+
     step_count = 0
     while active.size and step_count < max_steps:
         n_chunk = min(chunk_steps, max(FIRST_DRAW, step_count),
                       max_steps - step_count)
-        if inc_given is not None:
+        if noise is not None:
             avail = inc_given.shape[1] - step_count
             if avail <= 0:
                 raise ConfigError(
@@ -125,37 +148,23 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
             n_chunk = min(n_chunk, avail)
             inc = inc_given[active, step_count:step_count + n_chunk, :]
         else:
-            inc = np.empty((active.size, n_chunk, r))
-            for row, i in enumerate(active):
-                inc[row] = gens[int(i)].standard_normal((n_chunk, r)) * sqrt_h
+            inc = np.empty((active.size, n_chunk, p.r))
+            for row, i in enumerate(active.tolist()):
+                gen.bit_generator.state = states[i]
+                gen.standard_normal(out=inc[row])
+                states[i] = gen.bit_generator.state
+            inc *= math.sqrt(h)
 
         live = None                # chunk rows of the state, once compacted
-        for k in range(n_chunk):
-            q1, v1, _ = step(q, v, inc[:, k] if live is None else inc[live, k])
-            phi1 = p.eval_phi(q1)
-            if not np.isfinite(phi1).all():
-                raise NumericalError("exit path diverged (non-finite state)")
-            crossed = phi1 >= 0
-            if crossed.any():
-                if live is None:
-                    live = np.arange(active.size)
-                frac = phi[crossed] / (phi[crossed] - phi1[crossed])
-                ids = active[live[crossed]]
-                tau[ids] = (step_count + k + frac) * h
-                exit_pts[ids] = q[crossed] + frac[:, None] * (
-                    q1[crossed] - q[crossed])
-                stay = ~crossed
-                live, q1, v1, phi1 = live[stay], q1[stay], v1[stay], phi1[stay]
-            q, v, phi = q1, v1, phi1
-            if phi.size == 0:
-                break
+        run_trapped(n_chunk, advance)
+        if not np.isfinite(phi).all():
+            raise NumericalError("exit path diverged (non-finite state)")
 
         step_count += n_chunk
         if live is not None:
             active = active[live]
 
-    timed_out[active] = True
-    return tau, exit_pts, timed_out
+    return tau, exit_pts, np.isnan(tau)
 
 
 def sample_exit(p: ProblemDefinition, eps: float, q0=None, p0=None,
@@ -190,19 +199,11 @@ def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
     t_ok = taus[ok]
     n = int(t_ok.size)
     timeouts = int(np.sum(timed_out))
-    if n == 0:
-        return ExitStats(eps=eps, n_samples=0, mean_tau=math.nan,
-                         ci_halfwidth=math.nan, eps_log_mean=math.nan,
-                         exit_points=pts[ok], taus=t_ok,
-                         timeouts=timeouts, lower_bound=True)
-    mean = math.fsum(t_ok) / n
-    if n > 1:
-        var = math.fsum((t - mean) ** 2 for t in t_ok) / (n - 1)
-        ci = 1.96 * math.sqrt(var / n)
-    else:
-        ci = math.inf
+    mean = math.fsum(t_ok) / n if n else math.nan
+    ci = math.nan if n == 0 else math.inf if n == 1 else 1.96 * math.sqrt(
+        math.fsum((t - mean) ** 2 for t in t_ok) / (n - 1) / n)
     return ExitStats(eps=eps, n_samples=n, mean_tau=mean, ci_halfwidth=ci,
-                     eps_log_mean=eps * math.log(mean),
+                     eps_log_mean=eps * math.log(mean) if n else math.nan,
                      exit_points=pts[ok], taus=t_ok, timeouts=timeouts,
                      lower_bound=timeouts > 0)
 
@@ -243,11 +244,10 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
                     f"rung eps={eps:g}: predicted mean exit time "
                     f"{predicted:.3g} approaches the step-cap horizon "
                     f"{cap * h_eps:.3g}; expect timeouts", stacklevel=2)
-        q_init = np.broadcast_to(q0, (M, p.d)).copy()
-        v_init = np.broadcast_to(p0 / eps, (M, p.d)).copy()
         stream_ids = [j * M + i for i in range(M)]
         taus, pts, out = _exit_kernel(
-            p, eps, h_eps, scheme, q_init, v_init, seed, stream_ids, cap,
+            p, eps, h_eps, scheme, np.broadcast_to(q0, (M, p.d)),
+            np.broadcast_to(p0 / eps, (M, p.d)), seed, stream_ids, cap,
             chunk_steps=chunk_steps)
         stats.append(_rung_stats(eps, taus, pts, out))
 

@@ -11,7 +11,10 @@ The AST supports four consumers:
 
 * a code generator that emits a numpy closure, compiled once per
   expression; `evaluate` and `evaluate_all` run it under a floating-point
-  trap, and every field evaluation in the package goes through them;
+  trap, one per call.  The step loops (the exit kernel and the stored
+  path) own the trap instead: they call the closures unchecked through
+  `compiled_all`, under one `run_trapped` scope per loop, and re-run a
+  trapped step on the checked evaluators;
 * a checked tree-walking evaluator, `eval_field`, the reference those
   closures are tested against; it re-runs only when a closure traps, and
   then reports the domain violation with the offending sub-expression;
@@ -232,7 +235,7 @@ class ScalarExpr:
     def __str__(self) -> str:
         return to_string(self.root)
 
-    @property
+    @cached_property
     def variables(self) -> frozenset:
         out = set()
         _collect_vars(self.root, out)
@@ -385,6 +388,9 @@ def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     operations trapped.  When it traps, or when f needs u and none is
     given, the checked walker eval_field runs instead: it raises
     EvalDomainError naming the sub-expression, or returns the same values.
+    The step loops do not come here on every step: they own one trap
+    scope (run_trapped) around compiled_all, and only a trapped step
+    comes back through evaluate.
     """
     points = np.asarray(points, dtype=float)
     try:
@@ -397,19 +403,58 @@ def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
+def compiled_all(fs) -> Callable:
+    """One evaluator run(points, u=None) of the compiled closures of fs,
+    stacked on a new last axis: shape points.shape[:-1] + (len(fs),).
+
+    It checks nothing: evaluate_all runs it under a trap, and a step loop
+    runs it inside run_trapped.
+    """
+    closures = [f._closure for f in fs]
+    if len(fs) == 1 and fs[0].variables - {"u"}:
+        # an array over the points: a view with the new axis will do
+        return lambda points, u=None: closures[0](points, u)[..., None]
+
+    def run(points, u=None):
+        out = np.empty(points.shape[:-1] + (len(closures),))
+        for i, c in enumerate(closures):
+            out[..., i] = c(points, u)
+        return out
+    return run
+
+
 def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
     """evaluate for a sequence of fields, stacked on a new last axis:
     shape points.shape[:-1] + (len(fs),), under a single trap."""
     points = np.asarray(points, dtype=float)
-    out = np.empty(points.shape[:-1] + (len(fs),))
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            for i, f in enumerate(fs):
-                out[..., i] = f._closure(points, u)
+            return compiled_all(fs)(points, u)
     except _FALLBACK:
+        out = np.empty(points.shape[:-1] + (len(fs),))
         for i, f in enumerate(fs):
             out[..., i] = eval_field(f, points, u)
-    return out
+        return out
+
+
+def run_trapped(n: int, body: Callable) -> None:
+    """body(k, checked) for k = 0, ..., n - 1 under one trap of division
+    by zero and invalid operations, until body returns True.  A step that
+    traps runs again alone, outside it, with checked=True: its checked
+    evaluators raise EvalDomainError naming the field, and a non-finite
+    result is the caller's to check."""
+    k = 0
+    while k < n:
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                for k in range(k, n):
+                    if body(k, False):
+                        return
+                return
+        except _FALLBACK:
+            if body(k, True):
+                return
+            k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,27 @@ with initial velocity q'(0) = p0/eps, together with the first-order limit
 
     g' = b(g)/alpha(g) + sigma(g) u / alpha(g) + eps^(1/2-beta) sigma(g)/alpha(g) w'.
 
-The stiff system has one step, built by make_step and used both by
-simulate_inertial, which stores the path, and by the streaming exit
-kernel.  Its default exponential scheme freezes coefficients over a step
-and advances the velocity as an Ornstein-Uhlenbeck bridge, which keeps it
-stable for steps far larger than eps^2, with the position updated by the
-exact integral of the frozen relaxation (the noise part of the position
-keeps the trapezoidal weight h/2).  The explicit Euler-Maruyama scheme is
-retained as a cross check and only accepts h <= default_step.  make_step
-also builds the Euler-Maruyama step of the limit equation, so one
-stored-path loop drives simulate_inertial and simulate_first_order alike.
+make_step builds the one step of the stiff system.  Its default
+exponential scheme freezes coefficients over a step and advances the
+velocity as an Ornstein-Uhlenbeck bridge, stable for steps far larger than
+eps^2; the position takes the exact integral of the frozen relaxation (its
+noise part keeps the trapezoidal weight h/2).  The explicit Euler-Maruyama
+scheme is a cross check and only accepts h <= default_step.  make_step
+also builds the Euler-Maruyama step of the limit equation.  Two loops
+drive the step: the stored-path loop behind simulate_inertial and
+simulate_first_order, and the streaming exit kernel.  The step runs the
+compiled field closures unchecked; each loop owns one floating-point trap
+scope (expr.run_trapped) and re-runs a trapped step on the checked
+evaluators, so EvalDomainError still names the sub-expression.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
 
 Noise is reproducible: every path owns a counter-based Philox stream keyed
 by mixing (seed, stream_id) through a fixed 64-bit finalizer, so results
-do not depend on scheduling or batch composition.  A batch draw re-keys one
-Philox bit generator per row (zero counter, empty buffer) instead of
-building a generator per row, which gives the same numbers.
+do not depend on scheduling or batch composition.  A batch draw and the
+exit kernel re-key one Philox bit generator per row (philox_states)
+instead of building a generator per row, which gives the same numbers.
 NoisePath.batches is the one place that splits M paths into batches of
 consecutive stream ids; every Monte Carlo loop over stored paths draws
 through it.
@@ -48,6 +50,7 @@ import numpy as np
 
 from .artifacts import atomic_file, float_lines
 from .errors import ConfigError, NumericalError
+from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
 
 
@@ -70,18 +73,21 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _philox_keys(seed: int, stream_ids: Iterable[int]
-                 ) -> Iterator[tuple[int, int]]:
-    """The Philox key (k0, k1) of (seed, stream_id) for each stream id;
-    NumPy integers are taken as the Python integers they hold."""
+def philox_states(seed: int, stream_ids: Iterable[int]) -> Iterator[dict]:
+    """Per stream id, the Philox state starting (seed, stream_id)'s stream:
+    its mixed key, a zero counter and an empty buffer."""
     k0 = mix64(int(seed) & _MASK64)
+    zero = np.zeros(4, dtype=np.uint64)
     for sid in stream_ids:
-        yield k0, mix64(k0 ^ mix64(int(sid) & _MASK64))
+        key = k0, mix64(k0 ^ mix64(int(sid) & _MASK64))
+        yield {"bit_generator": "Philox",
+               "state": {"counter": zero, "key": key}, "buffer": zero,
+               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Independent counter-based generator for (seed, stream_id)."""
-    (key,) = _philox_keys(seed, [stream_id])
+    key = next(philox_states(seed, [stream_id]))["state"]["key"]
     return np.random.Generator(
         np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
@@ -118,8 +124,8 @@ class NoisePath:
 
         Row i holds make_generator(seed, stream_ids[i]).standard_normal(
         (steps, r)) * sqrt(dt): one Philox bit generator is re-keyed per
-        row, with a zero counter and an empty buffer, so no buffered word
-        of one row reaches the next.
+        row, to its philox_states entry, so no buffered word of one row
+        reaches the next.
         """
         if steps < 1 or r < 1 or dt <= 0:
             raise ConfigError("NoisePath needs steps >= 1, r >= 1, dt > 0")
@@ -127,14 +133,9 @@ class NoisePath:
         root = np.sqrt(dt)
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
-        fresh = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64)},
-                 "buffer": np.zeros(4, dtype=np.uint64),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         draw = np.empty((steps, r))
-        for row, key in enumerate(_philox_keys(seed, stream_ids)):
-            fresh["state"]["key"] = key
-            bits.state = fresh
+        for row, state in enumerate(philox_states(seed, stream_ids)):
+            bits.state = state
             gen.standard_normal(out=draw)
             np.multiply(draw, root, out=inc[:, row])
         return cls(dt=dt, increments=inc.transpose(1, 0, 2), seed=seed,
@@ -294,7 +295,8 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     control value u (r,), and the friction at q, (...,) or a float when
     constant, for the friction integral.  The first-order step hands v
     back unchanged.  The Euler scheme raises StabilityError for
-    h > default_step.
+    h > default_step.  step runs the compiled field closures unchecked,
+    under run_trapped; step.checked is the step on p's checked evaluators.
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -307,49 +309,63 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     eps2 = eps * eps
     noise_pow = eps ** (0.5 - p.beta)
     sqrt_h = math.sqrt(h)
+    h_eps2, half_h = h / eps2, 0.5 * h
     sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
     al_c = float(p.eval_alpha(p.O[None, :])[0]) if p.alpha_is_constant \
         else None
-    if al_c is not None:
-        decay_c = np.exp(-(al_c * h / eps2))
-        mu1_c = (eps2 / al_c) * (1.0 - decay_c)
-        amp_c = noise_pow * np.sqrt((1.0 - decay_c**2) / (2.0 * al_c * eps2))
 
-    def frozen(q, u):
-        sig = sig_c if sig_c is not None else p.eval_sigma(q)
-        al = al_c if al_c is not None else p.eval_alpha(q)[..., None]
-        drift = p.eval_b(q)
-        if u is not None:
-            drift = drift + _apply_sigma(sig, u)
-        return sig, al, drift
+    def relax(al):     # decay, 1 - decay, mu1, h - mu1, noise amplitude
+        decay = np.exp(-al * h / eps2)
+        mu1 = (eps2 / al) * (1.0 - decay)
+        amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
+        return decay, 1.0 - decay, mu1, h - mu1, amp
+    relax_c = al_c is not None and relax(al_c)
+    # a constant square diagonal sigma multiplies elementwise, and the
+    # identity not at all: the einsum's sum would only add exact zeros
+    apply_sigma = _apply_sigma
+    if sig_c is not None and p.d == p.r and np.array_equal(
+            sig_c, np.diag(diag := np.diagonal(sig_c))):
+        apply_sigma = (lambda sig, vec: vec) if np.all(diag == 1.0) \
+            else (lambda sig, vec: vec * diag)
 
-    def euler(q, v, dW, u=None):
-        sig, al, drift = frozen(q, u)
-        v1 = (v + (h / eps2) * (drift - al * v)
-              + noise_pow * _apply_sigma(sig, dW) / eps2)
-        return q + h * v, v1, al if al_c is not None else al[..., 0]
+    def bind(b_of, alpha_of, sigma_of):
+        def frozen(q, u):
+            sig = sig_c if sig_c is not None else sigma_of(q)
+            al = al_c if al_c is not None else alpha_of(q)
+            drift = b_of(q)
+            if u is not None:
+                drift = drift + apply_sigma(sig, u)
+            return sig, al, drift
 
-    def exponential(q, v, dW, u=None):
-        sig, al, drift = frozen(q, u)
-        if al_c is None:
-            decay = np.exp(-al * h / eps2)
-            mu1 = (eps2 / al) * (1.0 - decay)
-            amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
-        else:
-            decay, mu1, amp = decay_c, mu1_c, amp_c
-        drift = drift / al
-        xi = amp * _apply_sigma(sig, dW) / sqrt_h
-        v1 = decay * v + (1.0 - decay) * drift + xi
-        q1 = q + v * mu1 + drift * (h - mu1) + (0.5 * h) * xi
-        return q1, v1, al if al_c is not None else al[..., 0]
+        def euler(q, v, dW, u=None):
+            sig, al, drift = frozen(q, u)
+            v1 = (v + h_eps2 * (drift - al * v)
+                  + noise_pow * apply_sigma(sig, dW) / eps2)
+            return q + h * v, v1, al if al_c is not None else al[..., 0]
 
-    def first_order(q, v, dW, u=None):
-        sig, al, drift = frozen(q, u)
-        q1 = q + h * drift / al + noise_pow * _apply_sigma(sig, dW) / al
-        return q1, v, al if al_c is not None else al[..., 0]
+        def exponential(q, v, dW, u=None):
+            sig, al, drift = frozen(q, u)
+            decay, keep, mu1, h_mu1, amp = relax_c or relax(al)
+            drift = drift / al
+            xi = amp * apply_sigma(sig, dW) / sqrt_h
+            v1 = decay * v + keep * drift + xi
+            q1 = q + v * mu1 + drift * h_mu1 + half_h * xi
+            return q1, v1, al if al_c is not None else al[..., 0]
 
-    return {"euler": euler, "exponential": exponential,
-            "first_order": first_order}[scheme]
+        def first_order(q, v, dW, u=None):
+            sig, al, drift = frozen(q, u)
+            q1 = q + h * drift / al + noise_pow * apply_sigma(sig, dW) / al
+            return q1, v, al if al_c is not None else al[..., 0]
+
+        return {"euler": euler, "exponential": exponential,
+                "first_order": first_order}[scheme]
+
+    flat_sigma = compiled_all([e for row in p.sigma for e in row])
+    step = bind(compiled_all(p.b), compiled_all([p.alpha]),
+                lambda q: flat_sigma(q).reshape(q.shape[:-1] + (p.d, p.r)))
+    step.checked = bind(p.eval_b, lambda q: p.eval_alpha(q)[..., None],
+                        p.eval_sigma)
+    return step
 
 
 def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
@@ -373,10 +389,12 @@ def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
         pv[0] = np.asarray(p0, dtype=float) / eps
     A[0] = 0.0
     inc = np.moveaxis(noise.increments, -2, 0)
-    for n in range(steps):
-        q[n + 1], pv[n + 1], al = step(
+
+    def advance(n, checked):
+        q[n + 1], pv[n + 1], al = (step.checked if checked else step)(
             q[n], pv[n], inc[n], None if u_vals is None else u_vals[n])
         A[n + 1] = A[n] + al * sp.h
+    run_trapped(steps, advance)
 
     if not np.all(np.isfinite(q[steps])):
         raise NumericalError("trajectory diverged (non-finite position)")
@@ -409,19 +427,14 @@ def simulate_first_order(p: ProblemDefinition, sp: SimParams, q0,
 
 
 def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
-                           noise: NoisePath, stride: int = 1) -> Trajectory:
+                           noise: NoisePath) -> Trajectory:
     """Stochastic convolution along a stored trajectory.
 
     H(t_n) = eps^(1/2-beta) * sum_{k<n} exp(-(A(t_n)-A(t_k))/eps^2)
              sigma(q(t_k)) dW_k,
 
-    a left-point sum evaluated with the stored friction_integral.  With
-    stride > 1 the sum is the coarse Riemann evaluation on the subsampled
-    grid (increments aggregated per coarse cell, each cell decayed from
-    its own left endpoint); that is a different, much smaller object than
-    H at the coarse times whenever the coarse cell exceeds the relaxation
-    time eps^2/alpha.  Returns the (subsampled) trajectory with H
-    attached.
+    a left-point sum evaluated with the stored friction_integral.  Returns
+    the trajectory with H attached.
     """
     steps = tr.times.shape[0] - 1
     if noise.steps < steps:
@@ -429,32 +442,19 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
             f"noise provides {noise.steps} steps, trajectory has {steps}")
     if abs(noise.dt * steps - (tr.times[-1] - tr.times[0])) > 1e-9:
         raise GridMismatchError("noise grid does not match trajectory grid")
-    if stride < 1 or steps % stride != 0:
-        raise GridMismatchError(f"stride {stride} must divide {steps} steps")
 
-    sl = slice(None, None, stride)
-    q = np.moveaxis(tr.q, -2, 0)[sl]
-    A = np.moveaxis(tr.friction_integral, -1, 0)[sl]
-    times = tr.times[sl]
-    inc = np.moveaxis(noise.increments, -2, 0)[:steps]
-    if stride > 1:
-        inc = inc.reshape((steps // stride, stride) + inc.shape[1:]).sum(
-            axis=1)
-    m = q.shape[0] - 1
-
+    q = np.moveaxis(tr.q, -2, 0)
+    A = np.moveaxis(tr.friction_integral, -1, 0)
+    inc = np.moveaxis(noise.increments, -2, 0)
     eps2 = tr.eps**2
     noise_pow = tr.eps ** (0.5 - p.beta)
     H = np.zeros(q.shape)
-    for n in range(m):
+    for n in range(steps):
         sig_n = p.eval_sigma(q[n])
         kick = noise_pow * _apply_sigma(sig_n, inc[n])
         decay = np.exp(-(A[n + 1] - A[n]) / eps2)[..., None]
         H[n + 1] = decay * (H[n] + kick)
-
-    return Trajectory(times=times, q=tr.q[..., sl, :], p=tr.p[..., sl, :],
-                      eps=tr.eps,
-                      friction_integral=tr.friction_integral[..., sl],
-                      convolution=np.moveaxis(H, 0, -2))
+    return replace(tr, convolution=np.moveaxis(H, 0, -2))
 
 
 # ---------------------------------------------------------------------------

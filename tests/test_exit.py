@@ -156,6 +156,41 @@ def test_non_finite_domain_function_is_numerical_error():
         sample_exit(p, eps=0.5, seed=2)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_invalid_step_arithmetic_is_numerical_error():
+    """From q1 = 1e103 the cubic drift overflows to -inf, and the next step
+    adds -inf and +inf inside the velocity update, not inside a field.
+    phi = tanh(q1)^2 - 2 never crosses, so the NaN that follows reaches
+    the kernel's finiteness check, and the stored path's end check, as a
+    NumericalError rather than the trap's FloatingPointError."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["-q1^3"], "sigma": [["1"]], "alpha": "1",
+        "alpha0": 1.0, "G": "tanh(q1)^2 - 2", "O": [0.0],
+        "box": [[-2.0, 2.0]],
+    })
+    eps, q0 = 0.5, np.array([1e103])
+    with pytest.raises(NumericalError, match="non-finite"):
+        sample_exit(p, eps, q0=q0, seed=1)
+    h = default_step(p, eps)
+    noise = NoisePath.generate(1, 0, 10, 1, h)
+    with pytest.raises(NumericalError, match="non-finite"):
+        simulate_inertial(p, SimParams(eps=eps, T=10 * h, h=h), q0,
+                          np.zeros(1), noise)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinite_crossing_is_numerical_error():
+    """The drift q1^400 overflows at q1 = 10, so the first step lands at
+    q1 = inf and phi = q1 - 20 crosses to +inf: that crossing has no
+    place inside the step and ends in NumericalError."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["q1^400"], "sigma": [["1"]], "alpha": "1",
+        "alpha0": 1.0, "G": "q1 - 20", "O": [0.0], "box": [[-2.0, 2.0]],
+    })
+    with pytest.raises(NumericalError, match="non-finite"):
+        sample_exit(p, 0.5, q0=[10.0], seed=1)
+
+
 def test_single_rung_limit_is_its_own_elm():
     sc = exit_scaling(OUTWARD, [0.25], M=3, seed=1, q0=[0.5])
     assert sc.limit == pytest.approx(sc.stats[0].eps_log_mean)

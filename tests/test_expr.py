@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from strongdamp.expr import (EvalDomainError, ExpressionSyntaxError,
                              eval_field, evaluate, evaluate_all, grad_field,
-                             parse_expression)
+                             parse_expression, run_trapped)
 from strongdamp.fields import load_preset
 
 
@@ -214,6 +214,24 @@ def test_compiled_variable_does_not_alias_points():
     out = evaluate(parse_expression("q2"), pts)
     out[0] = 7.0
     assert pts[0, 1] == 2.0
+
+
+def test_run_trapped_reruns_only_the_trapped_step():
+    """Steps 2 and 4 divide by zero under the trap; each runs again alone,
+    checked, and the loop goes on inside a new trap until the body stops
+    it at step 5.  The trap does not outlive the loop."""
+    calls = []
+
+    def body(k, checked):
+        calls.append((k, checked))
+        if k in (2, 4) and not checked:
+            np.ones(1) / 0.0
+        return k == 5
+
+    run_trapped(8, body)
+    assert calls == [(0, False), (1, False), (2, False), (2, True),
+                     (3, False), (4, False), (4, True), (5, False)]
+    assert np.geterr()["divide"] != "raise"
 
 
 @settings(max_examples=60, deadline=None)

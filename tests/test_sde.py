@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdamp.errors import ConfigError, NumericalError
+from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import (GridMismatchError, NoisePath, SimParams,
-                            Trajectory, dump_trajectory, make_generator,
-                            simulate_first_order, simulate_inertial,
-                            stochastic_convolution)
+                            Trajectory, default_step, dump_trajectory,
+                            make_generator, make_step, simulate_first_order,
+                            simulate_inertial, stochastic_convolution)
 
 
 P1 = load_preset("p1")
@@ -287,6 +288,100 @@ def test_first_order_limit_tracks_inertial():
     tr1 = simulate_first_order(P2, sp, np.array([0.6]), noise)
     skip = tr1.times > 20 * eps**2
     assert np.max(np.abs(tr1.q[skip, 0] - tr2.q[skip, 0])) < 0.05
+
+
+def oracle_step(p, eps, h, scheme, q, v, dW, u=None):
+    """One step written out with the checked evaluators and einsum, in the
+    order of operations that make_step has to keep bit for bit."""
+    def apply(sig, vec):
+        return np.einsum("...dr,...r->...d", sig, vec)
+    eps2 = eps * eps
+    noise_pow = eps ** (0.5 - p.beta)
+    sig = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant \
+        else p.eval_sigma(q)
+    if p.alpha_is_constant:
+        al = out_al = float(p.eval_alpha(p.O[None, :])[0])
+        decay = np.exp(-(al * h / eps2))
+    else:
+        out_al = p.eval_alpha(q)
+        al = out_al[..., None]
+        decay = np.exp(-al * h / eps2)
+    drift = p.eval_b(q)
+    if u is not None:
+        drift = drift + apply(sig, u)
+    if scheme == "euler":
+        v1 = (v + (h / eps2) * (drift - al * v)
+              + noise_pow * apply(sig, dW) / eps2)
+        return q + h * v, v1, out_al
+    if scheme == "first_order":
+        q1 = q + h * drift / al + noise_pow * apply(sig, dW) / al
+        return q1, v, out_al
+    mu1 = (eps2 / al) * (1.0 - decay)
+    amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
+    drift = drift / al
+    xi = amp * apply(sig, dW) / np.sqrt(h)
+    v1 = decay * v + (1.0 - decay) * drift + xi
+    q1 = q + v * mu1 + drift * (h - mu1) + (0.5 * h) * xi
+    return q1, v1, out_al
+
+
+def _planar(sigma, alpha, alpha0):
+    return load_problem({
+        "d": 2, "r": 2, "b": ["-q1 + 0.3*sin(q2)", "-q2 - 0.2*q1^3"],
+        "sigma": sigma, "alpha": alpha, "alpha0": alpha0, "O": [0.0, 0.0],
+        "box": [[-2.0, 2.0], [-2.0, 2.0]]})
+
+
+STEP_CASES = {
+    "diagonal": _planar([["0.7", "0"], ["0", "1.3"]], "2.5", 2.5),
+    "off_diagonal": _planar([["1", "0.4"], ["-0.3", "0.8"]], "1.5", 1.5),
+    "state_dependent": _planar(
+        [["1 + 0.2*sin(q1)", "0.1*q2"], ["0", "1.5 + 0.1*cos(q2)"]],
+        "2 + 0.5*cos(q1)", 1.5),
+    "identity": load_preset("p3"),
+}
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("control", [False, True])
+@pytest.mark.parametrize("scheme", ["exponential", "euler", "first_order"])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_matches_checked_einsum_oracle(case, scheme, control):
+    """The compiled step and its checked twin, with a constant sigma
+    multiplied elementwise or skipped and the friction constants hoisted,
+    give the oracle's bits over a few chained steps."""
+    p = STEP_CASES[case]
+    eps = 0.3
+    h = 0.5 * default_step(p, eps)
+    step = make_step(p, eps, h, scheme)
+    rng = np.random.default_rng(4)
+    q = rng.uniform(-1.5, 1.5, (16, p.d))
+    v = rng.standard_normal((16, p.d))
+    u = rng.standard_normal(p.r) if control else None
+    for _ in range(4):
+        dW = rng.standard_normal((16, p.r)) * np.sqrt(h)
+        want = oracle_step(p, eps, h, scheme, q, v, dW, u)
+        for fn in (step, step.checked):
+            for got, exp in zip(fn(q, v, dW, u), want):
+                _same_bits(got, exp)
+        q, v = want[0], want[1]
+
+
+def test_drift_leaving_its_domain_names_the_subexpression():
+    """The stored-path loop owns one trap for all its steps; the step that
+    takes q1 past 2 re-runs checked and names the failing sub-expression."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["2 + 0.001*log(2 - q1)"], "sigma": [["0.1"]],
+        "alpha": "1", "alpha0": 1.0, "O": [0.0], "box": [[-3.0, 3.0]],
+    })
+    sp = SimParams(eps=0.15, T=1.5, h=snap(1.5, default_step(p, 0.15)))
+    noise = NoisePath.generate(2, 0, sp.steps, 1, sp.h)
+    with pytest.raises(EvalDomainError, match=r"'log\(2 - q1\)'"):
+        simulate_inertial(p, sp, np.zeros(1), np.zeros(1), noise)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
