@@ -110,13 +110,15 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
         states = list(philox_states(seed, stream_ids))
         gen = np.random.Generator(np.random.Philox(0))
 
-    step, G = make_step(p, eps, h, scheme), compiled_all([p.G])
+    step = make_step(p, eps, h, scheme)
+    G = compiled_all([p.G])
 
     def advance(k, checked):
         """Step k of the chunk; the rows that cross leave the state.
         True once no row is left."""
         nonlocal q, v, phi, live
-        st, phi_of = (step.checked, p.eval_phi) if checked else (step, G)
+        st = step.checked if checked else step
+        phi_of = p.eval_phi if checked else G
         q1, v1, _ = st(q, v, inc[:, k] if live is None else inc[live, k])
         phi1 = phi_of(q1).reshape(phi.shape)
         if phi1.max() >= 0:
@@ -199,11 +201,18 @@ def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
     t_ok = taus[ok]
     n = int(t_ok.size)
     timeouts = int(np.sum(timed_out))
-    mean = math.fsum(t_ok) / n if n else math.nan
-    ci = math.nan if n == 0 else math.inf if n == 1 else 1.96 * math.sqrt(
-        math.fsum((t - mean) ** 2 for t in t_ok) / (n - 1) / n)
+    if n == 0:
+        mean = ci = eps_log_mean = math.nan
+    else:
+        mean = math.fsum(t_ok) / n
+        eps_log_mean = eps * math.log(mean)
+        if n == 1:
+            ci = math.inf
+        else:
+            var = math.fsum((t - mean) ** 2 for t in t_ok) / (n - 1)
+            ci = 1.96 * math.sqrt(var / n)
     return ExitStats(eps=eps, n_samples=n, mean_tau=mean, ci_halfwidth=ci,
-                     eps_log_mean=eps * math.log(mean) if n else math.nan,
+                     eps_log_mean=eps_log_mean,
                      exit_points=pts[ok], taus=t_ok, timeouts=timeouts,
                      lower_bound=timeouts > 0)
 

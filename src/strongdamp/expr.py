@@ -235,7 +235,7 @@ class ScalarExpr:
     def __str__(self) -> str:
         return to_string(self.root)
 
-    @cached_property
+    @property
     def variables(self) -> frozenset:
         out = set()
         _collect_vars(self.root, out)
@@ -407,12 +407,13 @@ def compiled_all(fs) -> Callable:
     """One evaluator run(points, u=None) of the compiled closures of fs,
     stacked on a new last axis: shape points.shape[:-1] + (len(fs),).
 
-    It checks nothing: evaluate_all runs it under a trap, and a step loop
-    runs it inside run_trapped.
+    It checks nothing: a step loop runs it inside run_trapped, and
+    re-runs a trapped step on the checked evaluators.
     """
     closures = [f._closure for f in fs]
     if len(fs) == 1 and fs[0].variables - {"u"}:
-        # an array over the points: a view with the new axis will do
+        # a field of q gives an array over the points, and a view with the
+        # new axis saves the stacking loop (~1.4 us of ~4 us per call)
         return lambda points, u=None: closures[0](points, u)[..., None]
 
     def run(points, u=None):
@@ -427,14 +428,15 @@ def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
     """evaluate for a sequence of fields, stacked on a new last axis:
     shape points.shape[:-1] + (len(fs),), under a single trap."""
     points = np.asarray(points, dtype=float)
+    out = np.empty(points.shape[:-1] + (len(fs),))
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            return compiled_all(fs)(points, u)
+            for i, f in enumerate(fs):
+                out[..., i] = f._closure(points, u)
     except _FALLBACK:
-        out = np.empty(points.shape[:-1] + (len(fs),))
         for i, f in enumerate(fs):
             out[..., i] = eval_field(f, points, u)
-        return out
+    return out
 
 
 def run_trapped(n: int, body: Callable) -> None:

@@ -309,7 +309,8 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     eps2 = eps * eps
     noise_pow = eps ** (0.5 - p.beta)
     sqrt_h = math.sqrt(h)
-    h_eps2, half_h = h / eps2, 0.5 * h
+    h_eps2 = h / eps2
+    half_h = 0.5 * h
     sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
     al_c = float(p.eval_alpha(p.O[None, :])[0]) if p.alpha_is_constant \
         else None
@@ -319,7 +320,7 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
         mu1 = (eps2 / al) * (1.0 - decay)
         amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
         return decay, 1.0 - decay, mu1, h - mu1, amp
-    relax_c = al_c is not None and relax(al_c)
+    relax_c = relax(al_c) if al_c is not None else None
     # a constant square diagonal sigma multiplies elementwise, and the
     # identity not at all: the einsum's sum would only add exact zeros
     apply_sigma = _apply_sigma
@@ -345,7 +346,8 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
 
         def exponential(q, v, dW, u=None):
             sig, al, drift = frozen(q, u)
-            decay, keep, mu1, h_mu1, amp = relax_c or relax(al)
+            decay, keep, mu1, h_mu1, amp = (
+                relax_c if relax_c is not None else relax(al))
             drift = drift / al
             xi = amp * apply_sigma(sig, dW) / sqrt_h
             v1 = decay * v + keep * drift + xi
@@ -360,9 +362,16 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
         return {"euler": euler, "exponential": exponential,
                 "first_order": first_order}[scheme]
 
-    flat_sigma = compiled_all([e for row in p.sigma for e in row])
-    step = bind(compiled_all(p.b), compiled_all([p.alpha]),
-                lambda q: flat_sigma(q).reshape(q.shape[:-1] + (p.d, p.r)))
+    # the constant fields are frozen above; only the others get evaluators
+    alpha_of = sigma_of = None
+    if al_c is None:
+        alpha_of = compiled_all([p.alpha])
+    if sig_c is None:
+        flat_sigma = compiled_all(p._sigma_flat)
+
+        def sigma_of(q):
+            return flat_sigma(q).reshape(q.shape[:-1] + (p.d, p.r))
+    step = bind(compiled_all(p.b), alpha_of, sigma_of)
     step.checked = bind(p.eval_b, lambda q: p.eval_alpha(q)[..., None],
                         p.eval_sigma)
     return step
