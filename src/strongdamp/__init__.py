@@ -2,6 +2,15 @@
 Langevin dynamics: trajectory simulation, path-space action functionals,
 quasipotentials, exit statistics, and reaction-front geometry."""
 
+import os
+
+# One BLAS thread unless the caller set one: the linear algebra here is
+# many tiny calls, which a second BLAS thread only slows.  This acts only
+# if numpy is not imported yet, so it precedes every submodule import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, StrongdampError

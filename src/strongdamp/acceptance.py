@@ -25,7 +25,8 @@ from .exit import exit_location_histogram, exit_scaling
 from .fields import load_preset
 from .front import extract_front, fit_front_speed, front_field_constant, \
     front_field_path, front_field_prefix, g0_samples, riemannian_distance
-from .ldpcheck import controlled_convergence, h_eps_scaling, laplace_check
+from .ldpcheck import H_EXPONENT_RANGE, H_R2_MIN, LAPLACE_GAP_MAX, \
+    controlled_convergence, h_eps_scaling, laplace_check
 from .quasipotential import check_action_equivalence, gradient_case_oracle, \
     quasipotential
 
@@ -124,11 +125,12 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
     t0 = time.time()
     fit = h_eps_scaling(load_preset("p2"), (0.2, 0.1, 0.05),
                         M=_sized(1000, scale), T=2e-4, seed=7)
-    passed = 0.3 <= fit.fitted_exponent <= 0.7 and fit.r_squared >= 0.9
+    lo, hi = H_EXPONENT_RANGE
+    passed = lo <= fit.fitted_exponent <= hi and fit.r_squared >= H_R2_MIN
     return CriterionResult(
         4, "convolution sup scaling", passed,
-        f"exponent {fit.fitted_exponent:.3f} in [0.3,0.7], "
-        f"r2 {fit.r_squared:.4f} >= 0.9",
+        f"exponent {fit.fitted_exponent:.3f} in [{lo},{hi}], "
+        f"r2 {fit.r_squared:.4f} >= {H_R2_MIN}",
         time.time() - t0,
         {"exponent": fit.fitted_exponent, "r_squared": fit.r_squared,
          "metrics": fit.metric_values})
@@ -239,11 +241,12 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
     rep = laplace_check(load_preset("p1"), "10*(q1-0.8)^2",
                         (0.25, 1.0 / 6.0, 0.125), M=_sized(6000, scale),
                         T=1.0, seed=3)
-    passed = rep.rel_gap <= 0.25
+    passed = rep.rel_gap <= LAPLACE_GAP_MAX
     return CriterionResult(
         9, "Laplace variational match", passed,
         f"extrapolated {rep.extrapolated:.4f} vs variational "
-        f"{rep.variational_value:.4f}, rel gap {rep.rel_gap:.3f} (tol 0.25)",
+        f"{rep.variational_value:.4f}, rel gap {rep.rel_gap:.3f} "
+        f"(tol {LAPLACE_GAP_MAX})",
         time.time() - t0,
         {"extrapolated": rep.extrapolated,
          "variational": rep.variational_value,
@@ -335,23 +338,8 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
-def run_all(scale: float = 1.0, threads: int = 1, workdir: str = None):
-    """Run all ten criteria; results ordered by criterion index regardless
-    of scheduling."""
-    results = [None] * len(CRITERIA)
-
-    def run_one(i):
-        fn = CRITERIA[i]
-        if fn is criterion_10:
-            return fn(scale, workdir=workdir)
-        return fn(scale)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(run_one, range(len(CRITERIA)))):
-                results[i] = res
-    else:
-        for i in range(len(CRITERIA)):
-            results[i] = run_one(i)
-    return results
+def run_all(scale: float = 1.0, workdir: str = None):
+    """Run all ten criteria in order; criterion 10 writes its determinism
+    runs under workdir (a fresh temporary directory when None)."""
+    return [fn(scale, workdir=workdir) if fn is criterion_10 else fn(scale)
+            for fn in CRITERIA]

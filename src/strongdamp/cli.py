@@ -6,6 +6,11 @@ writes its artifacts atomically into an output directory together with a
 manifest (config hash, seed, versions, wall time) sufficient to replay
 the run.
 
+Every command runs serially: its Monte Carlo loops hold the GIL, so a
+thread pool cannot overlap them.  `--threads` is accepted for
+compatibility and changes nothing; the BLAS thread count is set once,
+when the package is imported.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance failure from `all`.
 """
@@ -32,7 +37,8 @@ from .exit import exit_location_histogram, exit_scaling
 from .fields import load_problem, load_preset, validate_hypotheses
 from .front import extract_front, fit_front_speed, front_field_constant, \
     front_field_path, front_field_prefix, riemannian_distance
-from .ldpcheck import controlled_convergence, h_eps_scaling, laplace_check
+from .ldpcheck import H_EXPONENT_RANGE, H_R2_MIN, LAPLACE_GAP_MAX, \
+    controlled_convergence, h_eps_scaling, laplace_check
 from .quasipotential import check_action_equivalence, quasipotential, \
     quasipotential_boundary
 from .sde import NoisePath, SimParams, default_step, dump_trajectory, \
@@ -122,13 +128,13 @@ def _block(cfg: dict, name: str) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (output relpaths, tidy plot rows)
 
-def cmd_validate(p, cfg, out, seed, threads):
+def cmd_validate(p, cfg, out, seed):
     rep = validate_hypotheses(p, samples=2000, seed=seed)
     write_json(os.path.join(out, "validate.json"), rep.as_dict())
     return ["validate.json"], []
 
 
-def cmd_simulate(p, cfg, out, seed, threads):
+def cmd_simulate(p, cfg, out, seed):
     blk = _block(cfg, "simulate")
     eps = float(blk["eps"])
     T = float(blk["T"])
@@ -168,7 +174,7 @@ def cmd_simulate(p, cfg, out, seed, threads):
     return outputs, plot
 
 
-def cmd_action(p, cfg, out, seed, threads):
+def cmd_action(p, cfg, out, seed):
     blk = _block(cfg, "action")
     times, pts = read_path_csv(blk["path_csv"])
     f = DiscretePath(T=float(times[-1] - times[0]), points=pts)
@@ -191,7 +197,7 @@ def cmd_action(p, cfg, out, seed, threads):
     return ["action.json", "segments.csv"], plot
 
 
-def cmd_quasipotential(p, cfg, out, seed, threads):
+def cmd_quasipotential(p, cfg, out, seed):
     blk = dict(_block(cfg, "quasipotential"))
     boundary = blk.pop("boundary", False)
     want_equiv = blk.pop("equivalence", False)
@@ -237,7 +243,7 @@ def cmd_quasipotential(p, cfg, out, seed, threads):
     return ["quasipotential.json", "path.csv"], plot
 
 
-def cmd_exit(p, cfg, out, seed, threads):
+def cmd_exit(p, cfg, out, seed):
     blk = _block(cfg, "exit")
     sc = exit_scaling(
         p, np.asarray(blk["eps_ladder"], dtype=float), int(blk["M"]), seed,
@@ -281,7 +287,7 @@ def _fmt_t(t: float) -> str:
     return f"{t:g}".replace(".", "p")
 
 
-def cmd_front(p, cfg, out, seed, threads):
+def cmd_front(p, cfg, out, seed):
     blk = _block(cfg, "front")
     spacing = float(blk["spacing"])
     rho = riemannian_distance(p, spacing)
@@ -349,28 +355,25 @@ def _build_control(spec: dict) -> ControlSignal:
     return ControlSignal(T=float(times[-1] - times[0]), values=vals)
 
 
-def cmd_verify(p, cfg, out, seed, threads):
+def cmd_verify(p, cfg, out, seed):
     blk = _block(cfg, "verify")
-    tol = dict(cfg.get("tolerances", {}))
+    tol = cfg.get("tolerances", {})
     report = {}
-    plot = []
-
-    def run_h():
+    if "h_scaling" in blk:
         s = blk["h_scaling"]
         fit = h_eps_scaling(p, np.asarray(s["eps_ladder"], dtype=float),
                             int(s["M"]), float(s["T"]), seed,
                             k=s.get("k"))
-        lo = tol.get("h_exponent_lo", 0.3)
-        hi = tol.get("h_exponent_hi", 0.7)
-        r2 = tol.get("r_squared_min", 0.9)
-        return "h_scaling", {
+        lo = tol.get("h_exponent_lo", H_EXPONENT_RANGE[0])
+        hi = tol.get("h_exponent_hi", H_EXPONENT_RANGE[1])
+        r2 = tol.get("r_squared_min", H_R2_MIN)
+        report["h_scaling"] = {
             "eps": fit.eps_values, "metrics": fit.metric_values,
             "exponent": fit.fitted_exponent, "r_squared": fit.r_squared,
             "passed": bool(lo <= fit.fitted_exponent <= hi
                            and fit.r_squared >= r2),
         }
-
-    def run_c():
+    if "controlled" in blk:
         s = blk["controlled"]
         u = _build_control(s["control"])
         fit = controlled_convergence(
@@ -378,20 +381,19 @@ def cmd_verify(p, cfg, out, seed, threads):
             seed, q0=s.get("q0"), p0=s.get("p0"),
             osc_amplitude=s.get("osc_amplitude"))
         decreasing = bool(np.all(np.diff(fit.metric_values) < 0))
-        return "controlled", {
+        report["controlled"] = {
             "eps": fit.eps_values, "metrics": fit.metric_values,
             "exponent": fit.fitted_exponent, "monotone": decreasing,
             "passed": decreasing,
         }
-
-    def run_l():
+    if "laplace" in blk:
         s = blk["laplace"]
         rep = laplace_check(
             p, s["terminal_cost"], np.asarray(s["eps_ladder"], dtype=float),
             int(s["M"]), float(s["T"]), seed, q0=s.get("q0"),
             N=s.get("N", 64), ci_threshold=s.get("ci_threshold", 0.2))
-        gap_tol = tol.get("laplace_rel_gap", 0.25)
-        return "laplace", {
+        gap_tol = tol.get("laplace_rel_gap", LAPLACE_GAP_MAX)
+        report["laplace"] = {
             "eps": rep.eps_values, "lhs": rep.lhs_values,
             "flagged": rep.flagged, "extrapolated": rep.extrapolated,
             "variational": rep.variational_value,
@@ -399,31 +401,19 @@ def cmd_verify(p, cfg, out, seed, threads):
             "rel_gap": rep.rel_gap,
             "passed": bool(rep.rel_gap <= gap_tol),
         }
-
-    tasks = [fn for key, fn in (("h_scaling", run_h), ("controlled", run_c),
-                                ("laplace", run_l)) if key in blk]
-    if not tasks:
+    if not report:
         raise ConfigError("verify block lists no checks")
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(lambda f: f(), tasks))
-    else:
-        done = [f() for f in tasks]
-    for key, val in done:
-        report[key] = val
-        if "metrics" in val:
-            plot += [(key, e, m) for e, m in zip(val["eps"], val["metrics"])]
-    report["passed"] = all(v["passed"] for v in report.values()
-                           if isinstance(v, dict))
+    plot = [(key, e, m) for key, val in report.items() if "metrics" in val
+            for e, m in zip(val["eps"], val["metrics"])]
+    report["passed"] = all(v["passed"] for v in report.values())
     write_json(os.path.join(out, "verify.json"), report)
     return ["verify.json"], plot
 
 
-def cmd_all(p, cfg, out, seed, threads):
+def cmd_all(p, cfg, out, seed):
     from .acceptance import run_all
     blk = cfg.get("all", {})
-    results = run_all(scale=float(blk.get("scale", 1.0)), threads=threads,
+    results = run_all(scale=float(blk.get("scale", 1.0)),
                       workdir=os.path.join(out, "determinism"))
     wanted = blk.get("criteria")
     if wanted:
@@ -465,8 +455,7 @@ def _run(command: str, cfg: dict, args) -> int:
     out = _resolve_out(args, cfg)
     p = _resolve_problem(cfg)
     try:
-        outputs, plot = HANDLERS[command](p, cfg, out, seed,
-                                          threads=args.threads)
+        outputs, plot = HANDLERS[command](p, cfg, out, seed)
     except AcceptanceFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ACCEPTANCE
@@ -487,25 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--replay", metavar="MANIFEST",
                     help="re-run the command recorded in a manifest")
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--emit-plot-data", action="store_true")
     sub = ap.add_subparsers(dest="command")
+    parsers = [ap]
     for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=(name != "all"))
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--emit-plot-data", action="store_true")
+        parsers.append(sub.add_parser(name))
+        parsers[-1].add_argument("--config", required=(name != "all"))
+    for parser in parsers:
+        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--threads", type=int, default=None,
+                            help="accepted for compatibility; changes nothing")
+        parser.add_argument("--out", default=None)
+        parser.add_argument("--emit-plot-data", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
     try:
         if args.replay:
             manifest = load_manifest(args.replay)

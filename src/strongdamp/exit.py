@@ -169,6 +169,13 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     return tau, exit_pts, np.isnan(tau)
 
 
+def _start_vector(p: ProblemDefinition, name: str, value, default):
+    value = default if value is None else np.asarray(value, dtype=float)
+    if value.shape != (p.d,):
+        raise ConfigError(f"{name} must have shape ({p.d},)")
+    return value
+
+
 def sample_exit(p: ProblemDefinition, eps: float, q0=None, p0=None,
                 stream_id: int = 0, seed: int = 0, *, h: float = None,
                 scheme: str = "exponential", max_steps: int = None,
@@ -182,10 +189,8 @@ def sample_exit(p: ProblemDefinition, eps: float, q0=None, p0=None,
         raise ConfigError("problem declares no exit domain G")
     if not (0 < eps <= 1):
         raise ConfigError("eps must lie in (0, 1]")
-    q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
-    if q0.shape != (p.d,):
-        raise ConfigError(f"q0 must have shape ({p.d},)")
-    p0 = np.zeros(p.d) if p0 is None else np.asarray(p0, dtype=float)
+    q0 = _start_vector(p, "q0", q0, p.O)
+    p0 = _start_vector(p, "p0", p0, np.zeros(p.d))
     h = default_step(p, eps) if h is None else h
     max_steps = default_max_steps(eps) if max_steps is None else max_steps
     tau, pts, out = _exit_kernel(
@@ -239,8 +244,8 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
         raise ConfigError("eps must lie in (0, 1]")
     if M < 1:
         raise ConfigError("need at least one sample per rung")
-    q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
-    p0 = np.zeros(p.d) if p0 is None else np.asarray(p0, dtype=float)
+    q0 = _start_vector(p, "q0", q0, p.O)
+    p0 = _start_vector(p, "p0", p0, np.zeros(p.d))
 
     stats = []
     for j, eps in enumerate(ladder):

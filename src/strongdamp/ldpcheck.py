@@ -38,6 +38,11 @@ from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
 # split would round those sums differently.
 BATCH = 250
 
+# Default gates of `verify` and of acceptance criteria 4 and 9
+H_EXPONENT_RANGE = (0.3, 0.7)
+H_R2_MIN = 0.9
+LAPLACE_GAP_MAX = 0.25
+
 
 @dataclass
 class ScalingFit:

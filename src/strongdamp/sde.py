@@ -395,6 +395,8 @@ def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
     A = np.empty((steps + 1,) + lead)
     q[0] = q0
     if p0 is not None:
+        if np.shape(p0) not in ((p.d,), q[0].shape):
+            raise ConfigError(f"p0 must have shape ({p.d},) or (M, {p.d})")
         pv[0] = np.asarray(p0, dtype=float) / eps
     A[0] = 0.0
     inc = np.moveaxis(noise.increments, -2, 0)
@@ -457,9 +459,10 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     inc = np.moveaxis(noise.increments, -2, 0)
     eps2 = tr.eps**2
     noise_pow = tr.eps ** (0.5 - p.beta)
+    sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
     H = np.zeros(q.shape)
     for n in range(steps):
-        sig_n = p.eval_sigma(q[n])
+        sig_n = sig_c if sig_c is not None else p.eval_sigma(q[n])
         kick = noise_pow * _apply_sigma(sig_n, inc[n])
         decay = np.exp(-(A[n + 1] - A[n]) / eps2)[..., None]
         H[n + 1] = decay * (H[n] + kick)

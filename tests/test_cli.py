@@ -127,6 +127,20 @@ def test_exit_drift_domain_error_is_numerical_failure(tmp_path, capsys):
     assert "log(2 - q1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, block", [
+    ("exit", {"eps_ladder": [0.35], "M": 2, "q0": [0.0, 0.0]}),
+    ("exit", {"eps_ladder": [0.35], "M": 2, "p0": [0.0, 0.0]}),
+    ("simulate", {"eps": 0.3, "T": 0.1, "p0": [0.0, 1.0]}),
+], ids=["exit_q0", "exit_p0", "simulate_p0"])
+def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
+                                                   command, block):
+    cfg = write_cfg(tmp_path, {"problem": "p1", command: block})
+    rc = cli.main([command, "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "must have shape (1,)" in capsys.readouterr().err
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     outs = [str(tmp_path / f"out{i}") for i in (0, 1)]
@@ -241,7 +255,7 @@ def test_emit_plot_data_writes_tidy_csv(tmp_path):
 
 
 def test_all_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
-    def fake_run_all(scale=1.0, threads=1, workdir=None):
+    def fake_run_all(scale=1.0, workdir=None):
         return [CriterionResult(index=1, name="stub", passed=False,
                                 detail="forced failure", runtime_s=0.0)]
 
@@ -256,7 +270,7 @@ def test_all_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_all_success_exit_code(tmp_path, monkeypatch):
-    def fake_run_all(scale=1.0, threads=1, workdir=None):
+    def fake_run_all(scale=1.0, workdir=None):
         return [CriterionResult(index=2, name="stub", passed=True,
                                 detail="ok", runtime_s=0.1)]
 
@@ -267,11 +281,44 @@ def test_all_success_exit_code(tmp_path, monkeypatch):
     assert rep["passed"] is True
 
 
-def test_module_entry_point(tmp_path):
-    # the subprocesses import the strongdamp under test, installed or not
+def test_threads_flag_is_accepted_and_changes_nothing(tmp_path,
+                                                      monkeypatch):
+    cfg = write_cfg(tmp_path, {
+        "problem": "p2",
+        "verify": {
+            "h_scaling": {"eps_ladder": [0.2, 0.1, 0.05], "M": 8,
+                          "T": 2e-4},
+            "laplace": {"terminal_cost": "0.5",
+                        "eps_ladder": [0.25, 0.125], "M": 8, "T": 0.2},
+        }})
+    digests = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"out{threads}")
+        assert cli.main(["--threads", threads, "verify", "--config", cfg,
+                         "--seed", "3", "--out", out,
+                         "--threads", threads]) == 0
+        digests.append(hash_tree(out))
+    assert digests[0] and digests[0] == digests[1]
+
+    def fake_run_all(scale=1.0, workdir=None):
+        return [CriterionResult(index=1, name="stub", passed=True,
+                                detail="ok", runtime_s=0.0)]
+
+    monkeypatch.setattr(strongdamp.acceptance, "run_all", fake_run_all)
+    assert cli.main(["all", "--threads", "4", "--seed", "0",
+                     "--out", str(tmp_path / "all")]) == 0
+
+
+def package_env():
+    """Environment for a subprocess that imports the strongdamp under
+    test, installed or not."""
     pkg_root = os.path.dirname(os.path.dirname(strongdamp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (pkg_root, os.environ.get("PYTHONPATH")))))
+
+
+def test_module_entry_point(tmp_path):
+    env = package_env()
     proc = subprocess.run([sys.executable, "-m", "strongdamp.cli",
                            "--version"], capture_output=True, text=True,
                           env=env)
@@ -288,12 +335,29 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    pkg_root = os.path.dirname(os.path.dirname(strongdamp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (pkg_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, strongdamp.cli; "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+], ids=["unset", "caller_wins"])
+def test_import_sets_one_blas_thread_by_default(preset, expected):
+    env = package_env()
+    for var in BLAS_VARS:
+        env.pop(var, None)
+    env.update(preset)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, strongdamp; "
+         f"print([os.environ.get(v) for v in {BLAS_VARS!r}])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(expected)
