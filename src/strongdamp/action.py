@@ -13,18 +13,23 @@ segment midpoints.
 
 The drift-free form 1/2 int alpha^2 f'^T a^{-1} f' appears as the transport
 cost inside reaction-front functionals.
+
+action_kernel is the one copy of this arithmetic, built once per grid:
+minimize_path, the L-BFGS driver of every quasipotential, front value and
+Laplace solve, calls it once per iterate, and segment_costs applies it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, NumericalError
-from .expr import grad_field
+from .expr import compiled_all, evaluate_all, run_trapped
 from .fields import ProblemDefinition
 
 COND_LIMIT = 1e8
@@ -54,10 +59,6 @@ class DiscretePath:
     @property
     def N(self) -> int:
         return self.points.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
     @property
     def h(self) -> float:
@@ -115,97 +116,131 @@ class ActionValue:
 _MODES = ("standard", "alt", "driftfree")
 
 
-def _midpoint_data(p: ProblemDefinition, f: DiscretePath):
-    pts = f.points
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    delta = (pts[1:] - pts[:-1]) / f.h
-    alpha = p.eval_alpha(mids)
-    sig = p.eval_sigma(mids)
-    # a constant sigma has equal rows: one of them decides
-    sv = np.linalg.svd(sig[:1] if p.sigma_is_constant else sig,
-                       compute_uv=False)
+def _check_sigma(sig: np.ndarray, mids=None) -> None:
+    """Raise SingularSigmaError unless each sigma of the stack (..., d, r) has
+    condition number at most COND_LIMIT; mids are where it was evaluated."""
+    sv = np.linalg.svd(sig, compute_uv=False)
     min_sv = sv[..., -1]
     if np.any(min_sv <= 0) or np.any(sv[..., 0] / np.maximum(min_sv, 1e-300)
                                      > COND_LIMIT):
         k = int(np.argmin(min_sv))
+        where = "" if mids is None else f" at path point {mids[k]}"
         raise SingularSigmaError(
-            f"sigma is numerically singular at path point {mids[k]} "
+            f"sigma is numerically singular{where} "
             f"(min singular value {min_sv[k]:.3g})")
-    a = sig @ np.swapaxes(sig, -1, -2)
-    return mids, delta, alpha, sig, a
 
 
-def _residual(p, mode, mids, delta, alpha):
-    if mode == "standard":
-        return alpha[:, None] * delta - p.eval_b(mids)
-    if mode == "alt":
-        return delta - alpha[:, None] * p.eval_b(mids)
-    if mode == "driftfree":
-        return alpha[:, None] * delta
-    raise ConfigError(f"unknown action mode {mode!r}")
+def action_kernel(p: ProblemDefinition, T: float, N: int,
+                  mode: str = "standard") -> Callable:
+    """kernel(pts) -> (costs (N,), g_left (N, d), g_right (N, d)) for the
+    nodes pts (N+1, d) of a path on [0, T]: the `mode` segment costs and
+    their gradients d cost_k / d f_k and d cost_k / d f_{k+1}, from the
+    midpoint-frozen quadratic form and the fields' symbolic derivatives.
+
+    Built once per solve: the varying fields go into one compiled stack,
+    and a constant sigma is checked and squared here (w = y when a = I, as
+    LAPACK returns it).  A call runs under one trap scope; a call that
+    traps runs again on the checked evaluators (kernel.checked), which
+    raise EvalDomainError naming the sub-expression.
+    """
+    if mode not in _MODES:
+        raise ConfigError(f"unknown action mode {mode!r}")
+    d, r, h, with_b = p.d, p.r, T / N, mode != "driftfree"
+    al_c = float(p.eval_alpha(p.O[None])[0]) if p.alpha_is_constant else None
+    sig_c = p.eval_sigma(p.O[None]) if p.sigma_is_constant else None
+    if sig_c is not None:
+        _check_sigma(sig_c)
+    a_c = None if sig_c is None else sig_c @ np.swapaxes(sig_c, -1, -2)
+    identity = a_c is not None and np.array_equal(a_c[0], np.eye(d))
+    zero_grad = np.zeros((N, d))
+
+    def grads(exprs):
+        return [e.derivative(j) for e in exprs for j in range(d)]
+    # the varying fields, in the order the checked re-run reports them
+    stack, cut = [], {}
+    for name, exprs, shape, varies in (
+            ("alpha", [p.alpha], (1,), al_c is None),
+            ("sig", p._sigma_flat, (d, r), sig_c is None),
+            ("b", p.b, (d,), with_b),
+            ("grad_alpha", grads([p.alpha]), (d,), al_c is None),
+            ("jac_b", grads(p.b), (d, d), with_b),
+            ("dsig", grads(p._sigma_flat), (d, r, d), sig_c is None)):
+        if varies:
+            cut[name] = (slice(len(stack), len(stack) + len(exprs)),
+                         (N,) + shape)
+            stack += exprs
+
+    run = compiled_all(stack)
+
+    def kernel(pts, checked):
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        delta = (pts[1:] - pts[:-1]) / h
+        out = evaluate_all(stack, mids) if checked else run(mids)
+        # each field in C order: the einsum and matmul calls below were
+        # checked bit for bit on such arrays
+        val = {k: np.ascontiguousarray(out[:, s]).reshape(shape)
+               for k, (s, shape) in cut.items()}
+        alpha = val.get("alpha", al_c)
+        grad_alpha = val.get("grad_alpha", zero_grad)
+        bmid, jac_b = val.get("b"), val.get("jac_b")
+        a = a_c
+        if a is None:
+            sig = val["sig"]
+            _check_sigma(sig, mids)
+            a = sig @ np.swapaxes(sig, -1, -2)
+        if mode == "standard":
+            y = alpha * delta - bmid
+        elif mode == "alt":
+            y = delta - alpha * bmid
+        else:
+            y = alpha * delta
+        w = y if identity else np.linalg.solve(a, y[..., None])[..., 0]
+        costs = 0.5 * h * np.sum(y * w, axis=-1)
+
+        # symmetric part: dependence of the quadratic form on the midpoint
+        sym = np.zeros_like(mids)
+        if mode in ("standard", "driftfree"):
+            # residual y = alpha*delta - b (b = 0 for driftfree)
+            wd = np.sum(w * delta, axis=-1)
+            sym += wd[:, None] * grad_alpha
+            if mode == "standard":
+                sym -= np.einsum("kij,ki->kj", jac_b, w)
+        else:
+            # residual y = delta - alpha*b
+            wb = np.sum(w * bmid, axis=-1)
+            sym -= wb[:, None] * grad_alpha
+            sym -= alpha * np.einsum("kij,ki->kj", jac_b, w)
+        if a_c is None:
+            # d a^{-1} = -a^{-1} (d a) a^{-1} contributes -(h/4) w^T da/dq_j w,
+            # and w^T (da/dq_j) w = 2 (sigma^T w) . (dsigma/dq_j^T w)
+            sw = np.einsum("kir,ki->kr", sig, w)
+            dsw = np.einsum("kirj,ki->krj", val["dsig"], w)
+            sym -= np.einsum("kr,krj->kj", sw, dsw)
+        sym *= 0.5 * h
+
+        # antisymmetric part: dependence through the forward difference
+        skew = w if mode == "alt" else alpha * w
+        return costs, -skew + sym, skew + sym
+
+    def trapped(pts):
+        out = []
+        run_trapped(1, lambda _, checked: out.append(kernel(pts, checked)))
+        return out[0]
+    trapped.checked = partial(kernel, checked=True)
+    return trapped
 
 
 def segment_costs(p: ProblemDefinition, f: DiscretePath,
                   mode: str = "standard") -> np.ndarray:
     """Per-segment action contributions, shape (N,)."""
-    mids, delta, alpha, _, a = _midpoint_data(p, f)
-    y = _residual(p, mode, mids, delta, alpha)
-    w = np.linalg.solve(a, y[..., None])[..., 0]
-    return 0.5 * f.h * np.sum(y * w, axis=-1)
+    return action_kernel(p, f.T, f.N, mode)(f.points)[0]
 
 
 def segment_costs_grad(p: ProblemDefinition, f: DiscretePath,
                        mode: str = "standard"):
-    """Per-segment costs plus their gradients w.r.t. the two endpoints.
-
-    Returns (costs (N,), g_left (N, d), g_right (N, d)) where g_left[k] is
-    d cost_k / d f_k and g_right[k] is d cost_k / d f_{k+1}.  The gradient
-    is assembled analytically from the midpoint-frozen quadratic form;
-    coefficient derivatives are the fields' compiled symbolic derivatives.
-    """
-    h = f.h
-    d = f.d
-    mids, delta, alpha, sig, a = _midpoint_data(p, f)
-    y = _residual(p, mode, mids, delta, alpha)
-    w = np.linalg.solve(a, y[..., None])[..., 0]
-    costs = 0.5 * h * np.sum(y * w, axis=-1)
-
-    grad_alpha = (grad_field(p.alpha, mids, d)
-                  if not p.alpha_is_constant else np.zeros_like(mids))
-    if mode in ("standard", "alt"):
-        bmid = p.eval_b(mids)
-        jac_b = np.empty(mids.shape[:-1] + (d, d))
-        for i, expr in enumerate(p.b):
-            jac_b[..., i, :] = grad_field(expr, mids, d)
-    # symmetric part: dependence of the quadratic form on the midpoint
-    sym = np.zeros_like(mids)
-    if mode in ("standard", "driftfree"):
-        # residual y = alpha*delta - b (b = 0 for driftfree)
-        wd = np.sum(w * delta, axis=-1)
-        sym += wd[:, None] * grad_alpha
-        if mode == "standard":
-            sym -= np.einsum("kij,ki->kj", jac_b, w)
-    else:
-        # residual y = delta - alpha*b
-        wb = np.sum(w * bmid, axis=-1)
-        sym -= wb[:, None] * grad_alpha
-        sym -= alpha[:, None] * np.einsum("kij,ki->kj", jac_b, w)
-    if not p.sigma_is_constant:
-        # d a^{-1} = -a^{-1} (d a) a^{-1} contributes -(h/4) w^T da/dq_j w,
-        # and w^T (da/dq_j) w = 2 (sigma^T w) . (dsigma/dq_j^T w)
-        sw = np.einsum("kir,ki->kr", sig, w)
-        dsw = np.einsum("kirj,ki->krj", p.grad_sigma(mids), w)
-        sym -= np.einsum("kr,krj->kj", sw, dsw)
-    sym *= 0.5 * h
-
-    # antisymmetric part: dependence through the forward difference
-    if mode == "alt":
-        skew = w
-    else:
-        skew = alpha[:, None] * w
-    g_left = -skew + sym
-    g_right = skew + sym
-    return costs, g_left, g_right
+    """Per-segment costs plus their endpoint gradients: action_kernel's
+    (costs, g_left, g_right) of the path f."""
+    return action_kernel(p, f.T, f.N, mode)(f.points)
 
 
 def node_gradient(g_left: np.ndarray, g_right: np.ndarray,
@@ -224,10 +259,10 @@ def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
 
     Node 0 of the (N+1, d) starting path init stays fixed, and so does its
     last node when pin_end.  Each iterate's `mode` segment costs and their
-    endpoint gradients go to body(pts, costs, g_left, g_right), which
-    returns the objective and its gradient over the free nodes.  Returns
-    the final (N+1, d) path and scipy's result (fun and jac there, nit,
-    success).
+    endpoint gradients, from one action_kernel built for the solve, go to
+    body(pts, costs, g_left, g_right), which returns the objective and its
+    gradient over the free nodes.  Returns the final (N+1, d) path and
+    scipy's result (fun and jac there, nit, success).
     """
     init = np.asarray(init, dtype=float)
     free = slice(1, -1 if pin_end else None)
@@ -238,11 +273,11 @@ def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
         pts[free] = x.reshape(shape)
         return pts
 
+    kernel = action_kernel(p, T, init.shape[0] - 1, mode)
+
     def objective(x):
         pts = unpack(x)
-        costs, g_left, g_right = segment_costs_grad(
-            p, DiscretePath(T=T, points=pts), mode)
-        value, grad = body(pts, costs, g_left, g_right)
+        value, grad = body(pts, *kernel(pts))
         return value, grad.ravel()
 
     res = minimize(objective, init[free].ravel(), jac=True,

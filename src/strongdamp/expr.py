@@ -11,10 +11,10 @@ The AST supports four consumers:
 
 * a code generator that emits a numpy closure, compiled once per
   expression; `evaluate` and `evaluate_all` run it under a floating-point
-  trap, one per call.  The step loops (the exit kernel and the stored
-  path) own the trap instead: they call the closures unchecked through
-  `compiled_all`, under one `run_trapped` scope per loop, and re-run a
-  trapped step on the checked evaluators;
+  trap, one per call.  The step loops (exit kernel, stored path) and the
+  action solves own the trap instead: they call the closures unchecked
+  through `compiled_all`, under one `run_trapped` scope per loop or per
+  objective call, and re-run what traps on the checked evaluators;
 * a checked tree-walking evaluator, `eval_field`, the reference those
   closures are tested against; it re-runs only when a closure traps, and
   then reports the domain violation with the offending sub-expression;
@@ -388,9 +388,9 @@ def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     operations trapped.  When it traps, or when f needs u and none is
     given, the checked walker eval_field runs instead: it raises
     EvalDomainError naming the sub-expression, or returns the same values.
-    The step loops do not come here on every step: they own one trap
-    scope (run_trapped) around compiled_all, and only a trapped step
-    comes back through evaluate.
+    The step loops and the action kernel do not come here on every call:
+    they own one trap scope (run_trapped) around compiled_all, and only
+    what traps comes back through the checked evaluators.
     """
     points = np.asarray(points, dtype=float)
     try:
@@ -407,8 +407,8 @@ def compiled_all(fs) -> Callable:
     """One evaluator run(points, u=None) of the compiled closures of fs,
     stacked on a new last axis: shape points.shape[:-1] + (len(fs),).
 
-    It checks nothing: a step loop runs it inside run_trapped, and
-    re-runs a trapped step on the checked evaluators.
+    It checks nothing: its caller runs it inside run_trapped, and re-runs
+    what traps on the checked evaluators.
     """
     closures = [f._closure for f in fs]
     if len(fs) == 1 and fs[0].variables - {"u"}:

@@ -117,12 +117,16 @@ def riemannian_distance(p: ProblemDefinition, spacing: float,
         raise ProblemError("no grid node lies inside G0 = {g > 0}")
 
     h = spacing
+    constant = p.sigma_is_constant and p.alpha_is_constant
 
     def edge_weights(c0, c1, dq):
         # length element alpha * sqrt(dq^T a^-1 dq), the square root of the
         # drift-free action's integrand alpha^2 dq^T a^-1 dq: half the
         # squared distance over t bounds the transport action from below
         # with equality on geodesics
+        if constant:
+            # one edge's weight serves the whole stencil direction
+            c0, c1 = c0[(0,) * p.d][None], c1[(0,) * p.d][None]
         mid = 0.5 * (c0 + c1)
         flat = mid.reshape(-1, p.d)
         al = p.eval_alpha(flat)

@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from strongdamp.action import (ControlSignal, DiscretePath,
-                               SingularSigmaError, control_cost,
-                               controlled_skeleton, minimize_path,
-                               node_gradient, path_action, path_action_alt,
-                               segment_costs, segment_costs_grad)
+                               SingularSigmaError, action_kernel,
+                               control_cost, controlled_skeleton,
+                               minimize_path, node_gradient, path_action,
+                               path_action_alt, segment_costs,
+                               segment_costs_grad)
 from strongdamp.errors import ConfigError
+from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
+from strongdamp.quasipotential import quasipotential
 
 
 P1 = load_preset("p1")
 P2 = load_preset("p2")
+# correlated, non-polynomial, state-dependent sigma (d = r = 2)
+CORRELATED = load_problem({
+    "d": 2, "r": 2, "b": ["-q1 + 0.5*q2", "-q2 - sin(q1)"],
+    "sigma": [["1 + 0.3*sin(q1)", "0.2*q2"], ["0", "exp(-q1^2/4)"]],
+    "alpha": "1.5 + 0.5*tanh(q2)", "alpha0": 1.0,
+    "O": [0.0, 0.0], "box": [[-2.0, 2.0], [-2.0, 2.0]],
+})
 
 
 def line_path(a, b, N, T=1.0):
@@ -116,12 +126,7 @@ def test_segment_gradients_state_dependent_sigma(mode):
     """The sigma term of the gradient, 2 (sigma^T w) . (dsigma/dq_j^T w),
     against central differences of segment_costs on a correlated,
     non-polynomial, state-dependent sigma (d = r = 2)."""
-    p = load_problem({
-        "d": 2, "r": 2, "b": ["-q1 + 0.5*q2", "-q2 - sin(q1)"],
-        "sigma": [["1 + 0.3*sin(q1)", "0.2*q2"], ["0", "exp(-q1^2/4)"]],
-        "alpha": "1.5 + 0.5*tanh(q2)", "alpha0": 1.0,
-        "O": [0.0, 0.0], "box": [[-2.0, 2.0], [-2.0, 2.0]],
-    })
+    p = CORRELATED
     rng = np.random.default_rng(5)
     pts = np.cumsum(rng.normal(0, 0.2, size=(6, 2)), axis=0)
     f = DiscretePath(T=0.8, points=pts)
@@ -182,6 +187,77 @@ def test_path_driver_gradient_matches_fd(pin_end):
         num = (objective(fp) - objective(fm)) / (2 * step)
         assert res.jac[row] == pytest.approx(num, rel=1e-5, abs=1e-8)
     assert np.max(np.abs(res.jac)) > 1e-3     # not at the minimizer yet
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1_tilted", "kpp1d",
+                                  "correlated"])
+@pytest.mark.parametrize("mode", ["standard", "alt", "driftfree"])
+def test_kernel_matches_its_checked_rerun(name, mode):
+    """The compiled kernel and its re-run on the checked evaluators give
+    the same bytes, so a call that traps changes nothing but the error."""
+    p = CORRELATED if name == "correlated" else load_preset(name)
+    rng = np.random.default_rng(9)
+    N = 12
+    pts = p.O + np.cumsum(rng.normal(0, 0.2, size=(N + 1, p.d)), axis=0)
+    kernel = action_kernel(p, 1.3, N, mode)
+    for fast, checked in zip(kernel(pts), kernel.checked(pts)):
+        assert fast.tobytes() == checked.tobytes()
+
+
+def test_constant_sigma_costs_match_direct_quadratic_form():
+    """A constant, correlated sigma is squared once per kernel; the costs
+    still equal (h/2) y^T a^{-1} y with a inverted at every midpoint."""
+    p = load_problem({
+        "d": 2, "r": 2, "b": ["-q1 + 0.5*q2", "-q2 - sin(q1)"],
+        "sigma": [["1", "0.3"], ["0.2", "2"]],
+        "alpha": "1.5 + 0.5*tanh(q2)", "alpha0": 1.0,
+        "O": [0.0, 0.0], "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    })
+    rng = np.random.default_rng(4)
+    N, T = 10, 0.9
+    pts = np.cumsum(rng.normal(0, 0.2, size=(N + 1, 2)), axis=0)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    y = (p.eval_alpha(mids)[:, None] * (pts[1:] - pts[:-1]) / (T / N)
+         - p.eval_b(mids))
+    a_inv = np.linalg.inv(p.eval_a(mids))
+    expect = 0.5 * (T / N) * np.einsum("ki,kij,kj->k", y, a_inv, y)
+    costs, _, _ = action_kernel(p, T, N, "standard")(pts)
+    np.testing.assert_allclose(costs, expect, rtol=1e-12)
+
+
+def test_solve_names_the_failing_subexpression():
+    """A path into q1 < -0.2 traps inside the kernel; its checked re-run
+    reports the friction's square root."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["-q1"], "sigma": [["1"]],
+        "alpha": "1 + sqrt(q1 + 0.2)", "alpha0": 0.5, "O": [0.0],
+        "box": [[-2.0, 2.0]],
+    })
+    with pytest.raises(EvalDomainError, match=r"sqrt\(q1 \+ 0\.2\)"):
+        quasipotential(p, [-1.0], T_ladder=[1.0, 2.0])
+
+
+def test_solve_raises_on_singular_sigma():
+    """A constant ill-conditioned sigma is refused once per solve, a
+    state-dependent one at the iterate whose midpoint hits its zero."""
+    def body(pts, costs, g_left, g_right):
+        return float(np.sum(costs)), node_gradient(g_left, g_right, True)
+
+    ill = load_problem({
+        "d": 2, "r": 2, "b": ["-q1", "-q2"],
+        "sigma": [["1", "0"], ["0", "1e-12"]], "alpha": "1",
+        "alpha0": 1.0, "O": [0.0, 0.0], "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    })
+    with pytest.raises(SingularSigmaError):
+        minimize_path(ill, 1.0, np.linspace([0.0, 0.0], [0.5, 0.5], 9),
+                      body, "standard", pin_end=True)
+    vanishing = load_problem({
+        "d": 1, "r": 1, "b": ["-q1"], "sigma": [["q1"]], "alpha": "1",
+        "alpha0": 1.0, "O": [0.0], "box": [[-2.0, 2.0]],
+    })
+    with pytest.raises(SingularSigmaError, match="at path point"):
+        minimize_path(vanishing, 1.0, np.array([[-0.1], [0.1], [0.3]]),
+                      body, "standard", pin_end=True)
 
 
 def test_control_identity_on_skeleton():
