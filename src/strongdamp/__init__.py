@@ -19,14 +19,14 @@ from .fields import (ProblemDefinition, ProblemError, ValidationReport,
                      load_preset, load_problem, validate_hypotheses)
 from .sde import (NoisePath, SimParams, Trajectory, simulate_first_order,
                   simulate_inertial, stochastic_convolution)
-from .action import (ActionValue, ControlSignal, DiscretePath,
-                     SingularSigmaError, control_cost, controlled_skeleton,
-                     path_action, path_action_alt, segment_costs)
+from .action import (ControlSignal, DiscretePath, SingularSigmaError,
+                     control_cost, controlled_skeleton, path_action,
+                     path_action_alt, segment_costs)
 from .quasipotential import (BoundaryScan, MinActionResult,
                              check_action_equivalence, gradient_case_oracle,
                              quasipotential, quasipotential_boundary)
 from .exit import (ExitHistogram, ExitScaling, ExitStats,
-                   exit_location_histogram, exit_scaling, sample_exit)
+                   exit_location_histogram, exit_scaling)
 from .front import (FrontContour, FrontSpeed, GridField, PathFrontResult,
                     extract_front, feynman_kac_bound, fit_front_speed,
                     front_field_constant, front_field_path,
@@ -43,13 +43,13 @@ __all__ = [
     "validate_hypotheses",
     "NoisePath", "SimParams", "Trajectory", "simulate_first_order",
     "simulate_inertial", "stochastic_convolution",
-    "ActionValue", "ControlSignal", "DiscretePath", "SingularSigmaError",
+    "ControlSignal", "DiscretePath", "SingularSigmaError",
     "control_cost", "controlled_skeleton", "path_action", "path_action_alt",
     "segment_costs",
     "BoundaryScan", "MinActionResult", "check_action_equivalence",
     "gradient_case_oracle", "quasipotential", "quasipotential_boundary",
     "ExitHistogram", "ExitScaling", "ExitStats", "exit_location_histogram",
-    "exit_scaling", "sample_exit",
+    "exit_scaling",
     "FrontContour", "FrontSpeed", "GridField", "PathFrontResult",
     "extract_front", "feynman_kac_bound", "fit_front_speed",
     "front_field_constant", "front_field_path", "front_field_prefix",

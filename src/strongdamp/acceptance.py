@@ -109,7 +109,7 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
             vals += a * np.sin(w * tt + phi)
         u = ControlSignal(T=T, values=vals)
         skel = controlled_skeleton(p, u, p.O)
-        gap = abs(path_action(p, skel).total - control_cost(u))
+        gap = abs(path_action(p, skel) - control_cost(u))
         worst = max(worst, gap)
     passed = worst <= 1e-3
     return CriterionResult(3, "control energy identity", passed,
@@ -338,8 +338,15 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
-def run_all(scale: float = 1.0, workdir: str = None):
-    """Run all ten criteria in order; criterion 10 writes its determinism
+def run_criterion(index: int, scale: float = 1.0,
+                  workdir: str = None) -> CriterionResult:
+    """Run criterion `index` (1 to 10); criterion 10 writes its determinism
     runs under workdir (a fresh temporary directory when None)."""
-    return [fn(scale, workdir=workdir) if fn is criterion_10 else fn(scale)
-            for fn in CRITERIA]
+    fn = CRITERIA[index - 1]
+    return fn(scale, workdir=workdir) if fn is criterion_10 else fn(scale)
+
+
+def run_all(scale: float = 1.0, workdir: str = None):
+    """Run all ten criteria in order, workdir as in run_criterion."""
+    return [run_criterion(i, scale, workdir)
+            for i in range(1, len(CRITERIA) + 1)]

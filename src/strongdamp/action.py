@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, NumericalError
-from .expr import compiled_all, evaluate_all, run_trapped
+from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
 
 COND_LIMIT = 1e8
@@ -71,15 +71,10 @@ class DiscretePath:
 
 @dataclass
 class ControlSignal:
-    """Control values on the node grid of [0, T]; shape (N+1, r).
-
-    gamma, when set, is an energy budget: building a signal whose
-    half-energy exceeds gamma raises.
-    """
+    """Control values on the node grid of [0, T]; shape (N+1, r)."""
 
     T: float
     values: np.ndarray
-    gamma: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -89,10 +84,6 @@ class ControlSignal:
             raise ConfigError("control duration T must be positive")
         if self.values.shape[0] < 2:
             raise ConfigError("control needs at least two grid values")
-        if self.gamma is not None and control_cost(self) > self.gamma:
-            raise ConfigError(
-                f"control energy {control_cost(self):.6g} exceeds the "
-                f"declared budget gamma = {self.gamma:.6g}")
 
     @property
     def N(self) -> int:
@@ -105,12 +96,6 @@ class ControlSignal:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N + 1)
-
-
-@dataclass
-class ActionValue:
-    total: float
-    per_segment: np.ndarray
 
 
 _MODES = ("standard", "alt", "driftfree")
@@ -140,8 +125,8 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
     Built once per solve: the varying fields go into one compiled stack,
     and a constant sigma is checked and squared here (w = y when a = I, as
     LAPACK returns it).  A call runs under one trap scope; a call that
-    traps runs again on the checked evaluators (kernel.checked), which
-    raise EvalDomainError naming the sub-expression.
+    traps runs again on the stack's checked twin (kernel.checked), which
+    raises EvalDomainError naming the sub-expression.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown action mode {mode!r}")
@@ -175,7 +160,7 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
     def kernel(pts, checked):
         mids = 0.5 * (pts[:-1] + pts[1:])
         delta = (pts[1:] - pts[:-1]) / h
-        out = evaluate_all(stack, mids) if checked else run(mids)
+        out = (run.checked if checked else run)(mids)
         # each field in C order: the einsum and matmul calls below were
         # checked bit for bit on such arrays
         val = {k: np.ascontiguousarray(out[:, s]).reshape(shape)
@@ -285,17 +270,15 @@ def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
     return unpack(res.x), res
 
 
-def path_action(p: ProblemDefinition, f: DiscretePath) -> ActionValue:
+def path_action(p: ProblemDefinition, f: DiscretePath) -> float:
     """Rate functional of a path: half the minimal control energy."""
-    seg = segment_costs(p, f, "standard")
-    return ActionValue(total=float(np.sum(seg)), per_segment=seg)
+    return float(np.sum(segment_costs(p, f, "standard")))
 
 
-def path_action_alt(p: ProblemDefinition, f: DiscretePath) -> ActionValue:
+def path_action_alt(p: ProblemDefinition, f: DiscretePath) -> float:
     """Alternative quadratic form with residual f' - alpha b; yields the
     same quasipotential after minimizing over the travel time."""
-    seg = segment_costs(p, f, "alt")
-    return ActionValue(total=float(np.sum(seg)), per_segment=seg)
+    return float(np.sum(segment_costs(p, f, "alt")))
 
 
 def control_cost(u: ControlSignal) -> float:

@@ -125,6 +125,12 @@ def _block(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
+def _given(blk: dict, *keys) -> dict:
+    """Those of keys that blk sets: a key left out takes the library's
+    default, the one copy of each default."""
+    return {k: blk[k] for k in keys if k in blk}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (output relpaths, tidy plot rows)
 
@@ -140,7 +146,7 @@ def cmd_simulate(p, cfg, out, seed):
     T = float(blk["T"])
     h = blk.get("h")
     h = snap_step(T, default_step(p, eps) if h is None else h)
-    sp = SimParams(eps=eps, T=T, h=h, scheme=blk.get("scheme", "exponential"))
+    sp = SimParams(eps=eps, T=T, h=h, **_given(blk, "scheme"))
     q0 = np.asarray(blk.get("q0", p.O), dtype=float)
     p0 = np.asarray(blk.get("p0", np.zeros(p.d)), dtype=float)
     n_paths = int(blk.get("n_paths", 1))
@@ -179,8 +185,8 @@ def cmd_action(p, cfg, out, seed):
     times, pts = read_path_csv(blk["path_csv"])
     f = DiscretePath(T=float(times[-1] - times[0]), points=pts)
     result = {
-        "value_standard": path_action(p, f).total,
-        "value_alt": path_action_alt(p, f).total,
+        "value_standard": path_action(p, f),
+        "value_alt": path_action_alt(p, f),
         "segments_csv": "segments.csv",
     }
     if "control_csv" in blk:
@@ -201,8 +207,7 @@ def cmd_quasipotential(p, cfg, out, seed):
     blk = dict(_block(cfg, "quasipotential"))
     boundary = blk.pop("boundary", False)
     want_equiv = blk.pop("equivalence", False)
-    kw = {k: blk[k] for k in ("mode", "N", "T_ladder", "refine")
-          if k in blk}
+    kw = _given(blk, "mode", "N", "T_ladder", "refine")
     if "T_ladder" in kw:
         kw["T_ladder"] = np.asarray(kw["T_ladder"], dtype=float)
     kw["seed"] = seed
@@ -210,8 +215,7 @@ def cmd_quasipotential(p, cfg, out, seed):
 
     if boundary:
         scan = quasipotential_boundary(
-            p, boundary_samples=blk.get("boundary_samples", 32),
-            grid_n=blk.get("grid_n", 201), **kw)
+            p, **_given(blk, "boundary_samples", "grid_n"), **kw)
         rows = ([s, *q, v] for s, q, v in
                 zip(scan.s, scan.points, scan.values))
         header = ["s"] + [f"q{i+1}" for i in range(p.d)] + ["V"]
@@ -247,9 +251,7 @@ def cmd_exit(p, cfg, out, seed):
     blk = _block(cfg, "exit")
     sc = exit_scaling(
         p, np.asarray(blk["eps_ladder"], dtype=float), int(blk["M"]), seed,
-        q0=blk.get("q0"), p0=blk.get("p0"), h=blk.get("h"),
-        scheme=blk.get("scheme", "exponential"),
-        max_steps=blk.get("max_steps"), V0_hint=blk.get("V0_hint"))
+        **_given(blk, "q0", "p0", "h", "scheme", "max_steps", "V0_hint"))
     write_csv(os.path.join(out, "rungs.csv"),
               ["eps", "n", "mean_tau", "ci", "eps_log_mean", "timeouts"],
               ([s.eps, s.n_samples, s.mean_tau, s.ci_halfwidth,
@@ -301,7 +303,7 @@ def cmd_front(p, cfg, out, seed):
         grid_name = f"rfield_t{_fmt_t(t)}.csv"
         write_grid(os.path.join(out, grid_name), field_t)
         outputs += [grid_name, grid_name[:-4] + ".meta.json"]
-        fc = extract_front(field_t, level=float(blk.get("level", 0.0)))
+        fc = extract_front(field_t, **_given(blk, "level"))
         polys = fc.polylines if fc.polylines is not None else [fc.points]
         for k, poly in enumerate(polys):
             name = f"front_t{_fmt_t(t)}_{k}.csv"
@@ -312,8 +314,7 @@ def cmd_front(p, cfg, out, seed):
         contours.append((float(t), fc))
     info = {}
     if contours:
-        speed = fit_front_speed(contours, center=p.O,
-                                stat=blk.get("stat", "max"))
+        speed = fit_front_speed(contours, center=p.O, **_given(blk, "stat"))
         info["speed"] = {
             "value": speed.speed, "stat": speed.stat,
             "times": speed.times, "radii": speed.radii,
@@ -325,10 +326,8 @@ def cmd_front(p, cfg, out, seed):
     for entry in blk.get("path_points", ()):
         mode = entry.get("mode", "prefix")
         fn = front_field_prefix if mode == "prefix" else front_field_path
-        res = fn(p, entry["q"], float(entry["t"]),
-                 N=blk.get("N", 64), penalty=blk.get("penalty", 1e3),
-                 restarts=blk.get("restarts", 8 if mode == "prefix" else 3),
-                 seed=seed)
+        res = fn(p, entry["q"], float(entry["t"]), seed=seed,
+                 **_given(blk, "N", "penalty", "restarts"))
         rows.append([entry["t"], *entry["q"], mode, res.value])
     if rows:
         header = ["t"] + [f"q{i+1}" for i in range(p.d)] + ["mode", "value"]
@@ -363,7 +362,7 @@ def cmd_verify(p, cfg, out, seed):
         s = blk["h_scaling"]
         fit = h_eps_scaling(p, np.asarray(s["eps_ladder"], dtype=float),
                             int(s["M"]), float(s["T"]), seed,
-                            k=s.get("k"))
+                            **_given(s, "k"))
         lo = tol.get("h_exponent_lo", H_EXPONENT_RANGE[0])
         hi = tol.get("h_exponent_hi", H_EXPONENT_RANGE[1])
         r2 = tol.get("r_squared_min", H_R2_MIN)
@@ -378,8 +377,7 @@ def cmd_verify(p, cfg, out, seed):
         u = _build_control(s["control"])
         fit = controlled_convergence(
             p, u, np.asarray(s["eps_ladder"], dtype=float), int(s["M"]),
-            seed, q0=s.get("q0"), p0=s.get("p0"),
-            osc_amplitude=s.get("osc_amplitude"))
+            seed, **_given(s, "q0", "p0", "osc_amplitude"))
         decreasing = bool(np.all(np.diff(fit.metric_values) < 0))
         report["controlled"] = {
             "eps": fit.eps_values, "metrics": fit.metric_values,
@@ -390,8 +388,8 @@ def cmd_verify(p, cfg, out, seed):
         s = blk["laplace"]
         rep = laplace_check(
             p, s["terminal_cost"], np.asarray(s["eps_ladder"], dtype=float),
-            int(s["M"]), float(s["T"]), seed, q0=s.get("q0"),
-            N=s.get("N", 64), ci_threshold=s.get("ci_threshold", 0.2))
+            int(s["M"]), float(s["T"]), seed,
+            **_given(s, "q0", "N", "ci_threshold"))
         gap_tol = tol.get("laplace_rel_gap", LAPLACE_GAP_MAX)
         report["laplace"] = {
             "eps": rep.eps_values, "lhs": rep.lhs_values,
@@ -411,13 +409,15 @@ def cmd_verify(p, cfg, out, seed):
 
 
 def cmd_all(p, cfg, out, seed):
-    from .acceptance import run_all
+    from . import acceptance
     blk = cfg.get("all", {})
-    results = run_all(scale=float(blk.get("scale", 1.0)),
-                      workdir=os.path.join(out, "determinism"))
-    wanted = blk.get("criteria")
-    if wanted:
-        results = [r for r in results if r.index in set(wanted)]
+    scale = float(blk.get("scale", 1.0))
+    workdir = os.path.join(out, "determinism")
+    if "criteria" in blk:
+        results = [acceptance.run_criterion(i, scale, workdir)
+                   for i in sorted(set(blk["criteria"]))]
+    else:
+        results = acceptance.run_all(scale, workdir)
     for res in results:
         print(res.line())
     report = {

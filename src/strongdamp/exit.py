@@ -1,10 +1,13 @@
 """Monte Carlo exit experiments for the damped second-order process.
 
-Paths are integrated in a streaming kernel (nothing is stored but the
-current state), exit is detected as the first sign change of the domain
-function phi along a step, and the crossing time and point are placed by
-linear interpolation inside that step.  Exit times live on the rescaled
-clock; divide by eps for the original one.
+exit_scaling runs M paths per rung of an eps ladder and reports each
+rung's statistics and their eps -> 0 limit; exit_location_histogram bins
+where the paths of one rung left.  The paths run in a streaming kernel
+(nothing is stored but the current state), exit is detected as the first
+sign change of the domain function phi along a step, and the crossing
+time and point are placed by linear interpolation inside that step.
+Exit times live on the rescaled clock; divide by eps for the original
+one.
 
 The headline check: eps * log E[tau] approaches the boundary minimum of
 the quasipotential as eps decreases.  Means use compensated summation and
@@ -17,14 +20,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import NoisePath, default_step, make_step, philox_states
+from .sde import default_step, make_step, philox_states
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
@@ -33,13 +36,6 @@ FIRST_DRAW = 256           # steps in a row's first noise draw
 def default_max_steps(eps: float) -> int:
     """Step cap covering an eps-independent horizon under default_step."""
     return int(math.ceil(1e8 / eps**2))
-
-
-@dataclass
-class ExitResult:
-    tau: float                 # rescaled-clock exit time (nan on timeout)
-    exit_point: np.ndarray     # (d,) crossing location (nan on timeout)
-    timeout: bool
 
 
 @dataclass
@@ -54,10 +50,6 @@ class ExitStats:
     timeouts: int
     lower_bound: bool          # True when timeouts were dropped from the mean
 
-    def taus_original(self) -> np.ndarray:
-        """Per-sample exit times on the original (slow) clock."""
-        return self.taus / self.eps
-
 
 @dataclass
 class ExitScaling:
@@ -70,8 +62,7 @@ class ExitScaling:
 def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
                  q0: np.ndarray, v0: np.ndarray, seed: int,
                  stream_ids: Sequence[int], max_steps: int,
-                 chunk_steps: int = DEFAULT_CHUNK,
-                 noise: Optional[NoisePath] = None):
+                 chunk_steps: int = DEFAULT_CHUNK):
     """Advance M paths until each exits G or hits the step cap.
 
     Returns (tau (M,), exit_points (M, d), timed_out (M,)); a row that
@@ -80,12 +71,10 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     their rows of the chunk's noise.  Each row draws from its own Philox
     stream as it goes (FIRST_DRAW steps, then as many as have run, at most
     chunk_steps), which gives the numbers of one long draw; each row's
-    bit-generator state is kept between chunks.  When `noise` is given its
-    increments are consumed instead of fresh draws (pilot refinement
-    studies); running out of provided increments is an error, not a
-    timeout.  A chunk runs under one trap, and phi is checked finite on
-    the rows that cross and on all rows at its end: a NaN never crosses,
-    as NaN >= 0 is false.
+    bit-generator state is kept between chunks.  A chunk runs under one
+    trap, and a trapped step runs again on step.checked and on phi's
+    checked twin.  phi is checked finite on the rows that cross and on all
+    rows at the chunk's end: a NaN never crosses, as NaN >= 0 is false.
     """
     M, d = q0.shape
     tau = np.full(M, np.nan)
@@ -99,16 +88,8 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     active = np.flatnonzero(~immediate)
     q, v, phi = q0[active], v0[active], phi_init[active]
 
-    if noise is not None:
-        inc_given = noise.increments.reshape(-1, noise.steps, noise.r)
-        if inc_given.shape[0] != M or inc_given.shape[2] != p.r:
-            raise ConfigError("provided noise must have shape (M, steps, r)")
-        if abs(noise.dt - h) > 1e-12 * max(1.0, h):
-            raise ConfigError(
-                f"provided noise has dt = {noise.dt}, kernel step is {h}")
-    else:
-        states = list(philox_states(seed, stream_ids))
-        gen = np.random.Generator(np.random.Philox(0))
+    states = list(philox_states(seed, stream_ids))
+    gen = np.random.Generator(np.random.Philox(0))
 
     step = make_step(p, eps, h, scheme)
     G = compiled_all([p.G])
@@ -117,8 +98,7 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
         """Step k of the chunk; the rows that cross leave the state.
         True once no row is left."""
         nonlocal q, v, phi, live
-        st = step.checked if checked else step
-        phi_of = p.eval_phi if checked else G
+        st, phi_of = (step.checked, G.checked) if checked else (step, G)
         q1, v1, _ = st(q, v, inc[:, k] if live is None else inc[live, k])
         phi1 = phi_of(q1).reshape(phi.shape)
         if phi1.max() >= 0:
@@ -142,20 +122,12 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     while active.size and step_count < max_steps:
         n_chunk = min(chunk_steps, max(FIRST_DRAW, step_count),
                       max_steps - step_count)
-        if noise is not None:
-            avail = inc_given.shape[1] - step_count
-            if avail <= 0:
-                raise ConfigError(
-                    "provided noise ran out before exit or the step cap")
-            n_chunk = min(n_chunk, avail)
-            inc = inc_given[active, step_count:step_count + n_chunk, :]
-        else:
-            inc = np.empty((active.size, n_chunk, p.r))
-            for row, i in enumerate(active.tolist()):
-                gen.bit_generator.state = states[i]
-                gen.standard_normal(out=inc[row])
-                states[i] = gen.bit_generator.state
-            inc *= math.sqrt(h)
+        inc = np.empty((active.size, n_chunk, p.r))
+        for row, i in enumerate(active.tolist()):
+            gen.bit_generator.state = states[i]
+            gen.standard_normal(out=inc[row])
+            states[i] = gen.bit_generator.state
+        inc *= math.sqrt(h)
 
         live = None                # chunk rows of the state, once compacted
         run_trapped(n_chunk, advance)
@@ -174,30 +146,6 @@ def _start_vector(p: ProblemDefinition, name: str, value, default):
     if value.shape != (p.d,):
         raise ConfigError(f"{name} must have shape ({p.d},)")
     return value
-
-
-def sample_exit(p: ProblemDefinition, eps: float, q0=None, p0=None,
-                stream_id: int = 0, seed: int = 0, *, h: float = None,
-                scheme: str = "exponential", max_steps: int = None,
-                noise: Optional[NoisePath] = None) -> ExitResult:
-    """Exit time and location of one path started at q0 (default O).
-
-    p0 is the original-scale momentum; the initial velocity is p0/eps.
-    A start on or outside the boundary returns tau = 0 at q0.
-    """
-    if p.G is None:
-        raise ConfigError("problem declares no exit domain G")
-    if not (0 < eps <= 1):
-        raise ConfigError("eps must lie in (0, 1]")
-    q0 = _start_vector(p, "q0", q0, p.O)
-    p0 = _start_vector(p, "p0", p0, np.zeros(p.d))
-    h = default_step(p, eps) if h is None else h
-    max_steps = default_max_steps(eps) if max_steps is None else max_steps
-    tau, pts, out = _exit_kernel(
-        p, eps, h, scheme, q0[None, :], (p0 / eps)[None, :], seed,
-        [stream_id], max_steps, noise=noise)
-    return ExitResult(tau=float(tau[0]), exit_point=pts[0],
-                      timeout=bool(out[0]))
 
 
 def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
@@ -225,8 +173,7 @@ def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
 def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
                  q0=None, p0=None, h: float = None,
                  scheme: str = "exponential", max_steps: int = None,
-                 V0_hint: float = None,
-                 chunk_steps: int = DEFAULT_CHUNK) -> ExitScaling:
+                 V0_hint: float = None) -> ExitScaling:
     """eps*log E[tau] along a decreasing eps ladder plus its eps -> 0 limit.
 
     The limit is a linear-in-eps extrapolation through the timeout-free
@@ -261,8 +208,7 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
         stream_ids = [j * M + i for i in range(M)]
         taus, pts, out = _exit_kernel(
             p, eps, h_eps, scheme, np.broadcast_to(q0, (M, p.d)),
-            np.broadcast_to(p0 / eps, (M, p.d)), seed, stream_ids, cap,
-            chunk_steps=chunk_steps)
+            np.broadcast_to(p0 / eps, (M, p.d)), seed, stream_ids, cap)
         stats.append(_rung_stats(eps, taus, pts, out))
 
     clean = [(s.eps, s.eps_log_mean) for s in stats

@@ -10,11 +10,12 @@ accepted.
 The AST supports four consumers:
 
 * a code generator that emits a numpy closure, compiled once per
-  expression; `evaluate` and `evaluate_all` run it under a floating-point
-  trap, one per call.  The step loops (exit kernel, stored path) and the
-  action solves own the trap instead: they call the closures unchecked
-  through `compiled_all`, under one `run_trapped` scope per loop or per
-  objective call, and re-run what traps on the checked evaluators;
+  expression; `evaluate_all` runs them under a floating-point trap, one
+  per call, and `evaluate` is its one-field case.  The step loops (exit
+  kernel, stored path) and the action solves own the trap instead: they
+  call the closures unchecked through `compiled_all`, under one
+  `run_trapped` scope per loop or per objective call, and re-run what
+  traps on the evaluator's checked twin, evaluate_all over its fields;
 * a checked tree-walking evaluator, `eval_field`, the reference those
   closures are tested against; it re-runs only when a closure traps, and
   then reports the domain violation with the offending sub-expression;
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -272,7 +273,7 @@ class ScalarExpr:
         """Build an unchecked numpy closure f(Q, U=None).
 
         Q has shape (..., d); the result broadcasts against Q[..., 0].
-        The closure itself checks nothing; `evaluate` runs it under a
+        The closure itself checks nothing; `evaluate_all` runs it under a
         floating-point trap and falls back to eval_field.
         """
         src = _codegen(self.root)
@@ -382,25 +383,9 @@ _FALLBACK = (ArithmeticError, LookupError, TypeError)
 
 
 def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
-    """Values of f on points (..., d), shape points.shape[:-1].
-
-    Runs the cached compiled closure with division by zero and invalid
-    operations trapped.  When it traps, or when f needs u and none is
-    given, the checked walker eval_field runs instead: it raises
-    EvalDomainError naming the sub-expression, or returns the same values.
-    The step loops and the action kernel do not come here on every call:
-    they own one trap scope (run_trapped) around compiled_all, and only
-    what traps comes back through the checked evaluators.
-    """
-    points = np.asarray(points, dtype=float)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            out = f._closure(points, u)
-    except _FALLBACK:
-        return eval_field(f, points, u)
-    out = np.asarray(out, dtype=float)
-    shape = points.shape[:-1]
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    """Values of f on points (..., d), shape points.shape[:-1]: evaluate_all
+    of the one field."""
+    return evaluate_all((f,), points, u)[..., 0]
 
 
 def compiled_all(fs) -> Callable:
@@ -408,25 +393,33 @@ def compiled_all(fs) -> Callable:
     stacked on a new last axis: shape points.shape[:-1] + (len(fs),).
 
     It checks nothing: its caller runs it inside run_trapped, and re-runs
-    what traps on the checked evaluators.
+    what traps on its checked twin run.checked, evaluate_all over fs.
     """
     closures = [f._closure for f in fs]
     if len(fs) == 1 and fs[0].variables - {"u"}:
         # a field of q gives an array over the points, and a view with the
         # new axis saves the stacking loop (~1.4 us of ~4 us per call)
-        return lambda points, u=None: closures[0](points, u)[..., None]
-
-    def run(points, u=None):
-        out = np.empty(points.shape[:-1] + (len(closures),))
-        for i, c in enumerate(closures):
-            out[..., i] = c(points, u)
-        return out
+        def run(points, u=None):
+            return closures[0](points, u)[..., None]
+    else:
+        def run(points, u=None):
+            out = np.empty(points.shape[:-1] + (len(closures),))
+            for i, c in enumerate(closures):
+                out[..., i] = c(points, u)
+            return out
+    run.checked = partial(evaluate_all, fs)
     return run
 
 
 def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
-    """evaluate for a sequence of fields, stacked on a new last axis:
-    shape points.shape[:-1] + (len(fs),), under a single trap."""
+    """Values of the fields fs on points (..., d), stacked on a new last
+    axis: shape points.shape[:-1] + (len(fs),).
+
+    Runs the cached compiled closures with division by zero and invalid
+    operations trapped.  When they trap, or when a field needs u and none
+    is given, the checked walker eval_field runs instead: it raises
+    EvalDomainError naming the sub-expression, or returns the same values.
+    """
     points = np.asarray(points, dtype=float)
     out = np.empty(points.shape[:-1] + (len(fs),))
     try:

@@ -18,8 +18,8 @@ also builds the Euler-Maruyama step of the limit equation.  Two loops
 drive the step: the stored-path loop behind simulate_inertial and
 simulate_first_order, and the streaming exit kernel.  The step runs the
 compiled field closures unchecked; each loop owns one floating-point trap
-scope (expr.run_trapped) and re-runs a trapped step on the checked
-evaluators, so EvalDomainError still names the sub-expression.
+scope (expr.run_trapped) and re-runs a trapped step on the closures'
+checked twins, so EvalDomainError still names the sub-expression.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
@@ -98,8 +98,6 @@ class NoisePath:
 
     dt: float
     increments: np.ndarray  # (steps, r) or (M, steps, r); batches time-major
-    seed: int = -1
-    stream_id: int = -1
 
     @property
     def steps(self) -> int:
@@ -113,8 +111,7 @@ class NoisePath:
     def generate(cls, seed: int, stream_id: int, steps: int, r: int,
                  dt: float) -> "NoisePath":
         batch = cls.generate_batch(seed, [stream_id], steps, r, dt)
-        return cls(dt=dt, increments=batch.increments[0], seed=seed,
-                   stream_id=stream_id)
+        return cls(dt=dt, increments=batch.increments[0])
 
     @classmethod
     def generate_batch(cls, seed: int, stream_ids: Sequence[int], steps: int,
@@ -138,8 +135,7 @@ class NoisePath:
             bits.state = state
             gen.standard_normal(out=draw)
             np.multiply(draw, root, out=inc[:, row])
-        return cls(dt=dt, increments=inc.transpose(1, 0, 2), seed=seed,
-                   stream_id=-1)
+        return cls(dt=dt, increments=inc.transpose(1, 0, 2))
 
     @classmethod
     def batches(cls, seed: int, M: int, steps: int, r: int, dt: float,
@@ -162,8 +158,7 @@ class NoisePath:
         shape = self.increments.shape
         grouped = self.increments.reshape(
             shape[:-2] + (shape[-2] // factor, factor, shape[-1]))
-        return NoisePath(dt=self.dt * factor, increments=grouped.sum(axis=-2),
-                         seed=self.seed, stream_id=self.stream_id)
+        return NoisePath(dt=self.dt * factor, increments=grouped.sum(axis=-2))
 
 
 def default_step(p: ProblemDefinition, eps: float) -> float:
@@ -296,7 +291,8 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     constant, for the friction integral.  The first-order step hands v
     back unchanged.  The Euler scheme raises StabilityError for
     h > default_step.  step runs the compiled field closures unchecked,
-    under run_trapped; step.checked is the step on p's checked evaluators.
+    under run_trapped; step.checked is the same step on their checked
+    twins (expr.compiled_all), which name a sub-expression that traps.
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -329,9 +325,10 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
         apply_sigma = (lambda sig, vec: vec) if np.all(diag == 1.0) \
             else (lambda sig, vec: vec * diag)
 
-    def bind(b_of, alpha_of, sigma_of):
+    def bind(b_of, alpha_of, flat_sigma):
         def frozen(q, u):
-            sig = sig_c if sig_c is not None else sigma_of(q)
+            sig = sig_c if sig_c is not None else flat_sigma(q).reshape(
+                q.shape[:-1] + (p.d, p.r))
             al = al_c if al_c is not None else alpha_of(q)
             drift = b_of(q)
             if u is not None:
@@ -363,17 +360,12 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
                 "first_order": first_order}[scheme]
 
     # the constant fields are frozen above; only the others get evaluators
-    alpha_of = sigma_of = None
-    if al_c is None:
-        alpha_of = compiled_all([p.alpha])
-    if sig_c is None:
-        flat_sigma = compiled_all(p._sigma_flat)
-
-        def sigma_of(q):
-            return flat_sigma(q).reshape(q.shape[:-1] + (p.d, p.r))
-    step = bind(compiled_all(p.b), alpha_of, sigma_of)
-    step.checked = bind(p.eval_b, lambda q: p.eval_alpha(q)[..., None],
-                        p.eval_sigma)
+    runs = (compiled_all(p.b),
+            compiled_all([p.alpha]) if al_c is None else None,
+            compiled_all(p._sigma_flat) if sig_c is None else None)
+    step = bind(*runs)
+    step.checked = bind(*(None if run is None else run.checked
+                           for run in runs))
     return step
 
 

@@ -281,6 +281,35 @@ def test_all_success_exit_code(tmp_path, monkeypatch):
     assert rep["passed"] is True
 
 
+def test_all_runs_only_the_listed_criteria(tmp_path, monkeypatch):
+    """criteria: [2] runs criterion 2 alone, not all ten and a filter."""
+    ran = []
+
+    def stub(index):
+        def criterion(scale):
+            ran.append(index)
+            return CriterionResult(index=index, name=f"stub {index}",
+                                   passed=True, detail="ok", runtime_s=0.0)
+        return criterion
+
+    monkeypatch.setattr(strongdamp.acceptance, "CRITERIA",
+                        tuple(stub(i) for i in range(1, 11)))
+    cfg = write_cfg(tmp_path, {"problem": "p1", "all": {"criteria": [2]}})
+    out = str(tmp_path / "out")
+    assert cli.main(["all", "--config", cfg, "--seed", "0",
+                     "--out", out]) == 0
+    assert ran == [2]
+    rep = json.loads(open(os.path.join(out, "acceptance_report.json")).read())
+    assert [c["index"] for c in rep["criteria"]] == [2]
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from strongdamp import *", namespace)
+    missing = [n for n in strongdamp.__all__ if n not in namespace]
+    assert not missing
+
+
 def test_threads_flag_is_accepted_and_changes_nothing(tmp_path,
                                                       monkeypatch):
     cfg = write_cfg(tmp_path, {

@@ -3,8 +3,8 @@ import pytest
 
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.exit import (DEFAULT_CHUNK, FIRST_DRAW, _exit_kernel,
-                             exit_location_histogram, exit_scaling,
-                             sample_exit)
+                             default_max_steps, exit_location_histogram,
+                             exit_scaling)
 from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import NoisePath, SimParams, default_step, \
@@ -32,39 +32,34 @@ def outward_exit_time(eps, q0):
     return np.log(1.0 / amp) / sp
 
 
+def exit_one(p, eps, q0=None, p0=None, seed=0, *, h=None,
+             scheme="exponential", max_steps=None):
+    """(tau, exit point, timed out) of the kernel on one row, started at q0
+    (default O) with original-scale momentum p0, on stream (seed, 0)."""
+    q0 = p.O if q0 is None else np.asarray(q0, dtype=float)
+    p0 = np.zeros(p.d) if p0 is None else np.asarray(p0, dtype=float)
+    h = default_step(p, eps) if h is None else h
+    cap = default_max_steps(eps) if max_steps is None else max_steps
+    tau, pts, out = _exit_kernel(p, eps, h, scheme, q0[None], (p0 / eps)[None],
+                                 seed, [0], cap)
+    return tau[0], pts[0], out[0]
+
+
 def test_deterministic_exit_time():
-    res = sample_exit(OUTWARD, eps=0.2, q0=[0.5], seed=0)
-    assert not res.timeout
-    assert res.tau == pytest.approx(outward_exit_time(0.2, 0.5), abs=1e-2)
-    assert res.exit_point[0] == pytest.approx(1.0, abs=1e-2)
+    tau, pt, timeout = exit_one(OUTWARD, eps=0.2, q0=[0.5], seed=0)
+    assert not timeout
+    assert tau == pytest.approx(outward_exit_time(0.2, 0.5), abs=1e-2)
+    assert pt[0] == pytest.approx(1.0, abs=1e-2)
 
 
 def test_start_outside_returns_zero():
-    res = sample_exit(P1, eps=0.2, q0=[1.5], seed=0)
-    assert res.tau == 0.0 and not res.timeout
-    np.testing.assert_array_equal(res.exit_point, [1.5])
+    tau, pt, timeout = exit_one(P1, eps=0.2, q0=[1.5], seed=0)
+    assert tau == 0.0 and not timeout
+    np.testing.assert_array_equal(pt, [1.5])
 
 
 def test_timeout_flagged():
-    res = sample_exit(P1, eps=0.1, q0=[0.0], seed=0, max_steps=50)
-    assert res.timeout
-
-
-def test_halved_step_same_brownian_path():
-    eps = 0.2
-    h = 0.2 * eps**2
-    fine = NoisePath.generate(7, 0, 4000, 1, h / 2)
-    coarse = fine.coarsen(2)
-    a = sample_exit(OUTWARD, eps, q0=[0.5], seed=7, h=h, noise=coarse)
-    b = sample_exit(OUTWARD, eps, q0=[0.5], seed=7, h=h / 2, noise=fine)
-    assert not a.timeout and not b.timeout
-    assert abs(a.tau - b.tau) < 2e-2
-
-
-def test_provided_noise_exhaustion_is_an_error():
-    short = NoisePath.generate(7, 0, 10, 1, 0.2 * 0.2**2)
-    with pytest.raises(ConfigError, match="ran out"):
-        sample_exit(P1, 0.2, q0=[0.0], seed=7, h=0.2 * 0.2**2, noise=short)
+    assert exit_one(P1, eps=0.1, q0=[0.0], seed=0, max_steps=50)[2]
 
 
 def test_scaling_ladder_validation():
@@ -81,24 +76,25 @@ def test_scaling_ladder_validation():
 @pytest.mark.parametrize("preset", ["p1", "p2"])
 @pytest.mark.parametrize("scheme", ["exponential", "euler"])
 def test_exit_kernel_follows_simulator(preset, scheme):
-    """On the same noise, the exit kernel and simulate_inertial share one
-    step: the crossing rebuilt from the stored path is bit-identical."""
+    """The kernel's row on stream (5, 0) draws the numbers of
+    NoisePath.generate(5, 0, ...), and the kernel and simulate_inertial
+    share one step: the crossing rebuilt from the stored path is
+    bit-identical."""
     p = load_preset(preset)
     eps, steps = 0.5, 5000
     h = default_step(p, eps)
     noise = NoisePath.generate(5, 0, steps, 1, h)
     q0, p0 = np.array([0.3]), np.array([0.2])
-    res = sample_exit(p, eps, q0=q0, p0=p0, seed=5, h=h, scheme=scheme,
-                      noise=noise)
+    tau, pt, timeout = exit_one(p, eps, q0=q0, p0=p0, seed=5, h=h,
+                                scheme=scheme, max_steps=steps)
     tr = simulate_inertial(p, SimParams(eps=eps, T=steps * h, h=h,
                                         scheme=scheme), q0, p0, noise)
     phi = p.eval_phi(tr.q)
     n = int(np.argmax(phi >= 0)) - 1
-    assert n >= 0 and not res.timeout
+    assert n >= 0 and not timeout
     frac = phi[n] / (phi[n] - phi[n + 1])
-    assert res.tau == (n + frac) * h
-    assert res.exit_point[0] == tr.q[n, 0] + frac * (tr.q[n + 1, 0]
-                                                     - tr.q[n, 0])
+    assert tau == (n + frac) * h
+    assert pt[0] == tr.q[n, 0] + frac * (tr.q[n + 1, 0] - tr.q[n, 0])
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 300, DEFAULT_CHUNK])
@@ -141,7 +137,20 @@ def test_drift_leaving_its_domain_names_the_subexpression():
         "box": [[-3.0, 3.0]],
     })
     with pytest.raises(EvalDomainError, match=r"'log\(2 - q1\)'"):
-        sample_exit(p, eps=0.15, seed=2)
+        exit_one(p, eps=0.15, seed=2)
+
+
+def test_domain_function_leaving_its_domain_names_the_subexpression():
+    """phi = sqrt(1.5 - q1) - 2 stays negative up to q1 = 1.5, where its
+    square root leaves its domain; the drift takes the path there within
+    a few dozen steps, and the re-run on phi's checked twin names it."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["2"], "sigma": [["0.1"]], "alpha": "1",
+        "alpha0": 1.0, "G": "sqrt(1.5 - q1) - 2", "O": [0.0],
+        "box": [[-3.0, 3.0]],
+    })
+    with pytest.raises(EvalDomainError, match=r"'sqrt\(1.5 - q1\)'"):
+        exit_one(p, eps=0.5, seed=2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -153,7 +162,7 @@ def test_non_finite_domain_function_is_numerical_error():
         "alpha0": 1.0, "G": "-exp(q1)", "O": [0.0], "box": [[-1.0, 1.0]],
     })
     with pytest.raises(NumericalError, match="non-finite"):
-        sample_exit(p, eps=0.5, seed=2)
+        exit_one(p, eps=0.5, seed=2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -170,7 +179,7 @@ def test_invalid_step_arithmetic_is_numerical_error():
     })
     eps, q0 = 0.5, np.array([1e103])
     with pytest.raises(NumericalError, match="non-finite"):
-        sample_exit(p, eps, q0=q0, seed=1)
+        exit_one(p, eps, q0=q0, seed=1)
     h = default_step(p, eps)
     noise = NoisePath.generate(1, 0, 10, 1, h)
     with pytest.raises(NumericalError, match="non-finite"):
@@ -188,7 +197,7 @@ def test_infinite_crossing_is_numerical_error():
         "alpha0": 1.0, "G": "q1 - 20", "O": [0.0], "box": [[-2.0, 2.0]],
     })
     with pytest.raises(NumericalError, match="non-finite"):
-        sample_exit(p, 0.5, q0=[10.0], seed=1)
+        exit_one(p, 0.5, q0=[10.0], seed=1)
 
 
 def test_single_rung_limit_is_its_own_elm():
@@ -203,7 +212,6 @@ def test_single_rung_limit_is_its_own_elm():
 def test_rescaled_clock_and_original_clock():
     sc = exit_scaling(OUTWARD, [0.2], M=3, seed=3, q0=[0.5])
     st = sc.stats[0]
-    np.testing.assert_allclose(st.taus_original(), st.taus / 0.2)
     assert st.n_samples == 3 and st.timeouts == 0
     assert not st.lower_bound
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdamp.expr import (EvalDomainError, ExpressionSyntaxError,
-                             eval_field, evaluate, evaluate_all, grad_field,
-                             parse_expression, run_trapped)
+                             compiled_all, eval_field, evaluate,
+                             evaluate_all, grad_field, parse_expression,
+                             run_trapped)
 from strongdamp.fields import load_preset
 
 
@@ -214,6 +215,20 @@ def test_compiled_variable_does_not_alias_points():
     out = evaluate(parse_expression("q2"), pts)
     out[0] = 7.0
     assert pts[0, 1] == 2.0
+
+
+def test_compiled_all_checked_twin():
+    """run.checked is evaluate_all over the same fields, for the one-field
+    view and for the stack: the same values where the closures are
+    defined, and EvalDomainError naming the sub-expression where not."""
+    pts = np.array([[0.5, 2.0], [3.0, 1.0]])
+    log_q1 = parse_expression("log(q1) + q2")
+    for fs in ([log_q1], [parse_expression("q2^2"), log_q1,
+                          parse_expression("3")]):
+        run = compiled_all(fs)
+        np.testing.assert_array_equal(run.checked(pts), run(pts))
+        with pytest.raises(EvalDomainError, match=r"'log\(q1\)'"):
+            run.checked(np.array([[-1.0, 2.0]]))
 
 
 def test_run_trapped_reruns_only_the_trapped_step():
