@@ -60,10 +60,16 @@ def _schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _reject_constant(name: str):
+    """json.load hook for NaN, Infinity and -Infinity, which Python's json
+    accepts but no config number may be."""
+    raise ConfigError(f"config number {name} is not finite")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import default_step, make_step, philox_states
+from .sde import default_step, make_step, philox_keys, philox_start
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
@@ -88,7 +88,8 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     active = np.flatnonzero(~immediate)
     q, v, phi = q0[active], v0[active], phi_init[active]
 
-    states = list(philox_states(seed, stream_ids))
+    states = [philox_start(key)
+              for key in philox_keys(seed, stream_ids).tolist()]
     gen = np.random.Generator(np.random.Philox(0))
 
     step = make_step(p, eps, h, scheme)

@@ -26,8 +26,9 @@ default_step is the package's one step-size rule, alpha_max h / eps^2 =
 
 Noise is reproducible: every path owns a counter-based Philox stream keyed
 by mixing (seed, stream_id) through a fixed 64-bit finalizer, so results
-do not depend on scheduling or batch composition.  A batch draw and the
-exit kernel re-key one Philox bit generator per row (philox_states)
+do not depend on scheduling or batch composition.  philox_keys derives
+the keys of a whole batch in uint64 array arithmetic.  A batch draw and
+the exit kernel re-key one Philox bit generator per row (philox_start)
 instead of building a generator per row, which gives the same numbers.
 NoisePath.batches is the one place that splits M paths into batches of
 consecutive stream ids; every Monte Carlo loop over stored paths draws
@@ -63,33 +64,43 @@ class GridMismatchError(ConfigError):
 
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = (0, 0, 0, 0)
+DRAW_ROWS = 256    # rows a batch draws before it scales them into place
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer; avalanche-mixes a 64-bit word."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array; avalanche-mixes each word.
+    uint64 array arithmetic wraps mod 2^64, as the finalizer needs."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def philox_states(seed: int, stream_ids: Iterable[int]) -> Iterator[dict]:
-    """Per stream id, the Philox state starting (seed, stream_id)'s stream:
-    its mixed key, a zero counter and an empty buffer."""
-    k0 = mix64(int(seed) & _MASK64)
-    zero = np.zeros(4, dtype=np.uint64)
-    for sid in stream_ids:
-        key = k0, mix64(k0 ^ mix64(int(sid) & _MASK64))
-        yield {"bit_generator": "Philox",
-               "state": {"counter": zero, "key": key}, "buffer": zero,
-               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def philox_keys(seed: int, stream_ids: Iterable[int]) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of the streams (seed, stream_ids[i]):
+    (mix(seed), mix(mix(seed) ^ mix(stream_id))), with SplitMix64's
+    finalizer as mix and seed and ids taken mod 2^64."""
+    ids = np.fromiter((int(sid) & _MASK64 for sid in stream_ids), np.uint64)
+    k0 = _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
+    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    keys[:, 0] = k0
+    keys[:, 1] = _splitmix64(k0 ^ _splitmix64(ids))
+    return keys
+
+
+def philox_start(key) -> dict:
+    """Philox bit-generator state at the start of the stream keyed `key`
+    (a philox_keys row): a zero counter and an empty buffer."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": key}, "buffer": _ZERO4,
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Independent counter-based generator for (seed, stream_id)."""
-    key = next(philox_states(seed, [stream_id]))["state"]["key"]
     return np.random.Generator(
-        np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        np.random.Philox(key=philox_keys(seed, [stream_id])[0]))
 
 
 @dataclass
@@ -120,21 +131,30 @@ class NoisePath:
         result is identical however the batch is later split.
 
         Row i holds make_generator(seed, stream_ids[i]).standard_normal(
-        (steps, r)) * sqrt(dt): one Philox bit generator is re-keyed per
-        row, to its philox_states entry, so no buffered word of one row
-        reaches the next.
+        (steps, r)) * sqrt(dt).  One Philox bit generator is re-keyed per
+        row to its philox_start state, so no buffered word of one row
+        reaches the next, and draws the row into a contiguous row of a
+        block of DRAW_ROWS rows; each block is scaled into the time-major
+        storage in one call.
         """
-        if steps < 1 or r < 1 or dt <= 0:
-            raise ConfigError("NoisePath needs steps >= 1, r >= 1, dt > 0")
-        inc = np.empty((steps, len(stream_ids), r))
+        if steps < 1 or r < 1 or not 0 < dt < math.inf:
+            raise ConfigError(
+                "NoisePath needs steps >= 1, r >= 1, 0 < dt < inf")
+        keys = philox_keys(seed, stream_ids).tolist()
+        inc = np.empty((steps, len(keys), r))
+        draw = np.empty((min(DRAW_ROWS, len(keys)), steps, r))
         root = np.sqrt(dt)
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
-        draw = np.empty((steps, r))
-        for row, state in enumerate(philox_states(seed, stream_ids)):
-            bits.state = state
-            gen.standard_normal(out=draw)
-            np.multiply(draw, root, out=inc[:, row])
+        state = philox_start(None)
+        for start in range(0, len(keys), DRAW_ROWS):
+            block = keys[start:start + DRAW_ROWS]
+            for row, key in enumerate(block):
+                state["state"]["key"] = key
+                bits.state = state
+                gen.standard_normal(out=draw[row])
+            np.multiply(draw[:len(block)].transpose(1, 0, 2), root,
+                        out=inc[:, start:start + len(block)])
         return cls(dt=dt, increments=inc.transpose(1, 0, 2))
 
     @classmethod
@@ -191,8 +211,8 @@ class SimParams:
     def __post_init__(self):
         if not (0 < self.eps <= 1):
             raise ConfigError("eps must lie in (0, 1]")
-        if self.T <= 0 or self.h <= 0:
-            raise ConfigError("T and h must be positive")
+        if not (0 < self.T < math.inf and 0 < self.h < math.inf):
+            raise ConfigError("T and h must be positive and finite")
         if self.scheme not in ("exponential", "euler"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         n = round(self.T / self.h)

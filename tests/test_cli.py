@@ -50,6 +50,20 @@ def test_malformed_json_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ['"eps": 0.3, "T": NaN',
+                                   '"eps": 0.3, "T": 0.1, "h": NaN',
+                                   '"eps": 0.3, "T": Infinity',
+                                   '"eps": -Infinity, "T": 0.1'])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, block):
+    """Python's json reads NaN and +-Infinity; a config may not hold them."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"problem": "p1", "simulate": {' + block + '}}')
+    rc = cli.main(["simulate", "--config", str(path),
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": "p1", "simulte": {}})
     rc = cli.main(["validate", "--config", cfg,

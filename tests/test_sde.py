@@ -11,8 +11,9 @@ from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import (GridMismatchError, NoisePath, SimParams,
                             Trajectory, default_step, dump_trajectory,
-                            make_generator, make_step, simulate_first_order,
-                            simulate_inertial, stochastic_convolution)
+                            make_generator, make_step, philox_keys,
+                            simulate_first_order, simulate_inertial,
+                            stochastic_convolution)
 
 
 P1 = load_preset("p1")
@@ -205,6 +206,56 @@ def test_numpy_integer_seeds_and_stream_ids():
     np.testing.assert_array_equal(
         make_generator(np.uint64(2**64 - 1), np.int64(7)).standard_normal(4),
         make_generator(-1, 7).standard_normal(4))
+
+
+def _splitmix64(x):
+    """Scalar SplitMix64 finalizer on Python ints, the keys' oracle."""
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, np.int64(-3)])
+def test_philox_keys_match_scalar_splitmix(seed):
+    """The uint64 array keys equal the Python-int SplitMix64 keys
+    (mix(s), mix(mix(s) ^ mix(id))), seed and ids taken mod 2^64, whether
+    the ids come as a list, a range or np.arange."""
+    mask = (1 << 64) - 1
+    ids = [0, 1, 2**32, 2**63 + 5, 2**64 - 1]
+    k0 = _splitmix64(int(seed) & mask)
+    want = [[k0, _splitmix64(k0 ^ _splitmix64(i))] for i in ids]
+    assert philox_keys(seed, ids).tolist() == want
+    for i, row in zip(ids, want):
+        assert philox_keys(seed, range(i, i + 1)).tolist() == [row]
+        dtype = np.uint64 if i >= 2**63 else np.int64
+        assert philox_keys(seed, np.arange(i, i + 1, dtype=dtype)).tolist() \
+            == [row]
+
+
+def test_batch_increments_are_time_major():
+    """The step loops read increment k of every row as one block: the
+    time-major view of a batch is C-contiguous, so no strided read moves
+    from the draw into the per-step loop.  Rows past the first block of
+    draws still hold their own streams."""
+    for rows, steps, r in [(2, 5, 1), (300, 7, 2), (513, 3, 1)]:
+        batch = NoisePath.generate_batch(1, range(rows), steps, r, 0.01)
+        assert np.moveaxis(batch.increments, -2, 0).flags.c_contiguous
+        np.testing.assert_array_equal(
+            batch.increments[-1],
+            make_generator(1, rows - 1).standard_normal((steps, r))
+            * np.sqrt(0.01))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_non_finite_or_non_positive_steps_are_config_errors(bad):
+    with pytest.raises(ConfigError):
+        NoisePath.generate_batch(0, range(2), 4, 1, bad)
+    with pytest.raises(ConfigError):
+        SimParams(eps=0.3, T=bad, h=0.01)
+    with pytest.raises(ConfigError):
+        SimParams(eps=0.3, T=0.1, h=bad)
 
 
 def test_generator_streams_do_not_collide():
