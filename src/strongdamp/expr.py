@@ -9,19 +9,20 @@ accepted.
 
 The AST supports four consumers:
 
-* a code generator that emits a numpy closure, compiled once per
-  expression; `evaluate_all` runs them under a floating-point trap, one
-  per call, and `evaluate` is its one-field case.  The step loops (exit
-  kernel, stored path) and the action solves own the trap instead: they
-  call the closures unchecked through `compiled_all`, under one
+* a code generator, `compiled_all`, that emits one straight-line numpy
+  function per stack of fields, cached per stack, with each sub-expression
+  the fields share computed once.  `evaluate_all` runs it under a
+  floating-point trap, one per call, and `evaluate` is its one-field
+  case.  The step loops (exit kernel, stored path) and the action solves
+  own the trap instead: they call the function unchecked, under one
   `run_trapped` scope per loop or per objective call, and re-run what
-  traps on the evaluator's checked twin, evaluate_all over its fields;
-* a checked tree-walking evaluator, `eval_field`, the reference those
-  closures are tested against; it re-runs only when a closure traps, and
-  then reports the domain violation with the offending sub-expression;
-* a symbolic derivative of every tree, cached and compiled per
-  coordinate: the chain, product, quotient and power rules, with abs, min
-  and max differentiated piecewise through sign;
+  traps on its checked twin, evaluate_all over its fields;
+* a checked tree-walking evaluator, `eval_field`, the reference the
+  generated code is tested against; it runs only when that code traps,
+  and then reports the domain violation with the offending sub-expression;
+* a symbolic derivative of every tree, cached per coordinate: the chain,
+  product, quotient and power rules, with abs, min and max differentiated
+  piecewise through sign;
 * a canonical printer whose output re-parses to the identical tree (for
   a derivative, to one of equal value: its negative constants re-parse
   as negations).
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -253,8 +254,7 @@ class ScalarExpr:
         return any(i == -1 for _, _, i in _iter_vars(self.root))
 
     def derivative(self, q_index: int) -> "ScalarExpr":
-        """Symbolic d/dq_{q_index+1}.  Cached, so its compiled closure is
-        built once too."""
+        """Symbolic d/dq_{q_index+1}, cached."""
         cache = self._derivatives
         if q_index not in cache:
             node = _simplify(_diff(self.root, q_index))
@@ -264,22 +264,6 @@ class ScalarExpr:
     @cached_property
     def _derivatives(self) -> dict:
         return {}
-
-    @cached_property
-    def _closure(self) -> Callable:
-        return self.compile()
-
-    def compile(self) -> Callable:
-        """Build an unchecked numpy closure f(Q, U=None).
-
-        Q has shape (..., d); the result broadcasts against Q[..., 0].
-        The closure itself checks nothing; `evaluate_all` runs it under a
-        floating-point trap and falls back to eval_field.
-        """
-        src = _codegen(self.root)
-        code = compile(src, "<field>", "eval")
-        env = {"_np": np}
-        return eval(code, env)  # noqa: S307  (source generated from our own AST)
 
 
 def parse_expression(src: str) -> ScalarExpr:
@@ -388,48 +372,42 @@ def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     return evaluate_all((f,), points, u)[..., 0]
 
 
+@cache
+def _generated(fs: tuple) -> Callable:
+    env = {"_np": np, "inf": np.inf, "nan": np.nan}
+    exec(_codegen([f.root for f in fs]), env)  # noqa: S102  (our own AST)
+    run = env["run"]
+    run.checked = partial(evaluate_all, fs)
+    return run
+
+
 def compiled_all(fs) -> Callable:
-    """One evaluator run(points, u=None) of the compiled closures of fs,
-    stacked on a new last axis: shape points.shape[:-1] + (len(fs),).
+    """The one evaluator run(points, u=None) generated for the fields fs,
+    cached per stack: their values stacked on a new last axis, shape
+    points.shape[:-1] + (len(fs),), with each sub-expression the fields
+    share computed once.
 
     It checks nothing: its caller runs it inside run_trapped, and re-runs
     what traps on its checked twin run.checked, evaluate_all over fs.
     """
-    closures = [f._closure for f in fs]
-    if len(fs) == 1 and fs[0].variables - {"u"}:
-        # a field of q gives an array over the points, and a view with the
-        # new axis saves the stacking loop (~1.4 us of ~4 us per call)
-        def run(points, u=None):
-            return closures[0](points, u)[..., None]
-    else:
-        def run(points, u=None):
-            out = np.empty(points.shape[:-1] + (len(closures),))
-            for i, c in enumerate(closures):
-                out[..., i] = c(points, u)
-            return out
-    run.checked = partial(evaluate_all, fs)
-    return run
+    return _generated(tuple(fs))
 
 
 def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
     """Values of the fields fs on points (..., d), stacked on a new last
     axis: shape points.shape[:-1] + (len(fs),).
 
-    Runs the cached compiled closures with division by zero and invalid
-    operations trapped.  When they trap, or when a field needs u and none
-    is given, the checked walker eval_field runs instead: it raises
-    EvalDomainError naming the sub-expression, or returns the same values.
+    Runs compiled_all(fs) with division by zero and invalid operations
+    trapped.  When it traps, or when a field needs u and none is given,
+    the checked walker eval_field runs instead: it raises EvalDomainError
+    naming the sub-expression, or returns the same values.
     """
     points = np.asarray(points, dtype=float)
-    out = np.empty(points.shape[:-1] + (len(fs),))
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            for i, f in enumerate(fs):
-                out[..., i] = f._closure(points, u)
+            return compiled_all(fs)(points, u)
     except _FALLBACK:
-        for i, f in enumerate(fs):
-            out[..., i] = eval_field(f, points, u)
-    return out
+        return np.stack([eval_field(f, points, u) for f in fs], axis=-1)
 
 
 def run_trapped(n: int, body: Callable) -> None:
@@ -594,10 +572,11 @@ def _simplify(node):
     if op == "*":
         if (na and a[1] == 0) or (nb and b[1] == 0):
             return ("num", 0.0)
-        if na and a[1] == 1:
-            return b
-        if nb and b[1] == 1:
-            return a
+        # -1*x and -x are the same double for every non-NaN x
+        if na and abs(a[1]) == 1:
+            return b if a[1] == 1 else ("neg", b)
+        if nb and abs(b[1]) == 1:
+            return a if b[1] == 1 else ("neg", a)
     if op == "+":
         if na and a[1] == 0:
             return b
@@ -621,7 +600,12 @@ def _simplify(node):
 # ---------------------------------------------------------------------------
 # code generation
 
-def _codegen(root) -> str:
+def _codegen(roots) -> str:
+    """Source of run(Q, U=None): one assignment per distinct non-leaf
+    subtree of the roots, in the walker's order of evaluation, then one
+    output column per root."""
+    lines, names = [], {}
+
     def emit(node):
         kind = node[0]
         if kind == "num":
@@ -629,24 +613,36 @@ def _codegen(root) -> str:
         if kind == "var":
             return "U" if node[2] == -1 else f"Q[..., {node[2]}]"
         if kind == "neg":
-            return f"(-{emit(node[1])})"
-        if kind == "bin":
-            op = node[1]
-            if op == "^":
-                # np.power, like the walker: on Python floats, ** would
-                # return a complex number for a negative base, untrapped
-                return f"_np.power({emit(node[2])},{emit(node[3])})"
-            return f"({emit(node[2])}{op}{emit(node[3])})"
-        fname = node[1]
-        np_name = {"min": "minimum", "max": "maximum", "abs": "abs"}.get(
-            fname, fname)
-        args = ",".join(emit(a) for a in node[2])
-        return f"_np.{np_name}({args})"
+            rhs = f"-{emit(node[1])}"
+        elif kind == "call":
+            fname = {"min": "minimum", "max": "maximum"}.get(node[1], node[1])
+            rhs = f"_np.{fname}({', '.join(emit(a) for a in node[2])})"
+        elif node[1] == "^":
+            # np.power, like the walker: on Python floats, ** would
+            # return a complex number for a negative base, untrapped
+            rhs = f"_np.power({emit(node[2])}, {emit(node[3])})"
+        else:
+            rhs = f"{emit(node[2])} {node[1]} {emit(node[3])}"
+        # keyed by the source, which spells the sign of each number:
+        # ('num', 0.0) == ('num', -0.0), but sin(-0.0) is -0.0
+        if rhs not in names:
+            names[rhs] = f"t{len(names)}"
+            lines.append(f"{names[rhs]} = {rhs}")
+        return names[rhs]
 
-    body = emit(root)
-    if root[0] == "var":
-        body = f"+{body}"  # a copy, not a view of the caller's points
-    return f"lambda Q, U=None: {body}"
+    # a column write stores a missing u as NaN, where +U raises
+    cols = ["+U" if root == ("var", "u", -1) else emit(root) for root in roots]
+    if len(roots) == 1 and roots[0][0] not in ("num", "var") and any(
+            i >= 0 for _, _, i in _iter_vars(roots[0])):
+        # a non-leaf field of q is a fresh array over the points, and a
+        # view with the new axis saves the copy (the exit kernel's small
+        # calls are mostly fixed cost)
+        lines.append(f"return {cols[0]}[..., None]")
+    else:
+        lines.append(f"out = _np.empty(Q.shape[:-1] + ({len(cols)},))")
+        lines += [f"out[..., {i}] = {c}" for i, c in enumerate(cols)]
+        lines.append("return out")
+    return "def run(Q, U=None):\n    " + "\n    ".join(lines)
 
 
 # ---------------------------------------------------------------------------

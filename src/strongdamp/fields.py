@@ -175,15 +175,16 @@ def load_problem(spec) -> ProblemDefinition:
         raise ProblemError("sigma must have r >= d columns")
 
     alpha0 = float(spec["alpha0"])
-    if not alpha0 > 0:
-        raise ProblemError("alpha0 must be positive")
+    if not 0 < alpha0 < np.inf:
+        raise ProblemError("alpha0 must be positive and finite")
     beta = float(spec.get("beta", 0.0))
     if not (0.0 <= beta < 0.5):
         raise ProblemError("beta must lie in [0, 1/2)")
 
     box = np.asarray(spec["box"], dtype=float)
-    if box.shape != (d, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ProblemError("box must be a (d, 2) array with lo < hi")
+    if box.shape != (d, 2) or not (np.all(box[:, 0] < box[:, 1])
+                                   and np.isfinite(box).all()):
+        raise ProblemError("box must be a finite (d, 2) array with lo < hi")
     O = np.asarray(spec["O"], dtype=float)
     if O.shape != (d,):
         raise ProblemError(f"O must have {d} coordinates")

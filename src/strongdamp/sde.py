@@ -17,9 +17,9 @@ scheme is a cross check and only accepts h <= default_step.  make_step
 also builds the Euler-Maruyama step of the limit equation.  Two loops
 drive the step: the stored-path loop behind simulate_inertial and
 simulate_first_order, and the streaming exit kernel.  The step runs the
-compiled field closures unchecked; each loop owns one floating-point trap
-scope (expr.run_trapped) and re-runs a trapped step on the closures'
-checked twins, so EvalDomainError still names the sub-expression.
+generated field evaluators unchecked; each loop owns one floating-point
+trap scope (expr.run_trapped) and re-runs a trapped step on their checked
+twins, so EvalDomainError still names the sub-expression.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
@@ -310,9 +310,9 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     control value u (r,), and the friction at q, (...,) or a float when
     constant, for the friction integral.  The first-order step hands v
     back unchanged.  The Euler scheme raises StabilityError for
-    h > default_step.  step runs the compiled field closures unchecked,
-    under run_trapped; step.checked is the same step on their checked
-    twins (expr.compiled_all), which name a sub-expression that traps.
+    h > default_step.  step runs the generated field evaluators
+    unchecked, under run_trapped; step.checked is the same step on their
+    checked twins (expr.compiled_all), which name a sub-expression that traps.
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")

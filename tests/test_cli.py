@@ -64,6 +64,23 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, block):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [{"box": [[-np.inf, np.inf]]},
+                                  {"alpha0": np.inf}])
+def test_non_finite_problem_file_is_config_error(tmp_path, capsys, over):
+    """A problem file read from disk holds no infinite box or alpha0
+    (json.dumps writes inf as Infinity)."""
+    spec = json.loads(open(os.path.join(
+        os.path.dirname(strongdamp.__file__), "presets", "p1.json")).read())
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({**spec, **over}))
+    cfg = write_cfg(tmp_path, {"problem": str(problem)})
+    for cmd in ("validate", "quasipotential"):
+        rc = cli.main([cmd, "--config", cfg,
+                       "--seed", "0", "--out", str(tmp_path / cmd)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": "p1", "simulte": {}})
     rc = cli.main(["validate", "--config", cfg,

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdamp.expr import (EvalDomainError, ExpressionSyntaxError,
-                             compiled_all, eval_field, evaluate,
-                             evaluate_all, grad_field, parse_expression,
-                             run_trapped)
+                             ScalarExpr, _codegen, compiled_all, eval_field,
+                             evaluate, evaluate_all, grad_field,
+                             parse_expression, run_trapped)
 from strongdamp.fields import load_preset
 
 
@@ -171,29 +171,63 @@ PRESETS = ("p1", "p1_tilted", "p2", "p3", "fk1d", "kpp1d", "kpp1d_cosc",
 
 
 def test_compile_matches_eval():
-    """The compiled closure and the checked walker agree bit for bit on
-    every preset field and every derivative."""
+    """The generated code and the checked walker agree bit for bit on
+    every preset field and every derivative, alone and in one stack per
+    preset of every field and every derivative."""
     rng = np.random.default_rng(0)
     for p in map(load_preset, PRESETS):
         lo, hi = p.box[:, 0], p.box[:, 1]
         for shape in ((40,), (3, 5), ()):
             pts = lo + rng.uniform(size=shape + (p.d,)) * (hi - lo)
             u = rng.uniform(size=shape)
-            for f in _preset_fields(p):
-                exprs = [f] + [f.derivative(i) for i in range(p.d)]
-                for e in exprs:
-                    want = eval_field(e, pts, u)
-                    got = evaluate(e, pts, u)
-                    assert got.shape == want.shape == shape
-                    np.testing.assert_array_equal(got, want, err_msg=str(e))
-                    np.testing.assert_array_equal(
-                        np.broadcast_to(e.compile()(pts, u), shape), want)
+            stack = [e for f in _preset_fields(p)
+                     for e in [f] + [f.derivative(i) for i in range(p.d)]]
+            cols = compiled_all(stack)(pts, u)
+            assert cols.shape == shape + (len(stack),)
+            for k, e in enumerate(stack):
+                want = eval_field(e, pts, u)
+                got = evaluate(e, pts, u)
+                assert got.shape == want.shape == shape
+                np.testing.assert_array_equal(got, want, err_msg=str(e))
+                np.testing.assert_array_equal(
+                    np.broadcast_to(compiled_all([e])(pts, u)[..., 0], shape),
+                    want)
+                np.testing.assert_array_equal(cols[..., k], want,
+                                              err_msg=str(e))
             np.testing.assert_array_equal(
                 evaluate_all(p.b, pts),
                 np.stack([eval_field(e, pts) for e in p.b], axis=-1))
     f = parse_expression("exp(-q1^2) + 0.5*max(q1, q2)")
     pts = rng.normal(size=(40, 2))
-    np.testing.assert_array_equal(f.compile()(pts), eval_field(f, pts))
+    np.testing.assert_array_equal(compiled_all([f])(pts)[..., 0],
+                                  eval_field(f, pts))
+
+
+def test_stack_shares_sub_expressions():
+    """p2's action stack (alpha, b, their derivatives) computes cos(q1)
+    once, not four times."""
+    p = load_preset("p2")
+    stack = [p.alpha, *p.b, p.alpha.derivative(0), p.b[0].derivative(0)]
+    assert _codegen([f.root for f in stack]).count("cos(") == 1
+
+
+def test_stack_keeps_the_sign_of_zero_and_infinite_numbers():
+    """('num', 0.0) == ('num', -0.0) as tuples, but sin(-0.0) is -0.0;
+    and a literal beyond the double range reads as inf."""
+    fs = [ScalarExpr(("call", "sin", (("num", z),)), f"sin({z})")
+          for z in (0.0, -0.0)] + [parse_expression("1e999 - q1")]
+    pts = np.zeros((2, 1))
+    got = compiled_all(fs)(pts)
+    np.testing.assert_array_equal(
+        got, np.stack([eval_field(f, pts) for f in fs], axis=-1))
+    assert np.signbit(got[0, :2]).tolist() == [False, True]
+
+
+def test_derivative_folds_minus_one_times_into_a_negation():
+    """The quotient rule's -1*(2 + cos(q1)) prints, and evaluates, as a
+    negation, which is the same double for every non-NaN value."""
+    assert "-1*" not in str(
+        parse_expression("-q1/(2 + cos(q1))").derivative(0))
 
 
 def test_preset_derivatives_match_central_differences():
@@ -217,9 +251,16 @@ def test_compiled_variable_does_not_alias_points():
     assert pts[0, 1] == 2.0
 
 
+@pytest.mark.parametrize("src", ["u", "q1 + u", "sin(u)"])
+def test_missing_u_names_the_variable(src):
+    with pytest.raises(EvalDomainError, match="variable 'u' has no value"):
+        evaluate_all([parse_expression("q1"), parse_expression(src)],
+                     np.zeros((2, 1)))
+
+
 def test_compiled_all_checked_twin():
     """run.checked is evaluate_all over the same fields, for the one-field
-    view and for the stack: the same values where the closures are
+    view and for the stack: the same values where the generated code is
     defined, and EvalDomainError naming the sub-expression where not."""
     pts = np.array([[0.5, 2.0], [3.0, 1.0]])
     log_q1 = parse_expression("log(q1) + q2")

@@ -59,6 +59,15 @@ def test_load_problem_rejects_bad_specs():
         make(sigma=[["1", "0"]], r=1)
 
 
+@pytest.mark.parametrize("over", [{"box": [[-np.inf, np.inf]]},
+                                  {"box": [[-2.0, np.inf]]},
+                                  {"alpha0": np.inf}])
+def test_load_problem_rejects_non_finite_box_and_alpha0(over):
+    """An infinite box passed every in_box check and broke box sampling."""
+    with pytest.raises(ProblemError, match="finite"):
+        make(**over)
+
+
 def test_field_evaluation_shapes():
     p = load_preset("p2")
     pts = np.linspace(-1, 1, 9)[:, None]
