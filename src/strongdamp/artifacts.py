@@ -16,12 +16,13 @@ throwaway buffers.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import os
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -106,11 +107,15 @@ def fmt(v) -> str:
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     """CSV of `rows`: each a sequence of cells (formatted by `fmt`) or a
-    line already formatted (a str)."""
+    line already formatted (a str); gzip-compressed when path ends in .gz."""
     lines = chain([",".join(header)],
                   (row if isinstance(row, str) else ",".join(map(fmt, row))
                    for row in rows))
-    with atomic_file(path) as fh:
+    # gzip's mtime and FNAME pinned so identical content gives identical
+    # bytes; deflate's output does not depend on how its input is chunked
+    with atomic_file(path) as raw, (
+            gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+            if path.endswith(".gz") else nullcontext(raw)) as fh:
         while chunk := list(islice(lines, CHUNK_LINES)):
             chunk.append("")
             fh.write("\n".join(chunk).encode("utf-8"))

@@ -13,10 +13,11 @@ and diagonals; front-speed fits therefore use the maximum contour radius
 by default, where the stencil is exact.
 
 For constant reaction rate c the front field is R = c t - rho^2 / (2 t).
-For general rates R is estimated by path optimization (reaction gain minus
-transport cost, terminal pinned to G0 by a quadratic penalty) through the
-shared free-end driver action.minimize_path, and the non-positive variant
-takes the worst partial sum over path prefixes.
+For general rates R is estimated by path optimization through the shared
+free-end driver action.minimize_path, with one objective for both front
+values: the partial sums P_n of reaction gain minus transport cost over a
+path's first n segments give the path value P_N and the non-positive
+prefix value min_n P_n, the terminal pulled into G0 by a quadratic penalty.
 
 The Monte Carlo upper bound is eps log of the Feynman-Kac mean
 E g(q_eps(t)) exp(eps^{-1} int_0^t c), estimated by
@@ -84,20 +85,11 @@ class FrontContour:
     polylines: Optional[list] = None   # d=2: list of (k, 2) chains
 
 
-def _grid_shape_from_box(p: ProblemDefinition, spacing: float):
-    origin = p.box[:, 0].copy()
-    shape = tuple(int(math.floor((p.box[k, 1] - p.box[k, 0]) / spacing
-                                 + 1e-9)) + 1
-                  for k in range(p.d))
-    return origin, shape
+def riemannian_distance(p: ProblemDefinition, spacing: float) -> GridField:
+    """Distance from G0 = {g > 0} in the friction-weighted metric, on a grid
+    covering the declared box.
 
-
-def riemannian_distance(p: ProblemDefinition, spacing: float,
-                        origin=None, shape=None) -> GridField:
-    """Distance from G0 = {g > 0} in the friction-weighted metric.
-
-    Defaults to a grid covering the declared box.  Unreached nodes keep
-    +inf.  Raises when no grid node lies inside G0.
+    Unreached nodes keep +inf.  Raises when no grid node lies inside G0.
     """
     if p.g is None:
         raise ProblemError("problem declares no initial support g")
@@ -105,11 +97,10 @@ def riemannian_distance(p: ProblemDefinition, spacing: float,
         raise ConfigError("grid distance supports d = 1 or 2 only")
     if spacing <= 0:
         raise ConfigError("grid spacing must be positive")
-    if origin is None or shape is None:
-        origin, shape = _grid_shape_from_box(p, spacing)
-    origin = np.asarray(origin, dtype=float)
+    shape = tuple(int(math.floor((hi - lo) / spacing + 1e-9)) + 1
+                  for lo, hi in p.box)
 
-    field = GridField(origin=origin, spacing=spacing,
+    field = GridField(origin=p.box[:, 0].copy(), spacing=spacing,
                       values=np.full(shape, np.inf), kind="rho")
     coords = field.node_coords()
     seeds = p.eval_g(coords) > 0
@@ -265,22 +256,50 @@ class PathFrontResult:
     iterations: int
 
 
-def _best_restart(p: ProblemDefinition, q: np.ndarray, t: float, N: int,
-                  penalty: float, restarts: int, seed: int, g0: np.ndarray,
-                  body, value_of) -> PathFrontResult:
-    """Best of several free-end driftfree solves from q.
+def _front_value(p: ProblemDefinition, q, t: float, N: int,
+                 penalty: float, restarts: int, seed: int,
+                 samples: Optional[np.ndarray], prefix: bool,
+                 ) -> PathFrontResult:
+    """Best of several free-end driftfree solves of the front objective.
 
-    body(pts, costs, g_left, g_right) gives the objective without the
-    terminal penalty * dist^2 to the nearest G0 sample, which is added
-    here.  The first start is the straight line to the G0 sample nearest
-    q, the others seeded perturbations of it; candidates are ranked by
-    value_of(path) minus the terminal penalty.
+    Along a path from q the partial sums P_0 = 0, P_n = sum_{k<n} [h (c_k
+    + c_{k+1}) / 2 - cost_k] add reaction gain minus transport cost over
+    the first n segments.  The value is P_n at n = N, or at n = argmin P
+    (smallest index on ties) when prefix.  Each solve minimizes -P_n plus
+    penalty * dist^2 from the last node to the nearest G0 sample.  The
+    first start is the straight line to the G0 sample nearest q, the
+    others seeded perturbations of it; candidates are ranked by value
+    minus the terminal penalty.
     """
-    def penalized(pts, costs, g_left, g_right):
-        val, grad = body(pts, costs, g_left, g_right)
+    if p.c is None:
+        raise ProblemError("problem declares no reaction rate c")
+    q = np.asarray(q, dtype=float)
+    if q.shape != (p.d,):
+        raise ConfigError(f"front point q must have shape ({p.d},)")
+    if t <= 0 or N < 2:
+        raise ConfigError("need t > 0 and N >= 2")
+    g0 = g0_samples(p) if samples is None else samples
+    h = t / N
+
+    def partial_sums(pts, costs):
+        cvals = p.eval_c(pts, u=0.0)
+        P = np.concatenate([[0.0], np.cumsum(
+            0.5 * h * (cvals[:-1] + cvals[1:]) - costs)])
+        return P, int(np.argmin(P)) if prefix else N
+
+    def objective(pts, costs, g_left, g_right):
+        P, n = partial_sums(pts, costs)
+        grad = np.zeros((N, p.d))
+        if n > 0:
+            # P_n is a free-end problem on the first n segments: its
+            # trapezoid gain weighs nodes 1..n-1 by h and node n by h/2
+            w = np.full((n, 1), h)
+            w[-1] = 0.5 * h
+            grad[:n] = node_gradient(g_left[:n], g_right[:n], pin_end=False)
+            grad[:n] -= w * grad_field(p.c, pts[1:n + 1], p.d, u=0.0)
         target, d2 = _nearest(g0, pts[-1])
         grad[-1] += 2.0 * penalty * (pts[-1] - target)
-        return val + penalty * d2, grad
+        return -P[n] + penalty * d2, grad
 
     rng = np.random.default_rng(seed)
     target0, _ = _nearest(g0, q)
@@ -293,11 +312,12 @@ def _best_restart(p: ProblemDefinition, q: np.ndarray, t: float, N: int,
         pts0 = line.copy()
         if trial:
             pts0[1:] += scale * rng.standard_normal(pts0[1:].shape)
-        pts, res = minimize_path(p, t, pts0, penalized, "driftfree",
+        pts, res = minimize_path(p, t, pts0, objective, "driftfree",
                                  pin_end=False, options=LBFGS_FRONT)
         path = DiscretePath(T=t, points=pts)
+        P, n = partial_sums(pts, segment_costs(p, path, "driftfree"))
         _, d2 = _nearest(g0, pts[-1])
-        cand = PathFrontResult(value=value_of(path), path=path,
+        cand = PathFrontResult(value=float(P[n]), path=path,
                                terminal_distance=math.sqrt(d2),
                                converged=bool(res.success),
                                iterations=int(res.nit))
@@ -310,84 +330,29 @@ def front_field_path(p: ProblemDefinition, q, t: float, N: int = 64,
                      penalty: float = PENALTY_DEFAULT, restarts: int = 3,
                      seed: int = 0, samples: Optional[np.ndarray] = None,
                      ) -> PathFrontResult:
-    """Reaction gain minus transport cost, maximized over paths from q.
+    """Reaction gain minus transport cost, maximized over paths from q: the
+    last partial sum P_N of the front objective (see _front_value).
 
     The terminal point is pulled into G0 by penalty * dist^2 to the nearest
     G0 sample; the reported value excludes the penalty term.
     """
-    if p.c is None:
-        raise ProblemError("problem declares no reaction rate c")
-    q = np.asarray(q, dtype=float)
-    if t <= 0 or N < 2:
-        raise ConfigError("need t > 0 and N >= 2")
-    g0 = g0_samples(p) if samples is None else samples
-    h = t / N
-    trapz_w = np.full(N + 1, h)
-    trapz_w[0] = trapz_w[-1] = h / 2.0
-
-    def body(pts, costs, g_left, g_right):
-        gain = float(np.dot(trapz_w, p.eval_c(pts, u=0.0)))
-        grad = node_gradient(g_left, g_right, pin_end=False)
-        grad -= trapz_w[1:, None] * grad_field(p.c, pts[1:], p.d, u=0.0)
-        return float(np.sum(costs)) - gain, grad
-
-    def value_of(path):
-        gain = float(np.dot(trapz_w, p.eval_c(path.points, u=0.0)))
-        return gain - float(np.sum(segment_costs(p, path, "driftfree")))
-
-    return _best_restart(p, q, t, N, penalty, restarts, seed, g0, body,
-                         value_of)
-
-
-def _prefix_profile(p: ProblemDefinition, path: DiscretePath):
-    """Partial sums P_n of (reaction gain - transport cost) over the first
-    n segments; P_0 = 0."""
-    h = path.h
-    costs = segment_costs(p, path, "driftfree")
-    cvals = p.eval_c(path.points, u=0.0)
-    seg_gain = 0.5 * h * (cvals[:-1] + cvals[1:])
-    return np.concatenate([[0.0], np.cumsum(seg_gain - costs)])
+    return _front_value(p, q, t, N, penalty, restarts, seed, samples,
+                        prefix=False)
 
 
 def front_field_prefix(p: ProblemDefinition, q, t: float, N: int = 64,
                        penalty: float = PENALTY_DEFAULT, restarts: int = 8,
                        seed: int = 0, samples: Optional[np.ndarray] = None,
                        ) -> PathFrontResult:
-    """Worst partial sum along the best path: non-positive by construction.
+    """Worst partial sum min_n P_n along the best path: non-positive by
+    construction, with the terminal penalized into G0 as in
+    front_field_path.
 
-    The objective is max over paths of min over prefixes n of P_n, with the
-    terminal penalized into G0.  The prefix minimum is nonsmooth, so the
-    optimizer follows the subgradient of the active prefix (smallest index
-    on ties) over several seeded restarts and keeps the best.
+    The prefix minimum is nonsmooth, so the optimizer follows the gradient
+    of the active prefix over several seeded restarts and keeps the best.
     """
-    if p.c is None:
-        raise ProblemError("problem declares no reaction rate c")
-    q = np.asarray(q, dtype=float)
-    if t <= 0 or N < 2:
-        raise ConfigError("need t > 0 and N >= 2")
-    g0 = g0_samples(p) if samples is None else samples
-    h = t / N
-
-    def body(pts, costs, g_left, g_right):
-        cvals = p.eval_c(pts, u=0.0)
-        seg_gain = 0.5 * h * (cvals[:-1] + cvals[1:])
-        P = np.concatenate([[0.0], np.cumsum(seg_gain - costs)])
-        n_star = int(np.argmin(P))
-        grad = np.zeros((N, p.d))
-        if n_star > 0:
-            # P_{n*} is a free-end problem on the first n* segments: its
-            # trapezoid gain weighs nodes 1..n*-1 by h and node n* by h/2
-            w = np.full((n_star, 1), h)
-            w[-1] = 0.5 * h
-            gc = grad_field(p.c, pts[:n_star + 1], p.d, u=0.0)
-            grad[:n_star] -= -node_gradient(
-                g_left[:n_star], g_right[:n_star], pin_end=False) \
-                + w * gc[1:]
-        return -P[n_star], grad
-
-    return _best_restart(
-        p, q, t, N, penalty, restarts, seed, g0, body,
-        lambda path: float(np.min(_prefix_profile(p, path))))
+    return _front_value(p, q, t, N, penalty, restarts, seed, samples,
+                        prefix=True)
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,13 @@ as views of that storage.  A (d,) start drives every row of a batch.
 
 from __future__ import annotations
 
-import gzip
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_file, float_lines
+from .artifacts import float_lines, write_csv
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
@@ -498,13 +497,4 @@ def dump_trajectory(tr: Trajectory, path: str) -> None:
     if tr.convolution is not None:
         cols += [f"H{i+1}" for i in range(d)]
         table.append(tr.convolution)
-    lines = float_lines(np.column_stack(table).tolist())
-    data = ("\n".join([",".join(cols), *lines]) + "\n").encode()
-    with atomic_file(path) as raw:
-        if path.endswith(".gz"):
-            # mtime and FNAME pinned so identical content gives identical bytes
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                               mtime=0) as fh:
-                fh.write(data)
-        else:
-            raw.write(data)
+    write_csv(path, cols, float_lines(np.column_stack(table).tolist()))

@@ -6,7 +6,7 @@ verdict; the suite passes only when every criterion does.
 
 import pytest
 
-from strongdamp.acceptance import CRITERIA, criterion_10
+from strongdamp.acceptance import _DET_CONFIGS, CRITERIA, criterion_10
 
 
 @pytest.mark.parametrize("fn", CRITERIA, ids=[f.__name__ for f in CRITERIA])
@@ -18,7 +18,10 @@ def test_criterion(fn):
 
 def test_criterion_10_without_pythonpath(monkeypatch):
     """The determinism subprocesses find the package when it is importable
-    through sys.path only, as under pytest's `pythonpath` setting."""
+    through sys.path only, as under pytest's `pythonpath` setting.  One
+    subcommand shows it; test_criterion runs all of them."""
     monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.setattr("strongdamp.acceptance._DET_CONFIGS",
+                        {"front": _DET_CONFIGS["front"]})
     res = criterion_10(1.0)
     assert res.passed, res.line()

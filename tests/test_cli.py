@@ -172,6 +172,39 @@ def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
     assert "must have shape (1,)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", [
+    {"t": 1.0, "q": [1.0, 2.0], "mode": "path"},
+    {"t": 1.0, "q": [1.0, 2.0], "mode": "prefix"},
+    {"t": 1.0, "q": [], "mode": "path"},
+], ids=["path_d2", "prefix_d2", "path_d0"])
+def test_front_point_of_wrong_dimension_is_config_error(tmp_path, capsys,
+                                                        point):
+    cfg = write_cfg(tmp_path, {"problem": "kpp1d", "front": {
+        "spacing": 0.05, "path_points": [point]}})
+    rc = cli.main(["front", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "must have shape (1,)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("front", "per_dim", 4096),
+    ("action", "q0", [0.0]),
+], ids=["front_per_dim", "action_q0"])
+def test_unused_keys_are_rejected(tmp_path, capsys, command, key, value):
+    path_csv = str(tmp_path / "path.csv")
+    t = np.linspace(0.0, 1.0, 33)
+    write_path_csv(path_csv, t, t[:, None], prefix="q")
+    block = {"front": {"spacing": 0.05},
+             "action": {"path_csv": path_csv}}[command]
+    cfg = write_cfg(tmp_path, {"problem": "kpp1d",
+                               command: {**block, key: value}})
+    rc = cli.main([command, "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "Additional properties are not allowed" in capsys.readouterr().err
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     outs = [str(tmp_path / f"out{i}") for i in (0, 1)]

@@ -3,6 +3,8 @@ import heapq
 import numpy as np
 import pytest
 
+from strongdamp import front
+from strongdamp.action import action_kernel
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import ProblemError, load_preset, load_problem
 from strongdamp.front import (FrontContour, extract_front, feynman_kac_bound,
@@ -185,6 +187,62 @@ def test_prefix_value_is_clipped_path_value():
                                   samples=samples)
         assert pref.value <= 1e-9
         assert pref.value == pytest.approx(min(path.value, 0.0), abs=5e-3)
+
+
+@pytest.mark.parametrize("fn", [front_field_path, front_field_prefix])
+@pytest.mark.parametrize("q", [[], [1.0, 2.0]], ids=["d0", "d2"])
+def test_front_point_of_wrong_dimension_is_config_error(fn, q):
+    with pytest.raises(ConfigError, match=r"shape \(1,\)"):
+        fn(KPP1D, q, 1.0)
+
+
+@pytest.mark.parametrize("fn, q, t", [
+    (front_field_path, 2.0, 1.2),
+    (front_field_prefix, 2.0, 1.2),
+    (front_field_prefix, 3.0, 2.0),
+], ids=["path", "prefix_q2", "prefix_q3"])
+def test_front_objective_gradient_matches_central_differences(
+        monkeypatch, fn, q, t):
+    """After three L-BFGS iterations, where the objective is not stationary,
+    its gradient matches central differences at every free node: in path
+    mode and at an interior active prefix, with variable rate and
+    friction."""
+    p = load_problem({    # kpp1d_cosc at friction 1 + 0.5 q1^2
+        "d": 1, "r": 1, "b": ["0"], "sigma": [["1"]],
+        "alpha": "1 + 0.5*q1^2", "alpha0": 1.0, "O": [0.0], "beta": 0.0,
+        "box": [[-4.0, 4.0]], "g": "max(0, 1 - q1^2/0.01)",
+        "c": "(1 + 0.5*cos(q1))*(1 - u)",
+    })
+    N = 32
+    monkeypatch.setattr(front, "LBFGS_FRONT", {"maxiter": 3})
+    seen, solve = [], front.minimize_path
+
+    def spy(*args, **kwargs):
+        pts, res = solve(*args, **kwargs)
+        seen.append((args[3], pts))
+        return pts, res
+    monkeypatch.setattr(front, "minimize_path", spy)
+    fn(p, [q], t, N=N, restarts=1)
+    objective, pts = seen[0]
+    kernel = action_kernel(p, t, N, "driftfree")
+
+    def value(x):
+        return objective(x, *kernel(x))[0]
+
+    if fn is front_field_prefix:
+        costs = kernel(pts)[0]
+        c = p.eval_c(pts, u=0.0)
+        partial = np.cumsum(0.5 * (t / N) * (c[:-1] + c[1:]) - costs)
+        assert 0 < np.argmin(np.concatenate([[0.0], partial])) < N
+    grad = objective(pts, *kernel(pts))[1]
+    fd = np.zeros_like(grad)
+    step = 1e-6
+    for i in range(1, N + 1):
+        up, down = pts.copy(), pts.copy()
+        up[i, 0] += step
+        down[i, 0] -= step
+        fd[i - 1, 0] = (value(up) - value(down)) / (2 * step)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-7)
 
 
 def test_g0_samples_guard():
