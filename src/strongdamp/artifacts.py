@@ -129,9 +129,12 @@ def float_lines(rows) -> Iterator[str]:
 
 def read_csv(path: str):
     """Read a numeric CSV written by write_csv: (header, float array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            data = [line.strip().split(",") for line in fh if line.strip()]
+    except FileNotFoundError:
+        raise ConfigError(f"CSV file not found: {path}") from None
     return header, np.asarray(data, dtype=float)
 
 

@@ -32,6 +32,7 @@ from .action import ControlSignal, DiscretePath, control_cost, path_action, \
     path_action_alt, segment_costs
 from .artifacts import load_manifest, write_csv, write_grid, write_json, \
     write_manifest, write_path_csv, read_path_csv
+from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .exit import exit_location_histogram, exit_scaling
 from .fields import load_problem, load_preset, validate_hypotheses
@@ -161,9 +162,7 @@ def cmd_simulate(p, cfg, out, seed):
     control = None
     if "control_csv" in blk:
         ct, cv = read_path_csv(blk["control_csv"])
-        times = np.arange(sp.steps + 1) * sp.h
-        control = np.column_stack([
-            np.interp(times, ct, cv[:, j]) for j in range(cv.shape[1])])
+        control = interp_columns(np.arange(sp.steps + 1) * sp.h, ct, cv)
 
     outputs, plot = [], []
     for start, noise in NoisePath.batches(seed, n_paths, sp.steps, p.r,

@@ -7,6 +7,10 @@ Crossing points are placed by linear interpolation along cell edges and the
 crossing segments are chained into polylines by shared edge identity, so
 closed loops come back closed.  Saddle cells are disambiguated by the
 cell-center average.
+
+The module also holds the package's polyline helpers, which import
+nothing from the package: arc-length resampling, the point-in-polygon
+test and interp_columns, the one column-wise linear interpolator.
 """
 
 from __future__ import annotations
@@ -147,7 +151,10 @@ def arc_length_resample(points: np.ndarray, n: int) -> np.ndarray:
     closed = np.allclose(points[0], points[-1])
     targets = (np.linspace(0.0, total, n, endpoint=not closed)
                if closed else np.linspace(0.0, total, n))
-    out = np.empty((n, points.shape[1]))
-    for j in range(points.shape[1]):
-        out[:, j] = np.interp(targets, s, points[:, j])
-    return out
+    return interp_columns(targets, s, points)
+
+
+def interp_columns(x, xp, fp) -> np.ndarray:
+    """Each column of the table fp, sampled at xp, linearly interpolated
+    onto x: an array of shape (len(x), fp.shape[1])."""
+    return np.column_stack([np.interp(x, xp, col) for col in fp.T])

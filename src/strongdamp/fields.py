@@ -25,6 +25,7 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, \
@@ -32,6 +33,7 @@ from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, \
 
 _ALLOWED_KEYS = {"d", "r", "b", "sigma", "alpha", "alpha0", "U", "l", "c",
                  "g", "G", "O", "beta", "box"}
+RAY_XTOL = 1e-14      # absolute root tolerance along a boundary ray
 
 
 class ProblemError(ConfigError):
@@ -262,10 +264,12 @@ def box_samples(box: np.ndarray, n: int, seed: int) -> np.ndarray:
 
 def boundary_points_by_ray(p: ProblemDefinition, n_rays: int,
                            seed: int = 0) -> np.ndarray:
-    """Sample the zero level set of phi by bisecting along rays from O.
+    """Sample the zero level set of phi along rays from O.
 
-    Requires phi(O) < 0.  Rays that never leave G inside the box are
-    dropped; raises when no boundary point is found.
+    The crossing on each ray is the root of phi between O and the box
+    face, found by scipy's brentq to RAY_XTOL.  Requires phi(O) < 0.
+    Rays that never leave G inside the box are dropped; raises when no
+    boundary point is found.
     """
     phi_O = float(p.eval_phi(p.O[None, :])[0])
     if phi_O >= 0:
@@ -293,14 +297,9 @@ def boundary_points_by_ray(p: ProblemDefinition, n_rays: int,
         f_hi = float(p.eval_phi((p.O + t_hi * u)[None, :])[0])
         if f_hi < 0:
             continue  # ray exits the box while still inside G
-        lo, hi = 0.0, float(t_hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(p.eval_phi((p.O + mid * u)[None, :])[0]) < 0:
-                lo = mid
-            else:
-                hi = mid
-        pts.append(p.O + hi * u)
+        t = brentq(lambda t: float(p.eval_phi((p.O + t * u)[None, :])[0]),
+                   0.0, float(t_hi), xtol=RAY_XTOL)
+        pts.append(p.O + t * u)
     if not pts:
         raise ProblemError("no boundary point of G found inside the box")
     return np.asarray(pts)

@@ -28,6 +28,7 @@ from scipy.special import logsumexp
 
 from .action import ControlSignal, DiscretePath, controlled_skeleton, \
     minimize_path, node_gradient
+from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
@@ -132,15 +133,6 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     return _fit_loglog(ladder, metrics)
 
 
-def _control_on_grid(u: ControlSignal, times: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the control onto simulation node times."""
-    out = np.empty((times.size, u.r))
-    src = u.times
-    for j in range(u.r):
-        out[:, j] = np.interp(times, src, u.values[:, j])
-    return out
-
-
 def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
                            eps_ladder, M: int, seed: int, q0=None, p0=None,
                            osc_amplitude=None) -> ScalingFit:
@@ -159,21 +151,18 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
     T = u.T
 
     skel = controlled_skeleton(p, u, q0)
-    skel_times = skel.times
 
     metrics = []
     for j, eps in enumerate(ladder):
         h = _sim_step(p, eps, T)
         sp = SimParams(eps=eps, T=T, h=h)
         times = np.arange(sp.steps + 1) * h
-        u_grid = _control_on_grid(u, times)
+        u_grid = interp_columns(times, u.times, u.values)
         if osc_amplitude is not None:
             amp = np.broadcast_to(np.asarray(osc_amplitude, dtype=float),
                                   (u.r,))
             u_grid = u_grid + np.sin(times[:, None] / eps) * amp
-        g_ref = np.empty((times.size, p.d))
-        for i in range(p.d):
-            g_ref[:, i] = np.interp(times, skel_times, skel.points[:, i])
+        g_ref = interp_columns(times, skel.times, skel.points)
         acc = 0.0
         for _, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
                                           first_id=j * M, rows=BATCH):
@@ -192,10 +181,16 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
 CostLike = Union[str, ScalarExpr]
 
 
-def _as_expr(terminal_cost: CostLike) -> ScalarExpr:
-    if isinstance(terminal_cost, ScalarExpr):
-        return terminal_cost
-    return parse_expression(str(terminal_cost))
+def _as_expr(terminal_cost: CostLike, d: int) -> ScalarExpr:
+    """The terminal cost as an expression of q1..qd only."""
+    cost = (terminal_cost if isinstance(terminal_cost, ScalarExpr)
+            else parse_expression(str(terminal_cost)))
+    if cost.uses_u:
+        raise ConfigError("terminal cost must depend on q only")
+    if cost.max_q_index > d:
+        raise ConfigError(
+            f"terminal cost references q{cost.max_q_index} but d = {d}")
+    return cost
 
 
 def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
@@ -203,9 +198,7 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
                                   seed: int = 0):
     """min over paths from q_start (free right endpoint) of
     terminal_cost(f(T)) + action(f); returns (value, endpoint, path)."""
-    cost = _as_expr(terminal_cost)
-    if cost.uses_u:
-        raise ConfigError("terminal cost must depend on q only")
+    cost = _as_expr(terminal_cost, p.d)
     q_start = np.asarray(q_start, dtype=float)
     d = p.d
     if T <= 0 or N < 8:
@@ -246,7 +239,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
     Each rung is one log_mean_weight call.
     """
-    cost = _as_expr(terminal_cost)
+    cost = _as_expr(terminal_cost, p.d)
     q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
     ladder = np.asarray(eps_ladder, dtype=float)
     if ladder.size < 2:

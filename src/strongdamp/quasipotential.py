@@ -5,8 +5,8 @@ over all travel times T and all paths joining them.  At fixed T the
 discrete action is minimized over the interior nodes (endpoints are hard
 constraints) by action.minimize_path, the L-BFGS path driver shared with
 the Laplace check and the front values; the travel time is then
-optimized over a log-spaced ladder followed by a golden-section
-refinement.
+optimized over a log-spaced ladder followed by a bounded Brent search
+in log T (scipy.optimize.minimize_scalar) around the best rung.
 
 When the drift has gradient structure (alpha b = -grad U, sigma sigma^T = I,
 rotational part orthogonal to grad U), the quasipotential from the rest
@@ -17,13 +17,15 @@ closed form for cross-checking the optimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .action import DiscretePath, minimize_path, node_gradient
-from .contour import arc_length_resample, contour_polylines, point_in_polygon
+from .contour import arc_length_resample, contour_polylines, \
+    interp_columns, point_in_polygon
 from .errors import ConfigError, NumericalError
 from .fields import (ProblemDefinition, ProblemError, boundary_points_by_ray,
                      validate_hypotheses)
@@ -31,6 +33,7 @@ from .fields import (ProblemDefinition, ProblemError, boundary_points_by_ray,
 GRAD_TOL = 1e-6
 H_MAX = 0.25          # segment step never coarser than this
 DEFAULT_LADDER = (0.5, 64.0, 8)
+LOG_T_TOL = 0.015     # xatol of the travel-time search, in log T
 
 
 @dataclass
@@ -72,22 +75,11 @@ class MinActionResult:
     converged: bool
 
 
-def _resample_path(points: np.ndarray, m: int) -> np.ndarray:
-    """Linear resampling of node positions onto m+1 uniform nodes."""
-    n = points.shape[0] - 1
-    if n == m:
-        return points.copy()
-    src = np.linspace(0.0, 1.0, n + 1)
-    dst = np.linspace(0.0, 1.0, m + 1)
-    out = np.empty((m + 1, points.shape[1]))
-    for j in range(points.shape[1]):
-        out[:, j] = np.interp(dst, src, points[:, j])
-    return out
-
-
 def _initial_points(mp: MinActionProblem, m: int) -> np.ndarray:
     if mp.init is not None:
-        pts = _resample_path(mp.init, m)
+        # linear resampling onto m+1 uniform nodes
+        pts = interp_columns(np.linspace(0.0, 1.0, m + 1),
+                             np.linspace(0.0, 1.0, len(mp.init)), mp.init)
     else:
         t = np.linspace(0.0, 1.0, m + 1)[:, None]
         pts = (1.0 - t) * mp.q_start + t * mp.q_end
@@ -112,7 +104,9 @@ def minimize_action_fixed_T(p: ProblemDefinition, mp: MinActionProblem,
     sup-norm fell below GRAD_TOL * (1 + |value|); otherwise the best
     iterate is returned with converged=False.
     """
-    for q in (mp.q_start, mp.q_end):
+    for name, q in (("q_start", mp.q_start), ("q_end", mp.q_end)):
+        if q.shape != (p.d,):
+            raise ConfigError(f"{name} must have shape ({p.d},)")
         if not p.in_box(q):
             raise ConfigError(
                 f"endpoint {q} lies outside the validated box; the action "
@@ -147,8 +141,10 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
                    seed: int = 0) -> MinActionResult:
     """Infimum of the action over paths q_start -> q_end and over T.
 
-    Scans the T ladder, then golden-section refines log T around the best
-    rung, warm-starting each refinement solve from the incumbent path.
+    Scans the T ladder, then minimizes over log T between the neighbours
+    of the best rung with scipy's bounded Brent search, warm-starting each
+    of its solves from the best rung's path.  Returns the best of all
+    solves, ladder rungs included.
     """
     if q_start is None:
         q_start = p.O
@@ -161,44 +157,21 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
                           init=init, seed=seed)
 
     results = [minimize_action_fixed_T(p, mp, T) for T in ladder]
-    values = [r.value for r in results]
-    k = int(np.argmin(values))
-    best = results[k]
+    k = int(np.argmin([r.value for r in results]))
     if ladder.size == 1 or not refine:
-        return best
+        return results[k]
 
-    lo = math.log(ladder[max(k - 1, 0)])
-    hi = math.log(ladder[min(k + 1, ladder.size - 1)])
-    if hi - lo < 1e-9:
-        return best
+    warm = replace(mp, init=results[k].path.points)
 
-    def solve(logT):
-        warm = MinActionProblem(q_start=mp.q_start, q_end=mp.q_end, N=N,
-                                mode=mode, init=best.path.points, seed=seed)
-        return minimize_action_fixed_T(p, warm, math.exp(logT))
+    def action_at(logT):
+        results.append(minimize_action_fixed_T(p, warm, math.exp(logT)))
+        return results[-1].value
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    r1, r2 = solve(c1), solve(c2)
-    for r in (r1, r2):
-        if r.value < best.value:
-            best = r
-    while b - a > 0.02:
-        if r1.value <= r2.value:
-            b, c2, r2 = c2, c1, r1
-            c1 = b - invphi * (b - a)
-            r1 = solve(c1)
-            if r1.value < best.value:
-                best = r1
-        else:
-            a, c1, r1 = c1, c2, r2
-            c2 = a + invphi * (b - a)
-            r2 = solve(c2)
-            if r2.value < best.value:
-                best = r2
-    return best
+    minimize_scalar(action_at, method="bounded", options={"xatol": LOG_T_TOL},
+                    bounds=(math.log(ladder[max(k - 1, 0)]),
+                            math.log(ladder[min(k + 1, ladder.size - 1)])))
+    # min keeps the first of equal values: ties go to the earlier solve
+    return min(results, key=lambda r: r.value)
 
 
 def check_action_equivalence(p: ProblemDefinition, q_end, **cfg):

@@ -10,6 +10,7 @@ import pytest
 
 import strongdamp
 import strongdamp.acceptance
+import strongdamp.ldpcheck
 from strongdamp import __version__, cli
 from strongdamp.acceptance import CriterionResult
 from strongdamp.artifacts import hash_tree, load_manifest, write_path_csv
@@ -158,18 +159,22 @@ def test_exit_drift_domain_error_is_numerical_failure(tmp_path, capsys):
     assert "log(2 - q1)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, block", [
-    ("exit", {"eps_ladder": [0.35], "M": 2, "q0": [0.0, 0.0]}),
-    ("exit", {"eps_ladder": [0.35], "M": 2, "p0": [0.0, 0.0]}),
-    ("simulate", {"eps": 0.3, "T": 0.1, "p0": [0.0, 1.0]}),
-], ids=["exit_q0", "exit_p0", "simulate_p0"])
+@pytest.mark.parametrize("problem, command, block", [
+    ("p1", "exit", {"eps_ladder": [0.35], "M": 2, "q0": [0.0, 0.0]}),
+    ("p1", "exit", {"eps_ladder": [0.35], "M": 2, "p0": [0.0, 0.0]}),
+    ("p1", "simulate", {"eps": 0.3, "T": 0.1, "p0": [0.0, 1.0]}),
+    ("p1", "quasipotential", {"q_end": [1.0, 1.0], "q_start": [0.0, 0.0]}),
+    ("p3", "quasipotential", {"q_end": [0.5], "q_start": [0.0]}),
+], ids=["exit_q0", "exit_p0", "simulate_p0", "quasipotential_d2_on_p1",
+        "quasipotential_d1_on_p3"])
 def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
-                                                   command, block):
-    cfg = write_cfg(tmp_path, {"problem": "p1", command: block})
+                                                   problem, command, block):
+    cfg = write_cfg(tmp_path, {"problem": problem, command: block})
     rc = cli.main([command, "--config", cfg,
                    "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "must have shape (1,)" in capsys.readouterr().err
+    d = {"p1": 1, "p3": 2}[problem]
+    assert f"must have shape ({d},)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("point", [
@@ -203,6 +208,49 @@ def test_unused_keys_are_rejected(tmp_path, capsys, command, key, value):
                    "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "Additional properties are not allowed" in capsys.readouterr().err
+
+
+CSV_CONTROL = {"eps_ladder": [0.3], "M": 2,
+               "control": {"kind": "csv", "T": 1.0}}
+
+
+@pytest.mark.parametrize("problem, command, block, message", [
+    ("kpp1d", "front", {"spacing": 0.05, "t_values": [1.0]},
+     "'c' is a dependency of 't_values'"),
+    ("p1", "verify", {"controlled": CSV_CONTROL},
+     "'path' is a required property"),
+    ("p1", "action", {"path_csv": "missing.csv"}, "not found: missing.csv"),
+    ("p1", "simulate", {"eps": 0.3, "T": 0.1, "control_csv": "missing.csv"},
+     "not found: missing.csv"),
+    ("p1", "verify", {"controlled": {**CSV_CONTROL, "control": {
+        **CSV_CONTROL["control"], "path": "missing.csv"}}},
+     "not found: missing.csv"),
+], ids=["front_t_values_without_c", "csv_control_without_path",
+        "missing_action_path_csv", "missing_simulate_control_csv",
+        "missing_csv_control_path"])
+def test_incomplete_config_is_config_error(tmp_path, monkeypatch, capsys,
+                                           problem, command, block,
+                                           message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"problem": problem, command: block})
+    rc = cli.main([command, "--config", cfg, "--seed", "0", "--out", "out"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_laplace_cost_beyond_d_is_rejected_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("laplace check drew paths")
+
+    monkeypatch.setattr(strongdamp.ldpcheck, "log_mean_weight", no_paths)
+    cfg = write_cfg(tmp_path, {"problem": "p1", "verify": {"laplace": {
+        "terminal_cost": "q2^2", "eps_ladder": [0.25, 0.125], "M": 4,
+        "T": 0.5}}})
+    rc = cli.main(["verify", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "terminal cost references q2 but d = 1" in capsys.readouterr().err
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):

@@ -129,11 +129,31 @@ def test_box_samples_deterministic_and_inside():
     assert np.all(a >= box[:, 0]) and np.all(a <= box[:, 1])
 
 
-def test_boundary_rays_and_normals():
-    p = load_preset("p3")
+def _ellipsoid(semi_axes):
+    """A drift-free problem whose G is the ellipsoid sum (qi/ai)^2 < 1."""
+    d = len(semi_axes)
+    eye = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    return load_problem({
+        "d": d, "r": d, "b": ["0"] * d, "sigma": eye, "alpha": "1",
+        "alpha0": 1.0, "O": [0.0] * d, "box": [[-3.0, 3.0]] * d,
+        "G": " + ".join(f"(q{i + 1}/{a})^2" for i, a in enumerate(semi_axes))
+             + " - 1"})
+
+
+@pytest.mark.parametrize("p, semi_axes", [
+    (load_preset("p3"), (1.0, 1.0)),
+    (_ellipsoid((2.0, 0.5)), (2.0, 0.5)),
+    (_ellipsoid((1.5, 1.5, 1.5)), (1.5, 1.5, 1.5)),
+], ids=["p3_unit_circle", "ellipse", "sphere_d3"])
+def test_boundary_rays_and_normals(p, semi_axes):
+    """Each ray point sits at the closed-form crossing of its direction u,
+    the radius 1 / |u / a| of the ellipsoid with semi-axes a about O = 0."""
     pts = boundary_points_by_ray(p, 16)
-    # boundary of the unit disk
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-6)
+    assert pts.shape == (16, p.d)
+    r = np.linalg.norm(pts, axis=1)
+    u = pts / r[:, None]
+    exact = 1.0 / np.linalg.norm(u / np.asarray(semi_axes), axis=1)
+    np.testing.assert_allclose(r, exact, rtol=0, atol=1e-12)
     nrm = inward_normals(p, pts)
     np.testing.assert_allclose(np.linalg.norm(nrm, axis=1), 1.0, atol=1e-9)
     # inward means pointing back toward the origin here

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ def test_refinement_does_not_worsen():
     fine = quasipotential(P1, [1.0], N=32, T_ladder=LADDER, refine=True)
     assert fine.value <= coarse.value + 1e-12
     assert fine.T_star > 0
+
+
+def test_travel_time_search_finds_interior_optimum():
+    """p1 from 0.5 to 1: the fixed-T minimum is
+    V(T) = (1 - 0.5 e^{-T})^2 / (1 - e^{-2T}), smallest (0.75) at
+    T* = log 2, between the first two rungs of the default ladder; the
+    ladder alone reads 0.768 at T = 0.5."""
+    res = quasipotential(P1, [1.0], q_start=[0.5])
+    assert res.value == pytest.approx(0.75, rel=1e-5)
+    assert res.T_star == pytest.approx(math.log(2.0), rel=2e-2)
 
 
 def test_action_form_equivalence():
