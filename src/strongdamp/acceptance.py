@@ -81,9 +81,10 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
     worst = 0.0
     for name in ("p1", "p2"):
         p = load_preset(name)
-        v1, v2, gap = check_action_equivalence(p, [1.0])
+        standard, alt, gap = check_action_equivalence(p, [1.0])
         worst = max(worst, gap)
-        rows.append({"preset": name, "standard": v1, "alt": v2, "gap": gap})
+        rows.append({"preset": name, "standard": standard.value,
+                     "alt": alt.value, "gap": gap})
     passed = worst <= 0.02
     return CriterionResult(2, "action-form equivalence", passed,
                            f"worst rel gap {worst:.2e} (tol 2e-2)",

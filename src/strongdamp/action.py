@@ -291,9 +291,7 @@ def controlled_skeleton(p: ProblemDefinition, u: ControlSignal, q0,
                         ) -> DiscretePath:
     """Integrate the controlled limit flow q' = (b + sigma u)/alpha with a
     classical fourth-order one-step method; u is interpolated linearly."""
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (p.d,):
-        raise ConfigError(f"q0 must have shape ({p.d},)")
+    q0 = p.point(q0, "q0")
     if u.r != p.r:
         raise ConfigError(f"control has r = {u.r}, problem needs {p.r}")
     N = u.N

@@ -209,18 +209,14 @@ def cmd_action(p, cfg, out, seed):
 
 
 def cmd_quasipotential(p, cfg, out, seed):
-    blk = dict(_block(cfg, "quasipotential"))
-    boundary = blk.pop("boundary", False)
-    want_equiv = blk.pop("equivalence", False)
-    kw = _given(blk, "mode", "N", "T_ladder", "refine")
-    if "T_ladder" in kw:
-        kw["T_ladder"] = np.asarray(kw["T_ladder"], dtype=float)
+    blk = _block(cfg, "quasipotential")
+    # the schema keeps q_start out of a boundary block
+    kw = _given(blk, "q_start", "N", "T_ladder", "refine")
     kw["seed"] = seed
-    outputs, plot = [], []
 
-    if boundary:
+    if blk.get("boundary"):
         scan = quasipotential_boundary(
-            p, **_given(blk, "boundary_samples", "grid_n"), **kw)
+            p, **_given(blk, "boundary_samples", "grid_n", "mode"), **kw)
         rows = ([s, *q, v] for s, q, v in
                 zip(scan.s, scan.points, scan.values))
         header = ["s"] + [f"q{i+1}" for i in range(p.d)] + ["V"]
@@ -228,27 +224,28 @@ def cmd_quasipotential(p, cfg, out, seed):
         write_json(os.path.join(out, "quasipotential.json"), {
             "V0": scan.V0, "q_star": scan.q_star, "index": scan.index,
         })
-        outputs += ["boundary.csv", "quasipotential.json"]
-        plot += [("boundary_V", s, v) for s, v in zip(scan.s, scan.values)]
-        return outputs, plot
+        plot = [("boundary_V", s, v) for s, v in zip(scan.s, scan.values)]
+        return ["boundary.csv", "quasipotential.json"], plot
 
     if "q_end" not in blk:
         raise ConfigError(
             "quasipotential block needs q_end (or boundary: true)")
-    res = quasipotential(p, blk["q_end"], blk.get("q_start"), **kw)
+    info = {"path_csv": "path.csv"}
+    if blk.get("equivalence"):
+        # both forms from one q_start; the reported result is mode's form
+        standard, alt, gap = check_action_equivalence(p, blk["q_end"], **kw)
+        info["equivalence"] = {"standard": standard.value,
+                               "alt": alt.value, "rel_gap": gap}
+        res = alt if blk.get("mode") == "alt" else standard
+    else:
+        res = quasipotential(p, blk["q_end"], **_given(blk, "mode"), **kw)
     write_path_csv(os.path.join(out, "path.csv"),
                    res.path.times, res.path.points)
-    info = {
-        "value": res.value, "T_star": res.T_star,
-        "grad_norm": res.grad_norm, "iterations": res.iterations,
-        "converged": res.converged, "path_csv": "path.csv",
-    }
-    if want_equiv:
-        v1, v2, gap = check_action_equivalence(p, blk["q_end"], **kw)
-        info["equivalence"] = {"standard": v1, "alt": v2, "rel_gap": gap}
+    info.update(value=res.value, T_star=res.T_star, grad_norm=res.grad_norm,
+                iterations=res.iterations, converged=res.converged)
     write_json(os.path.join(out, "quasipotential.json"), info)
-    plot += [("path_q1", t, v) for t, v in
-             zip(res.path.times, res.path.points[:, 0])]
+    plot = [("path_q1", t, v) for t, v in
+            zip(res.path.times, res.path.points[:, 0])]
     return ["quasipotential.json", "path.csv"], plot
 
 

@@ -142,13 +142,6 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     return tau, exit_pts, np.isnan(tau)
 
 
-def _start_vector(p: ProblemDefinition, name: str, value, default):
-    value = default if value is None else np.asarray(value, dtype=float)
-    if value.shape != (p.d,):
-        raise ConfigError(f"{name} must have shape ({p.d},)")
-    return value
-
-
 def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
                 timed_out: np.ndarray) -> ExitStats:
     ok = ~timed_out
@@ -192,8 +185,8 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
         raise ConfigError("eps must lie in (0, 1]")
     if M < 1:
         raise ConfigError("need at least one sample per rung")
-    q0 = _start_vector(p, "q0", q0, p.O)
-    p0 = _start_vector(p, "p0", p0, np.zeros(p.d))
+    q0 = p.point(p.O if q0 is None else q0, "q0")
+    p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
 
     stats = []
     for j, eps in enumerate(ladder):

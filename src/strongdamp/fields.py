@@ -137,6 +137,13 @@ class ProblemDefinition:
         pts = np.vstack([pts, self.O[None, :]])
         return float(np.max(self.eval_alpha(pts)))
 
+    def point(self, q, name: str) -> np.ndarray:
+        """q as a float array of shape (d,); ConfigError naming it if not."""
+        q = np.asarray(q, dtype=float)
+        if q.shape != (self.d,):
+            raise ConfigError(f"{name} must have shape ({self.d},)")
+        return q
+
     def in_box(self, q) -> bool:
         q = np.asarray(q, dtype=float)
         return bool(np.all(q >= self.box[:, 0]) and np.all(q <= self.box[:, 1]))

@@ -273,9 +273,7 @@ def _front_value(p: ProblemDefinition, q, t: float, N: int,
     """
     if p.c is None:
         raise ProblemError("problem declares no reaction rate c")
-    q = np.asarray(q, dtype=float)
-    if q.shape != (p.d,):
-        raise ConfigError(f"front point q must have shape ({p.d},)")
+    q = p.point(q, "front point q")
     if t <= 0 or N < 2:
         raise ConfigError("need t > 0 and N >= 2")
     g0 = g0_samples(p) if samples is None else samples

@@ -199,7 +199,7 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
     """min over paths from q_start (free right endpoint) of
     terminal_cost(f(T)) + action(f); returns (value, endpoint, path)."""
     cost = _as_expr(terminal_cost, p.d)
-    q_start = np.asarray(q_start, dtype=float)
+    q_start = p.point(q_start, "q_start")
     d = p.d
     if T <= 0 or N < 8:
         raise ConfigError("need T > 0 and N >= 8")
@@ -240,7 +240,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     Each rung is one log_mean_weight call.
     """
     cost = _as_expr(terminal_cost, p.d)
-    q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
+    q0 = p.point(p.O if q0 is None else q0, "q0")
     ladder = np.asarray(eps_ladder, dtype=float)
     if ladder.size < 2:
         raise ConfigError("need at least 2 eps rungs to extrapolate")

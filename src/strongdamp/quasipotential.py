@@ -8,6 +8,11 @@ the Laplace check and the front values; the travel time is then
 optimized over a log-spaced ladder followed by a bounded Brent search
 in log T (scipy.optimize.minimize_scalar) around the best rung.
 
+The action has two quadratic forms, "standard" and "alt", which minimize
+to the same quasipotential.  check_action_equivalence solves both from the
+same q_start and returns both results with their relative gap, so a
+caller that wants one form and the check solves each form once.
+
 When the drift has gradient structure (alpha b = -grad U, sigma sigma^T = I,
 rotational part orthogonal to grad U), the quasipotential from the rest
 point equals twice the potential drop; gradient_case_oracle exposes that
@@ -17,7 +22,8 @@ closed form for cross-checking the optimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,35 +43,6 @@ LOG_T_TOL = 0.015     # xatol of the travel-time search, in log T
 
 
 @dataclass
-class MinActionProblem:
-    """Fixed-endpoint minimization request.
-
-    init, when given, is an (M+1, d) array of node positions used as the
-    starting path (resampled to the working resolution); otherwise a
-    straight line with a small seeded perturbation is used.
-    """
-
-    q_start: np.ndarray
-    q_end: np.ndarray
-    N: int = 64
-    mode: str = "standard"
-    init: Optional[np.ndarray] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        self.q_start = np.asarray(self.q_start, dtype=float)
-        self.q_end = np.asarray(self.q_end, dtype=float)
-        if self.q_start.shape != self.q_end.shape or self.q_start.ndim != 1:
-            raise ConfigError("endpoints must be equal-length vectors")
-        if self.N < 16:
-            raise ConfigError("need at least 16 path segments")
-        if self.init is not None:
-            self.init = np.asarray(self.init, dtype=float)
-            if self.init.ndim != 2 or self.init.shape[1] != self.q_start.size:
-                raise ConfigError("init path must have shape (M+1, d)")
-
-
-@dataclass
 class MinActionResult:
     value: float
     path: DiscretePath
@@ -75,19 +52,19 @@ class MinActionResult:
     converged: bool
 
 
-def _initial_points(mp: MinActionProblem, m: int) -> np.ndarray:
-    if mp.init is not None:
+def _initial_points(q_start, q_end, init, seed, m: int) -> np.ndarray:
+    if init is not None:
         # linear resampling onto m+1 uniform nodes
         pts = interp_columns(np.linspace(0.0, 1.0, m + 1),
-                             np.linspace(0.0, 1.0, len(mp.init)), mp.init)
+                             np.linspace(0.0, 1.0, len(init)), init)
     else:
         t = np.linspace(0.0, 1.0, m + 1)[:, None]
-        pts = (1.0 - t) * mp.q_start + t * mp.q_end
-        if np.any(mp.q_start != mp.q_end):
-            rng = np.random.default_rng(mp.seed)
+        pts = (1.0 - t) * q_start + t * q_end
+        if np.any(q_start != q_end):
+            rng = np.random.default_rng(seed)
             pts[1:-1] += 1e-3 * rng.standard_normal(pts[1:-1].shape)
-    pts[0] = mp.q_start
-    pts[-1] = mp.q_end
+    pts[0] = q_start
+    pts[-1] = q_end
     return pts
 
 
@@ -95,27 +72,40 @@ def _action_only(pts, costs, g_left, g_right):
     return float(np.sum(costs)), node_gradient(g_left, g_right, pin_end=True)
 
 
-def minimize_action_fixed_T(p: ProblemDefinition, mp: MinActionProblem,
-                            T: float) -> MinActionResult:
-    """Minimize the discrete action at fixed travel time T.
+def minimize_action_fixed_T(p: ProblemDefinition, q_start, q_end, T: float,
+                            *, N: int = 64, mode: str = "standard",
+                            init: Optional[np.ndarray] = None,
+                            seed: int = 0) -> MinActionResult:
+    """Minimize the discrete action from q_start to q_end at fixed travel
+    time T.
 
-    Interior nodes are free; the segment count is raised if needed so the
-    time step stays at or below H_MAX.  Success means the gradient
+    Interior nodes are free; the segment count N is raised if needed so
+    the time step stays at or below H_MAX.  init, when given, is an
+    (M+1, d) array of node positions used as the starting path (resampled
+    to the working resolution); otherwise a straight line with a small
+    perturbation seeded by seed is used.  Success means the gradient
     sup-norm fell below GRAD_TOL * (1 + |value|); otherwise the best
     iterate is returned with converged=False.
     """
-    for name, q in (("q_start", mp.q_start), ("q_end", mp.q_end)):
-        if q.shape != (p.d,):
-            raise ConfigError(f"{name} must have shape ({p.d},)")
+    q_start = p.point(q_start, "q_start")
+    q_end = p.point(q_end, "q_end")
+    for q in (q_start, q_end):
         if not p.in_box(q):
             raise ConfigError(
                 f"endpoint {q} lies outside the validated box; the action "
                 "there would rest on unchecked coefficients")
     if T <= 0:
         raise ConfigError("travel time must be positive")
-    m = max(mp.N, int(math.ceil(T / H_MAX)))
-    pts, res = minimize_path(p, T, _initial_points(mp, m), _action_only,
-                             mp.mode, pin_end=True)
+    if N < 16:
+        raise ConfigError("need at least 16 path segments")
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.ndim != 2 or init.shape[1] != p.d:
+            raise ConfigError("init path must have shape (M+1, d)")
+    m = max(N, int(math.ceil(T / H_MAX)))
+    pts, res = minimize_path(p, T, _initial_points(q_start, q_end, init,
+                                                   seed, m),
+                             _action_only, mode, pin_end=True)
     value = float(res.fun)
     gnorm = float(np.max(np.abs(res.jac))) if res.jac.size else 0.0
     if not np.isfinite(value):
@@ -127,11 +117,6 @@ def minimize_action_fixed_T(p: ProblemDefinition, mp: MinActionProblem,
         iterations=int(res.nit),
         grad_norm=gnorm,
         converged=gnorm <= GRAD_TOL * (1.0 + abs(value)))
-
-
-def _default_ladder() -> np.ndarray:
-    lo, hi, n = DEFAULT_LADDER
-    return np.geomspace(lo, hi, n)
 
 
 def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
@@ -148,23 +133,23 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
     """
     if q_start is None:
         q_start = p.O
-    ladder = (_default_ladder() if T_ladder is None
+    ladder = (np.geomspace(*DEFAULT_LADDER) if T_ladder is None
               else np.asarray(T_ladder, dtype=float))
     if ladder.ndim != 1 or ladder.size < 1 or np.any(ladder <= 0) \
             or np.any(np.diff(ladder) <= 0):
         raise ConfigError("T ladder must be positive and increasing")
-    mp = MinActionProblem(q_start=q_start, q_end=q_end, N=N, mode=mode,
-                          init=init, seed=seed)
+    solve = partial(minimize_action_fixed_T, p, q_start, q_end, N=N,
+                    mode=mode, seed=seed)
 
-    results = [minimize_action_fixed_T(p, mp, T) for T in ladder]
+    results = [solve(T, init=init) for T in ladder]
     k = int(np.argmin([r.value for r in results]))
     if ladder.size == 1 or not refine:
         return results[k]
 
-    warm = replace(mp, init=results[k].path.points)
+    warm = results[k].path.points
 
     def action_at(logT):
-        results.append(minimize_action_fixed_T(p, warm, math.exp(logT)))
+        results.append(solve(math.exp(logT), init=warm))
         return results[-1].value
 
     minimize_scalar(action_at, method="bounded", options={"xatol": LOG_T_TOL},
@@ -177,14 +162,18 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
 def check_action_equivalence(p: ProblemDefinition, q_end, **cfg):
     """Quasipotential under both quadratic forms and their relative gap.
 
-    The two integrands weight the drift mismatch differently but minimize
-    to the same value once T is free; the gap measures discretization and
-    optimization error.
+    Returns (standard, alt, relgap): the two MinActionResults of
+    quasipotential(p, q_end, mode=..., **cfg), so both forms share
+    q_start and every other keyword in cfg, and the relative gap of their
+    values.  The two integrands weight the drift mismatch differently but
+    minimize to the same value once T is free; the gap measures
+    discretization and optimization error.
     """
-    v1 = quasipotential(p, q_end, mode="standard", **cfg).value
-    v2 = quasipotential(p, q_end, mode="alt", **cfg).value
+    standard = quasipotential(p, q_end, mode="standard", **cfg)
+    alt = quasipotential(p, q_end, mode="alt", **cfg)
+    v1, v2 = standard.value, alt.value
     relgap = abs(v1 - v2) / max(abs(v1), abs(v2), 1e-30)
-    return v1, v2, relgap
+    return standard, alt, relgap
 
 
 @dataclass
@@ -253,6 +242,7 @@ def gradient_case_oracle(p: ProblemDefinition, q) -> float:
     structural facts are re-checked on a sample before the value is
     returned.
     """
+    q = p.point(q, "q")
     if p.U is None:
         raise ProblemError("problem declares no potential U")
     report = validate_hypotheses(p, samples=512, seed=0)
@@ -263,5 +253,4 @@ def gradient_case_oracle(p: ProblemDefinition, q) -> float:
     sv_hi = report.metrics["sigma_max_sv"]
     if abs(sv_lo - 1.0) > 1e-8 or abs(sv_hi - 1.0) > 1e-8:
         raise ProblemError("closed form needs sigma sigma^T = identity")
-    q = np.asarray(q, dtype=float)
     return float(2.0 * (p.eval_U(q[None, :])[0] - p.eval_U(p.O[None, :])[0]))

@@ -13,7 +13,8 @@ import strongdamp.acceptance
 import strongdamp.ldpcheck
 from strongdamp import __version__, cli
 from strongdamp.acceptance import CriterionResult
-from strongdamp.artifacts import hash_tree, load_manifest, write_path_csv
+from strongdamp.artifacts import hash_tree, load_manifest, read_csv, \
+    write_path_csv
 from strongdamp.errors import ConfigError
 
 
@@ -175,6 +176,82 @@ def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
     assert rc == 2
     d = {"p1": 1, "p3": 2}[problem]
     assert f"must have shape ({d},)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key", [
+    ({"boundary": True, "q_end": [1.0]}, "q_end"),
+    ({"boundary": True, "q_start": [0.0]}, "q_start"),
+    ({"boundary": True, "equivalence": True}, "equivalence"),
+    ({"q_end": [1.0], "boundary_samples": 4}, "boundary_samples"),
+    ({"boundary": False, "q_end": [1.0], "grid_n": 41}, "grid_n"),
+], ids=["boundary_q_end", "boundary_q_start", "boundary_equivalence",
+        "point_boundary_samples", "point_grid_n"])
+def test_quasipotential_keys_the_branch_ignores_are_rejected(
+        tmp_path, capsys, block, key):
+    cfg = write_cfg(tmp_path, {"problem": "p1_tilted",
+                               "quasipotential": block})
+    rc = cli.main(["quasipotential", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config invalid at quasipotential/{key}:" in \
+        capsys.readouterr().err
+
+
+def test_quasipotential_boundary_scan_on_tilted_well(tmp_path):
+    """p1_tilted: V = 2 (U(q) - U(O)) is 0.64 at q* = -1 and 1.44 at +1."""
+    cfg = write_cfg(tmp_path, {"problem": "p1_tilted", "quasipotential": {
+        "boundary": True, "N": 16, "T_ladder": [2.0, 4.0, 8.0]}})
+    out = tmp_path / "out"
+    assert cli.main(["quasipotential", "--config", cfg,
+                     "--seed", "0", "--out", str(out)]) == 0
+    header, rows = read_csv(str(out / "boundary.csv"))
+    assert header == ["s", "q1", "V"]
+    np.testing.assert_allclose(rows[:, 1], [-1.0, 1.0], atol=1e-6)
+    info = json.loads((out / "quasipotential.json").read_text())
+    assert abs(info["V0"] - 0.64) <= 1e-2
+    np.testing.assert_allclose(info["q_star"], [-1.0], atol=1e-6)
+
+
+def _run_equivalence(tmp_path, monkeypatch, problem, block):
+    """Run an equivalence request; return its quasipotential.json and the
+    mode of every quasipotential solve it made."""
+    # the package exports the function under its module's name
+    module = sys.modules["strongdamp.quasipotential"]
+    modes = []
+    solve = module.quasipotential
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "quasipotential", counted)
+    monkeypatch.setattr(cli, "quasipotential", counted)
+    cfg = write_cfg(tmp_path, {"problem": problem, "quasipotential": {
+        **block, "equivalence": True}})
+    out = tmp_path / "out"
+    assert cli.main(["quasipotential", "--config", cfg,
+                     "--seed", "0", "--out", str(out)]) == 0
+    return json.loads((out / "quasipotential.json").read_text()), modes
+
+
+def test_equivalence_reports_the_mode_form_from_one_solve_per_form(
+        tmp_path, monkeypatch):
+    info, modes = _run_equivalence(tmp_path, monkeypatch, "p1", {
+        "q_end": [1.0], "N": 16, "T_ladder": [1.0, 2.0, 4.0],
+        "mode": "alt"})
+    assert modes == ["standard", "alt"]
+    assert info["value"] == info["equivalence"]["alt"]
+
+
+def test_equivalence_starts_both_forms_at_q_start(tmp_path, monkeypatch):
+    """p2 from 0.5 to 1: V = 2 (U(1) - U(0.5)) = 0.75 under either form."""
+    info, modes = _run_equivalence(tmp_path, monkeypatch, "p2", {
+        "q_start": [0.5], "q_end": [1.0], "N": 24})
+    assert modes == ["standard", "alt"]
+    eq = info["equivalence"]
+    assert info["value"] == eq["standard"]
+    for form in ("standard", "alt"):
+        assert eq[form] == pytest.approx(0.75, rel=1e-3)
 
 
 @pytest.mark.parametrize("point", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import strongdamp.ldpcheck
 from strongdamp.action import ControlSignal
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
@@ -127,3 +128,20 @@ def test_variational_side_matches_linear_oracle():
 def test_terminal_cost_may_not_use_reaction_variable():
     with pytest.raises(ConfigError):
         minimize_terminal_plus_action(P1, P1.O, 1.0, "u + q1^2")
+
+
+def test_variational_start_of_wrong_shape_is_rejected():
+    with pytest.raises(ConfigError, match=r"q_start must have shape \(1,\)"):
+        minimize_terminal_plus_action(P1, [0.0, 0.5], 1.0,
+                                      "10*(q1-0.8)^2", N=16)
+
+
+def test_laplace_start_of_wrong_shape_is_rejected_before_simulating(
+        monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("laplace check drew paths")
+
+    monkeypatch.setattr(strongdamp.ldpcheck, "log_mean_weight", no_paths)
+    with pytest.raises(ConfigError, match=r"q0 must have shape \(1,\)"):
+        laplace_check(P1, "q1^2", (0.25, 0.125), M=4, T=0.5, seed=0,
+                      q0=[0.0, 0.5])

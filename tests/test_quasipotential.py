@@ -5,8 +5,7 @@ import pytest
 
 from strongdamp.errors import ConfigError
 from strongdamp.fields import load_preset
-from strongdamp.quasipotential import (MinActionProblem,
-                                       check_action_equivalence,
+from strongdamp.quasipotential import (check_action_equivalence,
                                        gradient_case_oracle,
                                        minimize_action_fixed_T,
                                        quasipotential,
@@ -22,8 +21,7 @@ def test_fixed_time_oracle_linear_drift():
     """For b = -q, alpha = sigma = 1 the fixed-T minimum from 0 to y is
     y^2 (e^{2T} - 1) / (4 sinh^2 T), attained on a sinh profile."""
     T, y = 1.0, 1.0
-    mp = MinActionProblem(q_start=np.zeros(1), q_end=np.array([y]), N=128)
-    res = minimize_action_fixed_T(P1, mp, T)
+    res = minimize_action_fixed_T(P1, np.zeros(1), np.array([y]), T, N=128)
     expect = y**2 * (np.exp(2 * T) - 1) / (4 * np.sinh(T) ** 2)
     assert res.converged
     assert res.value == pytest.approx(expect, rel=1e-3)
@@ -34,8 +32,8 @@ def test_fixed_time_oracle_linear_drift():
 
 
 def test_longer_T_approaches_quasipotential():
-    mp = MinActionProblem(q_start=np.zeros(1), q_end=np.array([1.0]), N=64)
-    vals = [minimize_action_fixed_T(P1, mp, T).value for T in (1.0, 4.0)]
+    vals = [minimize_action_fixed_T(P1, [0.0], [1.0], T).value
+            for T in (1.0, 4.0)]
     assert vals[1] < vals[0]
     assert vals[1] == pytest.approx(1.0, rel=5e-3)
 
@@ -53,6 +51,24 @@ def test_quasipotential_matches_gradient_oracle():
 def test_oracle_value_is_twice_potential_drop():
     # U = q^2/2 everywhere here, so the oracle is q^2 exactly
     assert gradient_case_oracle(P2, [1.3]) == pytest.approx(1.69)
+
+
+@pytest.mark.parametrize("preset, q", [("p1", [1.0, 2.0]), ("p3", [1.0]),
+                                       ("p1", 1.0)],
+                         ids=["d2_on_p1", "d1_on_p3", "scalar_on_p1"])
+def test_oracle_rejects_point_of_wrong_shape(preset, q):
+    d = {"p1": 1, "p3": 2}[preset]
+    with pytest.raises(ConfigError, match=rf"q must have shape \({d},\)"):
+        gradient_case_oracle(load_preset(preset), q)
+
+
+def test_fixed_time_solve_checks_its_request():
+    for args, kw in ((([0.0, 0.0], [1.0], 1.0), {}),
+                     (([0.0], [1.0], 1.0), {"N": 8}),
+                     (([0.0], [1.0], 0.0), {}),
+                     (([0.0], [1.0], 1.0), {"init": np.zeros((5, 2))})):
+        with pytest.raises(ConfigError):
+            minimize_action_fixed_T(P1, *args, **kw)
 
 
 def test_endpoint_must_stay_in_box():
@@ -85,10 +101,10 @@ def test_travel_time_search_finds_interior_optimum():
 
 
 def test_action_form_equivalence():
-    v1, v2, gap = check_action_equivalence(P2, [1.0], N=32)
+    standard, alt, gap = check_action_equivalence(P2, [1.0], N=32)
     assert gap < 1e-2
-    assert v1 == pytest.approx(1.0, rel=1e-2)
-    assert v2 == pytest.approx(1.0, rel=1e-2)
+    assert standard.value == pytest.approx(1.0, rel=1e-2)
+    assert alt.value == pytest.approx(1.0, rel=1e-2)
 
 
 def test_path_runs_from_start_to_end():
