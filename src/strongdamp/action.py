@@ -131,8 +131,8 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
     if mode not in _MODES:
         raise ConfigError(f"unknown action mode {mode!r}")
     d, r, h, with_b = p.d, p.r, T / N, mode != "driftfree"
-    al_c = float(p.eval_alpha(p.O[None])[0]) if p.alpha_is_constant else None
-    sig_c = p.eval_sigma(p.O[None]) if p.sigma_is_constant else None
+    al_c = p.alpha_const
+    sig_c = None if p.sigma_const is None else p.sigma_const[None]
     if sig_c is not None:
         _check_sigma(sig_c)
     a_c = None if sig_c is None else sig_c @ np.swapaxes(sig_c, -1, -2)

@@ -252,7 +252,7 @@ def cmd_quasipotential(p, cfg, out, seed):
 def cmd_exit(p, cfg, out, seed):
     blk = _block(cfg, "exit")
     sc = exit_scaling(
-        p, np.asarray(blk["eps_ladder"], dtype=float), int(blk["M"]), seed,
+        p, blk["eps_ladder"], int(blk["M"]), seed,
         **_given(blk, "q0", "p0", "h", "scheme", "max_steps", "V0_hint"))
     write_csv(os.path.join(out, "rungs.csv"),
               ["eps", "n", "mean_tau", "ci", "eps_log_mean", "timeouts"],
@@ -362,9 +362,8 @@ def cmd_verify(p, cfg, out, seed):
     report = {}
     if "h_scaling" in blk:
         s = blk["h_scaling"]
-        fit = h_eps_scaling(p, np.asarray(s["eps_ladder"], dtype=float),
-                            int(s["M"]), float(s["T"]), seed,
-                            **_given(s, "k"))
+        fit = h_eps_scaling(p, s["eps_ladder"], int(s["M"]), float(s["T"]),
+                            seed, **_given(s, "k"))
         lo = tol.get("h_exponent_lo", H_EXPONENT_RANGE[0])
         hi = tol.get("h_exponent_hi", H_EXPONENT_RANGE[1])
         r2 = tol.get("r_squared_min", H_R2_MIN)
@@ -378,8 +377,8 @@ def cmd_verify(p, cfg, out, seed):
         s = blk["controlled"]
         u = _build_control(s["control"])
         fit = controlled_convergence(
-            p, u, np.asarray(s["eps_ladder"], dtype=float), int(s["M"]),
-            seed, **_given(s, "q0", "p0", "osc_amplitude"))
+            p, u, s["eps_ladder"], int(s["M"]), seed,
+            **_given(s, "q0", "p0", "osc_amplitude"))
         decreasing = bool(np.all(np.diff(fit.metric_values) < 0))
         report["controlled"] = {
             "eps": fit.eps_values, "metrics": fit.metric_values,
@@ -389,8 +388,8 @@ def cmd_verify(p, cfg, out, seed):
     if "laplace" in blk:
         s = blk["laplace"]
         rep = laplace_check(
-            p, s["terminal_cost"], np.asarray(s["eps_ladder"], dtype=float),
-            int(s["M"]), float(s["T"]), seed,
+            p, s["terminal_cost"], s["eps_ladder"], int(s["M"]),
+            float(s["T"]), seed,
             **_given(s, "q0", "N", "ci_threshold"))
         gap_tol = tol.get("laplace_rel_gap", LAPLACE_GAP_MAX)
         report["laplace"] = {

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import default_step, make_step, philox_keys, philox_start
+from .sde import check_ladder, default_step, make_step, philox_keys, \
+    philox_start
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
@@ -100,7 +101,7 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
         True once no row is left."""
         nonlocal q, v, phi, live
         st, phi_of = (step.checked, G.checked) if checked else (step, G)
-        q1, v1, _ = st(q, v, inc[:, k] if live is None else inc[live, k])
+        q1, v1 = st(q, v, inc[:, k] if live is None else inc[live, k])
         phi1 = phi_of(q1).reshape(phi.shape)
         if phi1.max() >= 0:
             crossed = phi1 >= 0
@@ -178,11 +179,7 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     """
     if p.G is None:
         raise ConfigError("problem declares no exit domain G")
-    ladder = np.asarray(eps_ladder, dtype=float)
-    if ladder.ndim != 1 or ladder.size < 1 or np.any(np.diff(ladder) >= 0):
-        raise ConfigError("eps ladder must be strictly decreasing")
-    if not np.all((ladder > 0) & (ladder <= 1)):
-        raise ConfigError("eps must lie in (0, 1]")
+    ladder = check_ladder(eps_ladder, 1)
     if M < 1:
         raise ConfigError("need at least one sample per rung")
     q0 = p.point(p.O if q0 is None else q0, "q0")

@@ -62,13 +62,16 @@ class ProblemDefinition:
     def _sigma_flat(self) -> tuple:
         return tuple(e for row in self.sigma for e in row)
 
+    # sigma (d, r) and alpha frozen once when they do not depend on q
     @cached_property
-    def sigma_is_constant(self) -> bool:
-        return all(not e.variables for row in self.sigma for e in row)
+    def sigma_const(self) -> Optional[np.ndarray]:
+        return None if any(e.variables for e in self._sigma_flat) \
+            else self.eval_sigma(self.O[None, :])[0]
 
     @cached_property
-    def alpha_is_constant(self) -> bool:
-        return not self.alpha.variables
+    def alpha_const(self) -> Optional[float]:
+        return None if self.alpha.variables \
+            else float(self.eval_alpha(self.O[None, :])[0])
 
     # -- field evaluation (expr.evaluate: compiled, checked on failure) -------
 

@@ -108,7 +108,7 @@ def riemannian_distance(p: ProblemDefinition, spacing: float) -> GridField:
         raise ProblemError("no grid node lies inside G0 = {g > 0}")
 
     h = spacing
-    constant = p.sigma_is_constant and p.alpha_is_constant
+    constant = p.sigma_const is not None and p.alpha_const is not None
 
     def edge_weights(c0, c1, dq):
         # length element alpha * sqrt(dq^T a^-1 dq), the square root of the

@@ -32,8 +32,8 @@ from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, grad_field, parse_expression
 from .fields import ProblemDefinition
-from .sde import NoisePath, SimParams, default_step, simulate_inertial, \
-    snap_step, stochastic_convolution
+from .sde import NoisePath, SimParams, check_ladder, default_step, \
+    simulate_inertial, snap_step, stochastic_convolution
 
 # Rows per batch of the checks that sum per-batch partial sums: another
 # split would round those sums differently.
@@ -53,11 +53,8 @@ class ScalingFit:
     r_squared: float
 
 
-def _fit_loglog(eps_values, metrics) -> ScalingFit:
-    eps_values = np.asarray(eps_values, dtype=float)
+def _fit_loglog(eps_values: np.ndarray, metrics) -> ScalingFit:
     metrics = np.asarray(metrics, dtype=float)
-    if eps_values.size < 3:
-        raise ConfigError("scaling fit needs at least 3 rungs")
     if np.any(metrics <= 0):
         raise NumericalError(
             "degenerate scaling fit: a rung produced a zero metric")
@@ -111,10 +108,7 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     factor), which is also what the k-moment metric at fixed T shows.
     Pick T accordingly for the regime under test.
     """
-    ladder = np.asarray(eps_ladder, dtype=float)
-    if ladder.size < 3:
-        raise ConfigError("need at least 3 eps rungs")
-
+    ladder = check_ladder(eps_ladder, 3)
     metrics = []
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
@@ -143,11 +137,9 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
     sin(t/eps) * osc_amplitude to the control per rung (a weakly but not
     strongly vanishing perturbation); the limit must not care.
     """
-    ladder = np.asarray(eps_ladder, dtype=float)
-    if ladder.size < 1:
-        raise ConfigError("need at least one eps rung")
-    q0 = p.O.copy() if q0 is None else np.asarray(q0, dtype=float)
-    p0 = np.zeros(p.d) if p0 is None else np.asarray(p0, dtype=float)
+    ladder = check_ladder(eps_ladder, 1)
+    q0 = p.point(p.O if q0 is None else q0, "q0")
+    p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
     T = u.T
 
     skel = controlled_skeleton(p, u, q0)
@@ -241,9 +233,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     """
     cost = _as_expr(terminal_cost, p.d)
     q0 = p.point(p.O if q0 is None else q0, "q0")
-    ladder = np.asarray(eps_ladder, dtype=float)
-    if ladder.size < 2:
-        raise ConfigError("need at least 2 eps rungs to extrapolate")
+    ladder = check_ladder(eps_ladder, 2)
 
     lhs = np.empty(ladder.size)
     flagged = np.zeros(ladder.size, dtype=bool)

@@ -223,6 +223,20 @@ class SimParams:
         return round(self.T / self.h)
 
 
+def check_ladder(eps_ladder, min_rungs: int) -> np.ndarray:
+    """eps_ladder as a float array; ConfigError unless it is 1-D, has at
+    least min_rungs rungs and decreases strictly, each eps in (0, 1]."""
+    ladder = np.asarray(eps_ladder, dtype=float)
+    if ladder.ndim != 1 or ladder.size < min_rungs:
+        raise ConfigError(
+            f"eps ladder must be a list of at least {min_rungs} eps values")
+    if np.any(np.diff(ladder) >= 0):
+        raise ConfigError("eps ladder must be strictly decreasing")
+    if not np.all((ladder > 0) & (ladder <= 1)):
+        raise ConfigError("eps must lie in (0, 1]")
+    return ladder
+
+
 @dataclass
 class Trajectory:
     """A realization on a uniform grid.  Arrays may carry a leading batch
@@ -232,7 +246,6 @@ class Trajectory:
     q: np.ndarray            # (..., K+1, d)
     p: np.ndarray            # (..., K+1, d) or (..., K+1, 0)
     eps: float
-    friction_integral: np.ndarray  # (..., K+1), integral of alpha along the path
     convolution: Optional[np.ndarray] = None  # (..., K+1, d)
 
     @property
@@ -246,7 +259,6 @@ class Trajectory:
     def row(self, i: int) -> "Trajectory":
         """Path i of a batch, as views."""
         return replace(self, q=self.q[i], p=self.p[i],
-                       friction_integral=self.friction_integral[i],
                        convolution=None if self.convolution is None
                        else self.convolution[i])
 
@@ -304,14 +316,14 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     the left point, or with scheme "first_order" one Euler-Maruyama step
     of the first-order limit equation.
 
-    Returns step(q, v, dW, u=None) -> (q1, v1, alpha): positions and
-    velocities (..., d), Brownian increments dW (..., r), an optional
-    control value u (r,), and the friction at q, (...,) or a float when
-    constant, for the friction integral.  The first-order step hands v
-    back unchanged.  The Euler scheme raises StabilityError for
-    h > default_step.  step runs the generated field evaluators
-    unchecked, under run_trapped; step.checked is the same step on their
-    checked twins (expr.compiled_all), which name a sub-expression that traps.
+    Returns step(q, v, dW, u=None) -> (q1, v1): positions and velocities
+    (..., d), from Brownian increments dW (..., r) and an optional control
+    value u (r,).  The first-order step hands v back unchanged.  The
+    Euler scheme raises StabilityError for h > default_step.  A constant
+    alpha or sigma is frozen once (p.alpha_const, p.sigma_const); step
+    runs the generated evaluators of the other fields unchecked, under
+    run_trapped, and step.checked is the same step on their checked twins
+    (expr.compiled_all), which name a sub-expression that traps.
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -326,9 +338,7 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     sqrt_h = math.sqrt(h)
     h_eps2 = h / eps2
     half_h = 0.5 * h
-    sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
-    al_c = float(p.eval_alpha(p.O[None, :])[0]) if p.alpha_is_constant \
-        else None
+    sig_c, al_c = p.sigma_const, p.alpha_const
 
     def relax(al):     # decay, 1 - decay, mu1, h - mu1, noise amplitude
         decay = np.exp(-al * h / eps2)
@@ -358,7 +368,7 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
             sig, al, drift = frozen(q, u)
             v1 = (v + h_eps2 * (drift - al * v)
                   + noise_pow * apply_sigma(sig, dW) / eps2)
-            return q + h * v, v1, al if al_c is not None else al[..., 0]
+            return q + h * v, v1
 
         def exponential(q, v, dW, u=None):
             sig, al, drift = frozen(q, u)
@@ -368,12 +378,12 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
             xi = amp * apply_sigma(sig, dW) / sqrt_h
             v1 = decay * v + keep * drift + xi
             q1 = q + v * mu1 + drift * h_mu1 + half_h * xi
-            return q1, v1, al if al_c is not None else al[..., 0]
+            return q1, v1
 
         def first_order(q, v, dW, u=None):
             sig, al, drift = frozen(q, u)
             q1 = q + h * drift / al + noise_pow * apply_sigma(sig, dW) / al
-            return q1, v, al if al_c is not None else al[..., 0]
+            return q1, v
 
         return {"euler": euler, "exponential": exponential,
                 "first_order": first_order}[scheme]
@@ -403,26 +413,22 @@ def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
     lead = noise.increments.shape[:-2]
     q = np.empty((steps + 1,) + lead + (p.d,))
     pv = np.empty((steps + 1,) + lead + (0 if p0 is None else p.d,))
-    A = np.empty((steps + 1,) + lead)
     q[0] = q0
     if p0 is not None:
         if np.shape(p0) not in ((p.d,), q[0].shape):
             raise ConfigError(f"p0 must have shape ({p.d},) or (M, {p.d})")
         pv[0] = np.asarray(p0, dtype=float) / eps
-    A[0] = 0.0
     inc = np.moveaxis(noise.increments, -2, 0)
 
     def advance(n, checked):
-        q[n + 1], pv[n + 1], al = (step.checked if checked else step)(
+        q[n + 1], pv[n + 1] = (step.checked if checked else step)(
             q[n], pv[n], inc[n], None if u_vals is None else u_vals[n])
-        A[n + 1] = A[n] + al * sp.h
     run_trapped(steps, advance)
 
     if not np.all(np.isfinite(q[steps])):
         raise NumericalError("trajectory diverged (non-finite position)")
     return Trajectory(times=times, q=np.moveaxis(q, 0, -2),
-                      p=np.moveaxis(pv, 0, -2), eps=eps,
-                      friction_integral=np.moveaxis(A, 0, -1))
+                      p=np.moveaxis(pv, 0, -2), eps=eps)
 
 
 def simulate_inertial(p: ProblemDefinition, sp: SimParams, q0, p0,
@@ -455,8 +461,10 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     H(t_n) = eps^(1/2-beta) * sum_{k<n} exp(-(A(t_n)-A(t_k))/eps^2)
              sigma(q(t_k)) dW_k,
 
-    a left-point sum evaluated with the stored friction_integral.  Returns
-    the trajectory with H attached.
+    a left-point sum.  The friction integral A(t_n) = sum_{k<n}
+    alpha(q(t_k)) h, sigma and the kicks are computed for all steps at
+    once; only H(t_{n+1}) = decay_n (H(t_n) + kick_n) runs per step.
+    Returns the trajectory with H attached.
     """
     steps = tr.times.shape[0] - 1
     if noise.steps < steps:
@@ -465,18 +473,17 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     if abs(noise.dt * steps - (tr.times[-1] - tr.times[0])) > 1e-9:
         raise GridMismatchError("noise grid does not match trajectory grid")
 
-    q = np.moveaxis(tr.q, -2, 0)
-    A = np.moveaxis(tr.friction_integral, -1, 0)
-    inc = np.moveaxis(noise.increments, -2, 0)
-    eps2 = tr.eps**2
-    noise_pow = tr.eps ** (0.5 - p.beta)
-    sig_c = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant else None
-    H = np.zeros(q.shape)
+    q = np.moveaxis(tr.q, -2, 0)[:-1]          # left points, (K, ..., d)
+    inc = np.moveaxis(noise.increments, -2, 0)[:steps]
+    al = np.full(q.shape[:-1], p.alpha_const) if p.alpha_const is not None \
+        else p.eval_alpha(q)
+    A = np.cumsum(al * tr.times[1], axis=0)      # A(t_1), ..., A(t_K)
+    decay = np.exp(-np.diff(A, axis=0, prepend=0.0) / tr.eps**2)[..., None]
+    sig = p.sigma_const if p.sigma_const is not None else p.eval_sigma(q)
+    kick = tr.eps ** (0.5 - p.beta) * _apply_sigma(sig, inc)
+    H = np.zeros((steps + 1,) + q.shape[1:])
     for n in range(steps):
-        sig_n = sig_c if sig_c is not None else p.eval_sigma(q[n])
-        kick = noise_pow * _apply_sigma(sig_n, inc[n])
-        decay = np.exp(-(A[n + 1] - A[n]) / eps2)[..., None]
-        H[n + 1] = decay * (H[n] + kick)
+        H[n + 1] = decay[n] * (H[n] + kick[n])
     return replace(tr, convolution=np.moveaxis(H, 0, -2))
 
 

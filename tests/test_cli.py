@@ -147,6 +147,18 @@ def test_exit_rejects_eps_above_one(tmp_path, capsys):
     assert "eps must lie in (0, 1]" in capsys.readouterr().err
 
 
+def test_verify_rejects_an_increasing_ladder(tmp_path, capsys):
+    """Listed upward, these rungs made a failed check out of metrics that
+    grow with eps; a ladder must decrease, so the command exits 2."""
+    cfg = write_cfg(tmp_path, {"problem": "p2", "verify": {"controlled": {
+        "eps_ladder": [0.05, 0.1, 0.2], "M": 40,
+        "control": {"kind": "sin", "T": 1.5}}}})
+    rc = cli.main(["verify", "--config", cfg,
+                   "--seed", "5", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "eps ladder must be strictly decreasing" in capsys.readouterr().err
+
+
 def test_exit_drift_domain_error_is_numerical_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "problem": {

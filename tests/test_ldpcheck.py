@@ -8,6 +8,7 @@ from strongdamp.fields import load_preset, load_problem
 from strongdamp.ldpcheck import (controlled_convergence, h_eps_scaling,
                                  laplace_check,
                                  minimize_terminal_plus_action)
+from strongdamp.sde import NoisePath
 
 
 P1 = load_preset("p1")
@@ -145,3 +146,45 @@ def test_laplace_start_of_wrong_shape_is_rejected_before_simulating(
     with pytest.raises(ConfigError, match=r"q0 must have shape \(1,\)"):
         laplace_check(P1, "q1^2", (0.25, 0.125), M=4, T=0.5, seed=0,
                       q0=[0.0, 0.5])
+
+
+def _no_batches(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a noise batch was drawn")
+    monkeypatch.setattr(NoisePath, "generate_batch", drawn)
+
+
+LADDER_CHECKS = {
+    "h_eps_scaling": lambda ladder: h_eps_scaling(
+        P2, ladder, M=4, T=1e-3, seed=0),
+    "controlled_convergence": lambda ladder: controlled_convergence(
+        P2, ControlSignal(T=0.5, values=np.zeros(17)), ladder, M=4, seed=0),
+    "laplace_check": lambda ladder: laplace_check(
+        P2, "q1^2", ladder, M=4, T=0.5, seed=0),
+}
+
+
+@pytest.mark.parametrize("ladder, message", [
+    ((0.05, 0.1, 0.2), "strictly decreasing"),
+    ((0.2, 0.2, 0.1), "strictly decreasing"),
+    ((0.2, 0.1, 1.5), "strictly decreasing"),
+    ((0.2, 0.1, 0.0), r"eps must lie in \(0, 1\]"),
+    ((1.5, 0.2, 0.1), r"eps must lie in \(0, 1\]"),
+], ids=["increasing", "repeated", "late_above_one", "late_zero",
+        "first_above_one"])
+@pytest.mark.parametrize("check", sorted(LADDER_CHECKS))
+def test_every_check_rejects_a_bad_ladder_before_any_path(
+        monkeypatch, check, ladder, message):
+    """The rungs must decrease strictly and lie in (0, 1]; a check refuses
+    any other ladder before it draws noise for its first rung."""
+    _no_batches(monkeypatch)
+    with pytest.raises(ConfigError, match=message):
+        LADDER_CHECKS[check](ladder)
+
+
+def test_controlled_initial_momentum_is_checked_before_any_path(
+        monkeypatch):
+    _no_batches(monkeypatch)
+    u = ControlSignal(T=0.5, values=np.zeros(17))
+    with pytest.raises(ConfigError, match=r"p0 must have shape \(1,\)"):
+        controlled_convergence(P1, u, (0.3,), M=4, seed=0, p0=[0.0, 1.0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdamp.errors import ConfigError, NumericalError
-from strongdamp.expr import EvalDomainError
+from strongdamp.expr import EvalDomainError, eval_field
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import (GridMismatchError, NoisePath, SimParams,
                             Trajectory, default_step, dump_trajectory,
@@ -105,7 +105,7 @@ def _check_batch_equals_loop(p, first_order=False, control=False,
     tr = run(starts[0] if shared_start else starts, batch)
     if shared_start:
         tiled = run(starts, batch)
-        for field in ("q", "p", "friction_integral", "convolution"):
+        for field in ("q", "p", "convolution"):
             np.testing.assert_array_equal(getattr(tr, field),
                                           getattr(tiled, field))
     for row, sid in enumerate(ids):
@@ -116,8 +116,6 @@ def _check_batch_equals_loop(p, first_order=False, control=False,
         assert tr.q[row].shape == one.q.shape
         np.testing.assert_allclose(tr.q[row], one.q, atol=1e-14)
         np.testing.assert_allclose(tr.p[row], one.p, atol=1e-14)
-        np.testing.assert_allclose(tr.friction_integral[row],
-                                   one.friction_integral, atol=1e-14)
         np.testing.assert_allclose(tr.convolution[row], one.convolution,
                                    atol=1e-14)
 
@@ -348,32 +346,30 @@ def oracle_step(p, eps, h, scheme, q, v, dW, u=None):
         return np.einsum("...dr,...r->...d", sig, vec)
     eps2 = eps * eps
     noise_pow = eps ** (0.5 - p.beta)
-    sig = p.eval_sigma(p.O[None, :])[0] if p.sigma_is_constant \
-        else p.eval_sigma(q)
-    if p.alpha_is_constant:
-        al = out_al = float(p.eval_alpha(p.O[None, :])[0])
-        decay = np.exp(-(al * h / eps2))
-    else:
-        out_al = p.eval_alpha(q)
-        al = out_al[..., None]
+    sig = p.eval_sigma(q) if p.sigma_const is None else p.sigma_const
+    if p.alpha_const is None:
+        al = p.eval_alpha(q)[..., None]
         decay = np.exp(-al * h / eps2)
+    else:
+        al = p.alpha_const
+        decay = np.exp(-(al * h / eps2))
     drift = p.eval_b(q)
     if u is not None:
         drift = drift + apply(sig, u)
     if scheme == "euler":
         v1 = (v + (h / eps2) * (drift - al * v)
               + noise_pow * apply(sig, dW) / eps2)
-        return q + h * v, v1, out_al
+        return q + h * v, v1
     if scheme == "first_order":
         q1 = q + h * drift / al + noise_pow * apply(sig, dW) / al
-        return q1, v, out_al
+        return q1, v
     mu1 = (eps2 / al) * (1.0 - decay)
     amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
     drift = drift / al
     xi = amp * apply(sig, dW) / np.sqrt(h)
     v1 = decay * v + (1.0 - decay) * drift + xi
     q1 = q + v * mu1 + drift * (h - mu1) + (0.5 * h) * xi
-    return q1, v1, out_al
+    return q1, v1
 
 
 def _planar(sigma, alpha, alpha0):
@@ -422,6 +418,34 @@ def test_step_matches_checked_einsum_oracle(case, scheme, control):
         q, v = want[0], want[1]
 
 
+def test_convolution_matches_double_sum_at_state_dependent_coefficients():
+    """H(t_n) = eps^(1/2-beta) sum_{k<n} exp(-(A(t_n) - A(t_k))/eps^2)
+    sigma(q_k) dW_k with the left-point friction integral
+    A(t_n) = sum_{k<n} alpha(q_k) h, written out as a double sum over the
+    checked walker's alpha and sigma on a batch of 40-step paths."""
+    p = STEP_CASES["state_dependent"]
+    eps, steps, M = 0.3, 40, 6
+    h = 0.5 * default_step(p, eps)
+    sp = SimParams(eps=eps, T=steps * h, h=h)
+    noise = NoisePath.generate_batch(8, range(M), steps, p.r, h)
+    starts = np.stack([np.linspace(-1.5, 1.5, M), np.linspace(1, -1, M)], 1)
+    tr = simulate_inertial(p, sp, starts, np.full(p.d, 0.5), noise)
+    got = stochastic_convolution(tr, p, noise).convolution
+    q, dW = tr.q[:, :-1], noise.increments
+    al = eval_field(p.alpha, q)
+    sig = np.stack([eval_field(e, q) for row in p.sigma for e in row],
+                   axis=-1).reshape(q.shape[:-1] + (p.d, p.r))
+    A = np.concatenate([np.zeros((M, 1)), np.cumsum(al * h, axis=1)], axis=1)
+    want = np.zeros_like(got)
+    for n in range(1, steps + 1):
+        for k in range(n):
+            want[:, n] += np.exp(-(A[:, n] - A[:, k]) / eps**2)[:, None] \
+                * np.einsum("mdr,mr->md", sig[:, k], dW[:, k])
+    want *= eps ** (0.5 - p.beta)
+    assert np.ptp(al) > 0.5 and np.max(np.abs(want)) > 1e-2
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
 def test_drift_leaving_its_domain_names_the_subexpression():
     """The stored-path loop owns one trap for all its steps; the step that
     takes q1 past 2 re-runs checked and names the failing sub-expression."""
@@ -463,7 +487,7 @@ def test_dump_bytes_match_per_row_repr(tmp_path, with_p, with_h):
                     q=rng.standard_normal((n, d)) * 1e-7,
                     p=rng.standard_normal((n, d)) if with_p
                     else np.zeros((n, 0)),
-                    eps=0.1, friction_integral=np.zeros(n),
+                    eps=0.1,
                     convolution=rng.standard_normal((n, d)) if with_h
                     else None)
     tr.q[3, 1] = -0.0
