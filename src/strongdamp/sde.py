@@ -475,9 +475,10 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
 
     q = np.moveaxis(tr.q, -2, 0)[:-1]          # left points, (K, ..., d)
     inc = np.moveaxis(noise.increments, -2, 0)[:steps]
-    al = np.full(q.shape[:-1], p.alpha_const) if p.alpha_const is not None \
-        else p.eval_alpha(q)
-    A = np.cumsum(al * tr.times[1], axis=0)      # A(t_1), ..., A(t_K)
+    h = tr.times[1] - tr.times[0] if steps else 0.0
+    A = np.cumsum(p.eval_alpha(q) * h, axis=0)   # A(t_1), ..., A(t_K)
+    # Differences of the step-ordered cumulative A keep the bits of the
+    # former stored friction integral; exp(-alpha h/eps^2) would move them.
     decay = np.exp(-np.diff(A, axis=0, prepend=0.0) / tr.eps**2)[..., None]
     sig = p.sigma_const if p.sigma_const is not None else p.eval_sigma(q)
     kick = tr.eps ** (0.5 - p.beta) * _apply_sigma(sig, inc)

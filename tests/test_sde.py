@@ -446,6 +446,23 @@ def test_convolution_matches_double_sum_at_state_dependent_coefficients():
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
+def test_convolution_reads_the_step_not_the_start_time():
+    """A stored path whose times start at t0 > 0 gets the same H as the
+    same path started at 0; a path of no steps gets H = 0."""
+    eps, h = 0.3, 0.01
+    sp = SimParams(eps=eps, T=50 * h, h=h)
+    noise = NoisePath.generate(3, 0, sp.steps, P2.r, h)
+    tr = simulate_inertial(P2, sp, np.full(P2.d, 0.2), np.zeros(P2.d), noise)
+    want = stochastic_convolution(tr, P2, noise).convolution
+    late = Trajectory(times=tr.times + 2.0, q=tr.q, p=tr.p, eps=eps)
+    got = stochastic_convolution(late, P2, noise).convolution
+    assert np.max(np.abs(want)) > 1e-2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    empty = Trajectory(times=np.zeros(1), q=tr.q[:1], p=tr.p[:1], eps=eps)
+    _same_bits(stochastic_convolution(empty, P2, noise).convolution,
+               np.zeros((1, P2.d)))
+
+
 def test_drift_leaving_its_domain_names_the_subexpression():
     """The stored-path loop owns one trap for all its steps; the step that
     takes q1 past 2 re-runs checked and names the failing sub-expression."""
