@@ -39,11 +39,12 @@ from .fields import load_problem, load_preset, validate_hypotheses
 from .front import extract_front, fit_front_speed, front_field_constant, \
     front_field_path, front_field_prefix, riemannian_distance
 from .ldpcheck import H_EXPONENT_RANGE, H_R2_MIN, LAPLACE_GAP_MAX, \
-    controlled_convergence, h_eps_scaling, laplace_check
+    MIN_RUNGS, controlled_convergence, h_eps_scaling, laplace_check, \
+    terminal_cost_expr
 from .quasipotential import check_action_equivalence, quasipotential, \
     quasipotential_boundary
-from .sde import NoisePath, SimParams, default_step, dump_trajectory, \
-    simulate_first_order, simulate_inertial, snap_step, \
+from .sde import NoisePath, SimParams, check_ladder, default_step, \
+    dump_trajectory, simulate_first_order, simulate_inertial, snap_step, \
     stochastic_convolution
 
 EXIT_OK = 0
@@ -359,6 +360,16 @@ def _build_control(spec: dict) -> ControlSignal:
 def cmd_verify(p, cfg, out, seed):
     blk = _block(cfg, "verify")
     tol = cfg.get("tolerances", {})
+    # every block's inputs are checked before the first path is drawn
+    for name, s in blk.items():
+        check_ladder(s["eps_ladder"], MIN_RUNGS[name])
+        for key in ("q0", "p0"):
+            if key in s:
+                p.point(s[key], key)
+        if name == "laplace":
+            terminal_cost_expr(s["terminal_cost"], p.d)
+        if name == "controlled":
+            u = _build_control(s["control"])
     report = {}
     if "h_scaling" in blk:
         s = blk["h_scaling"]
@@ -375,7 +386,6 @@ def cmd_verify(p, cfg, out, seed):
         }
     if "controlled" in blk:
         s = blk["controlled"]
-        u = _build_control(s["control"])
         fit = controlled_convergence(
             p, u, s["eps_ladder"], int(s["M"]), seed,
             **_given(s, "q0", "p0", "osc_amplitude"))

@@ -20,9 +20,9 @@ path's first n segments give the path value P_N and the non-positive
 prefix value min_n P_n, the terminal pulled into G0 by a quadratic penalty.
 
 The Monte Carlo upper bound is eps log of the Feynman-Kac mean
-E g(q_eps(t)) exp(eps^{-1} int_0^t c), estimated by
-ldpcheck.log_mean_weight.  The weight is a rare event wherever few paths
-reach G0, not only where R < 0: far from G0 it reads -inf.
+E g(q_eps(t)) exp(eps^{-1} int_0^t c), a log-sum-exp over the log
+weights from ldpcheck.path_values.  The weight is a rare event wherever
+few paths reach G0, not only where R < 0: far from G0 it reads -inf.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.special import logsumexp
 
 from .action import DiscretePath, minimize_path, node_gradient, \
     segment_costs
@@ -41,7 +42,7 @@ from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
 from .expr import grad_field
 from .fields import ProblemDefinition, ProblemError
-from .ldpcheck import log_mean_weight
+from .ldpcheck import path_values
 from .sde import SimParams, default_step, snap_step
 
 PENALTY_DEFAULT = 1e3
@@ -363,20 +364,20 @@ def feynman_kac_bound(p: ProblemDefinition, q, t: float, eps: float,
     g(q_eps(t)) * exp(eps^{-1} int_0^t c(q_eps, 0)) over M paths started
     at rest from q.
 
-    Each sample is a log weight (paths ending where g = 0 give -inf), and
-    ldpcheck.log_mean_weight assembles the mean by log-sum-exp, so growth
-    or decay never overflows; no path reaching G0 gives -inf.
+    Each sample is a log weight (paths ending where g = 0 give -inf):
+    ldpcheck.path_values returns all M, and one log-sum-exp reduces them,
+    so growth or decay never overflows; no path reaching G0 gives -inf.
     """
     if p.g is None or p.c is None:
         raise ProblemError("bound needs both g and c declared")
     sp = SimParams(eps=eps, T=t, h=snap_step(t, default_step(p, eps)))
 
-    def log_weight(tr):
+    def log_weight(tr, noise):
         integral = np.trapezoid(p.eval_c(tr.q, u=0.0), dx=sp.h, axis=-1)
         gvals = p.eval_g(tr.q[:, -1, :])
         with np.errstate(divide="ignore"):
             return np.where(gvals > 0, np.log(np.maximum(gvals, 1e-300)),
                             -np.inf) + integral / eps
 
-    log_mean, _ = log_mean_weight(p, sp, q, M, seed, 0, log_weight)
-    return eps * log_mean
+    logw = path_values(p, sp, q, np.zeros(p.d), M, seed, 0, log_weight)
+    return eps * float(logsumexp(logw) - math.log(M))

@@ -11,10 +11,10 @@ Three independent checks:
   min over paths of (terminal cost + action), the two sides computed by
   unrelated machinery (Monte Carlo vs path optimization).
 
-All three draw their paths through sde.NoisePath.batches.  log_mean_weight
-is the one Monte Carlo estimator of a log mean of path weights: the
-Laplace functional uses it per rung, and front.feynman_kac_bound uses it
-for the Feynman-Kac functional.
+path_values is the one Monte Carlo path loop.  The three checks and
+front.feynman_kac_bound reduce its (M,) array of per-path values once
+(math.fsum for a mean, logsumexp for a log mean), so the batch split
+changes no result.
 """
 
 from __future__ import annotations
@@ -35,9 +35,12 @@ from .fields import ProblemDefinition
 from .sde import NoisePath, SimParams, check_ladder, default_step, \
     simulate_inertial, snap_step, stochastic_convolution
 
-# Rows per batch of the checks that sum per-batch partial sums: another
-# split would round those sums differently.
+# Rows per batch of h_eps_scaling and controlled_convergence: a speed
+# setting (fewer step-loop passes on long paths); it changes no result.
 BATCH = 250
+
+# Fewest eps rungs of each check, keyed by its verify block
+MIN_RUNGS = {"h_scaling": 3, "controlled": 1, "laplace": 2}
 
 # Default gates of `verify` and of acceptance criteria 4 and 9
 H_EXPONENT_RANGE = (0.3, 0.7)
@@ -68,22 +71,18 @@ def _fit_loglog(eps_values: np.ndarray, metrics) -> ScalingFit:
                       fitted_exponent=float(slope), r_squared=r2)
 
 
-def log_mean_weight(p: ProblemDefinition, sp: SimParams, q0, M: int,
-                    seed: int, first_id: int, log_weight):
-    """log of the mean of exp(log_weight) over M inertial paths started at
-    rest from q0, on stream ids first_id, ..., first_id + M - 1.
-
-    log_weight maps a batch Trajectory to its rows' log weights.  All M
-    log weights go into one array that one logsumexp reduces, so the
-    batch split cannot change the result.  Returns (log mean, the (M,)
-    log weights).
-    """
-    logw = np.empty(M)
+def path_values(p: ProblemDefinition, sp: SimParams, q0, p0, M: int,
+                seed: int, first_id: int, value, control=None,
+                rows: Optional[int] = None) -> np.ndarray:
+    """(M,) array of value(tr, noise), one number per row of each batch
+    Trajectory, over M inertial paths from (q0, p0) under control, on
+    stream ids first_id, ..., first_id + M - 1 drawn `rows` at a time."""
+    vals = np.empty(M)
     for start, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
-                                          first_id):
-        w = log_weight(simulate_inertial(p, sp, q0, np.zeros(p.d), noise))
-        logw[start:start + w.size] = w
-    return float(logsumexp(logw) - math.log(M)), logw
+                                          first_id, rows):
+        v = value(simulate_inertial(p, sp, q0, p0, noise, control), noise)
+        vals[start:start + v.size] = v
+    return vals
 
 
 def _sim_step(p: ProblemDefinition, eps: float, T: float) -> float:
@@ -108,21 +107,19 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     factor), which is also what the k-moment metric at fixed T shows.
     Pick T accordingly for the regime under test.
     """
-    ladder = check_ladder(eps_ladder, 3)
+    ladder = check_ladder(eps_ladder, MIN_RUNGS["h_scaling"])
+
+    def value(tr, noise):
+        H = stochastic_convolution(tr, p, noise).convolution
+        Hn = np.linalg.norm(H, axis=-1)                    # (m, K+1)
+        return np.max(Hn, axis=-1) if k is None else Hn[:, -1] ** k
+
     metrics = []
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        acc = 0.0
-        for _, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
-                                          first_id=j * M, rows=BATCH):
-            tr = simulate_inertial(p, sp, p.O, np.zeros(p.d), noise)
-            trH = stochastic_convolution(tr, p, noise)
-            Hn = np.linalg.norm(trH.convolution, axis=-1)   # (m, K+1)
-            if k is None:
-                acc += float(np.sum(np.max(Hn, axis=-1)))
-            else:
-                acc += float(np.sum(Hn[:, -1] ** k))
-        mean = acc / M
+        vals = path_values(p, sp, p.O, np.zeros(p.d), M, seed, j * M, value,
+                           rows=BATCH)
+        mean = math.fsum(vals) / M
         metrics.append(mean if k is None else mean ** (1.0 / k))
     return _fit_loglog(ladder, metrics)
 
@@ -137,7 +134,7 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
     sin(t/eps) * osc_amplitude to the control per rung (a weakly but not
     strongly vanishing perturbation); the limit must not care.
     """
-    ladder = check_ladder(eps_ladder, 1)
+    ladder = check_ladder(eps_ladder, MIN_RUNGS["controlled"])
     q0 = p.point(p.O if q0 is None else q0, "q0")
     p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
     T = u.T
@@ -155,14 +152,12 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
                                   (u.r,))
             u_grid = u_grid + np.sin(times[:, None] / eps) * amp
         g_ref = interp_columns(times, skel.times, skel.points)
-        acc = 0.0
-        for _, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
-                                          first_id=j * M, rows=BATCH):
-            tr = simulate_inertial(p, sp, q0, p0, noise,
-                                   control=u_grid[:-1])
-            dev = np.linalg.norm(tr.q - g_ref, axis=-1)
-            acc += float(np.sum(np.max(dev, axis=-1)))
-        metrics.append(acc / M)
+        vals = path_values(
+            p, sp, q0, p0, M, seed, j * M,
+            lambda tr, noise: np.max(
+                np.linalg.norm(tr.q - g_ref, axis=-1), axis=-1),
+            control=u_grid[:-1], rows=BATCH)
+        metrics.append(math.fsum(vals) / M)
     if ladder.size < 3:
         m = np.asarray(metrics)
         return ScalingFit(eps_values=ladder, metric_values=m,
@@ -173,7 +168,7 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
 CostLike = Union[str, ScalarExpr]
 
 
-def _as_expr(terminal_cost: CostLike, d: int) -> ScalarExpr:
+def terminal_cost_expr(terminal_cost: CostLike, d: int) -> ScalarExpr:
     """The terminal cost as an expression of q1..qd only."""
     cost = (terminal_cost if isinstance(terminal_cost, ScalarExpr)
             else parse_expression(str(terminal_cost)))
@@ -190,7 +185,7 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
                                   seed: int = 0):
     """min over paths from q_start (free right endpoint) of
     terminal_cost(f(T)) + action(f); returns (value, endpoint, path)."""
-    cost = _as_expr(terminal_cost, p.d)
+    cost = terminal_cost_expr(terminal_cost, p.d)
     q_start = p.point(q_start, "q_start")
     d = p.d
     if T <= 0 or N < 8:
@@ -229,20 +224,19 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     linearly in eps; the right side is one deterministic path
     optimization with a free endpoint.  Rungs whose relative CI of
     E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
-    Each rung is one log_mean_weight call.
     """
-    cost = _as_expr(terminal_cost, p.d)
+    cost = terminal_cost_expr(terminal_cost, p.d)
     q0 = p.point(p.O if q0 is None else q0, "q0")
-    ladder = check_ladder(eps_ladder, 2)
+    ladder = check_ladder(eps_ladder, MIN_RUNGS["laplace"])
 
     lhs = np.empty(ladder.size)
     flagged = np.zeros(ladder.size, dtype=bool)
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        log_mean, logw = log_mean_weight(
-            p, sp, q0, M, seed, j * M,
-            lambda tr: -evaluate(cost, tr.q[:, -1, :]) / eps)
-        lhs[j] = -eps * log_mean
+        logw = path_values(
+            p, sp, q0, np.zeros(p.d), M, seed, j * M,
+            lambda tr, noise: -evaluate(cost, tr.q[:, -1, :]) / eps)
+        lhs[j] = -eps * (logsumexp(logw) - math.log(M))
         # relative CI of the weight mean via normalized weights
         w = np.exp(logw - logw.max())
         mu = float(np.mean(w))
@@ -250,12 +244,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
         if se > ci_threshold * mu:
             flagged[j] = True
 
-    if ladder.size == 2:
-        slope = (lhs[1] - lhs[0]) / (ladder[1] - ladder[0])
-        extrap = float(lhs[0] - slope * ladder[0])
-    else:
-        coeffs = np.polyfit(ladder, lhs, 1)
-        extrap = float(coeffs[1])
+    extrap = float(np.polyfit(ladder, lhs, 1)[1])
     var_val, endpoint, _ = minimize_terminal_plus_action(
         p, q0, T, cost, N=N, seed=seed)
     gap = abs(extrap - var_val) / max(abs(var_val), 1e-30)

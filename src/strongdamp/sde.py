@@ -31,8 +31,8 @@ the keys of a whole batch in uint64 array arithmetic.  A batch draw and
 the exit kernel re-key one Philox bit generator per row (philox_start)
 instead of building a generator per row, which gives the same numbers.
 NoisePath.batches is the one place that splits M paths into batches of
-consecutive stream ids; every Monte Carlo loop over stored paths draws
-through it.
+consecutive stream ids; ldpcheck.path_values, the one Monte Carlo path
+loop, and the simulate command draw through it.
 
 Batched paths are stored time-major, (K+1, M, d), so each step reads and
 writes contiguous (M, d) blocks; batch draws store their increments the
@@ -346,13 +346,10 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
         amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
         return decay, 1.0 - decay, mu1, h - mu1, amp
     relax_c = relax(al_c) if al_c is not None else None
-    # a constant square diagonal sigma multiplies elementwise, and the
-    # identity not at all: the einsum's sum would only add exact zeros
-    apply_sigma = _apply_sigma
-    if sig_c is not None and p.d == p.r and np.array_equal(
-            sig_c, np.diag(diag := np.diagonal(sig_c))):
-        apply_sigma = (lambda sig, vec: vec) if np.all(diag == 1.0) \
-            else (lambda sig, vec: vec * diag)
+    # a constant identity sigma is not applied at all: the einsum's sum
+    # would only add exact zeros
+    identity = sig_c is not None and np.array_equal(sig_c, np.eye(p.d))
+    apply_sigma = (lambda sig, vec: vec) if identity else _apply_sigma
 
     def bind(b_of, alpha_of, flat_sigma):
         def frozen(q, u):
@@ -461,10 +458,10 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     H(t_n) = eps^(1/2-beta) * sum_{k<n} exp(-(A(t_n)-A(t_k))/eps^2)
              sigma(q(t_k)) dW_k,
 
-    a left-point sum.  The friction integral A(t_n) = sum_{k<n}
-    alpha(q(t_k)) h, sigma and the kicks are computed for all steps at
-    once; only H(t_{n+1}) = decay_n (H(t_n) + kick_n) runs per step.
-    Returns the trajectory with H attached.
+    a left-point sum over A(t_n) = sum_{k<n} alpha(q(t_k)) h, run as
+    H(t_{n+1}) = d_n (H(t_n) + eps^(1/2-beta) sigma(q(t_n)) dW_n), with
+    make_step's decay d_n = exp(-alpha(q(t_n)) h/eps^2) and sigma
+    evaluated once per step.  Returns the trajectory with H attached.
     """
     steps = tr.times.shape[0] - 1
     if noise.steps < steps:
@@ -476,15 +473,12 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     q = np.moveaxis(tr.q, -2, 0)[:-1]          # left points, (K, ..., d)
     inc = np.moveaxis(noise.increments, -2, 0)[:steps]
     h = tr.times[1] - tr.times[0] if steps else 0.0
-    A = np.cumsum(p.eval_alpha(q) * h, axis=0)   # A(t_1), ..., A(t_K)
-    # Differences of the step-ordered cumulative A keep the bits of the
-    # former stored friction integral; exp(-alpha h/eps^2) would move them.
-    decay = np.exp(-np.diff(A, axis=0, prepend=0.0) / tr.eps**2)[..., None]
-    sig = p.sigma_const if p.sigma_const is not None else p.eval_sigma(q)
-    kick = tr.eps ** (0.5 - p.beta) * _apply_sigma(sig, inc)
+    decay = np.exp(-p.eval_alpha(q) * h / (tr.eps * tr.eps))[..., None]
+    amp = tr.eps ** (0.5 - p.beta)
     H = np.zeros((steps + 1,) + q.shape[1:])
     for n in range(steps):
-        H[n + 1] = decay[n] * (H[n] + kick[n])
+        sig = p.eval_sigma(q[n]) if p.sigma_const is None else p.sigma_const
+        H[n + 1] = decay[n] * (H[n] + amp * _apply_sigma(sig, inc[n]))
     return replace(tr, convolution=np.moveaxis(H, 0, -2))
 
 

@@ -159,6 +159,47 @@ def test_verify_rejects_an_increasing_ladder(tmp_path, capsys):
     assert "eps ladder must be strictly decreasing" in capsys.readouterr().err
 
 
+VALID_VERIFY = {
+    "h_scaling": {"eps_ladder": [0.2, 0.1, 0.05], "M": 1000, "T": 2e-4},
+    "controlled": {"eps_ladder": [0.2, 0.1, 0.05], "M": 200,
+                   "control": {"kind": "sin", "T": 1.5}},
+}
+LAPLACE = {"terminal_cost": "q1^2", "eps_ladder": [0.25, 0.125], "M": 40,
+           "T": 0.5}
+
+
+@pytest.mark.parametrize("last, message", [
+    ({"laplace": {**LAPLACE, "eps_ladder": [0.125, 0.25]}},
+     "eps ladder must be strictly decreasing"),
+    ({"laplace": {**LAPLACE, "q0": [0.0, 0.5]}},
+     "q0 must have shape (1,)"),
+    ({"laplace": {**LAPLACE, "terminal_cost": "q2^2"}},
+     "terminal cost references q2 but d = 1"),
+    ({"controlled": {**VALID_VERIFY["controlled"], "p0": [0.0, 1.0]}},
+     "p0 must have shape (1,)"),
+    ({"controlled": {**VALID_VERIFY["controlled"], "control": {
+        "kind": "csv", "T": 1.0, "path": "missing.csv"}}},
+     "not found: missing.csv"),
+], ids=["laplace_ladder", "laplace_q0", "laplace_cost", "controlled_p0",
+        "missing_control_csv"])
+def test_verify_checks_every_block_before_any_path(
+        tmp_path, monkeypatch, capsys, last, message):
+    """A mistake in the last block to run exits 2 before the earlier
+    blocks draw a single noise batch."""
+    from strongdamp.sde import NoisePath
+    drawn = []
+    real = NoisePath.generate_batch.__func__
+    monkeypatch.setattr(NoisePath, "generate_batch", classmethod(
+        lambda cls, *args: drawn.append(args) or real(cls, *args)))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"problem": "p2",
+                               "verify": {**VALID_VERIFY, **last}})
+    rc = cli.main(["verify", "--config", cfg, "--seed", "5", "--out", "out"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_exit_drift_domain_error_is_numerical_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "problem": {
@@ -332,7 +373,7 @@ def test_laplace_cost_beyond_d_is_rejected_before_simulating(
     def no_paths(*args, **kwargs):
         raise AssertionError("laplace check drew paths")
 
-    monkeypatch.setattr(strongdamp.ldpcheck, "log_mean_weight", no_paths)
+    monkeypatch.setattr(strongdamp.ldpcheck, "path_values", no_paths)
     cfg = write_cfg(tmp_path, {"problem": "p1", "verify": {"laplace": {
         "terminal_cost": "q2^2", "eps_ladder": [0.25, 0.125], "M": 4,
         "T": 0.5}}})

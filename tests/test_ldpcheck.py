@@ -142,7 +142,7 @@ def test_laplace_start_of_wrong_shape_is_rejected_before_simulating(
     def no_paths(*args, **kwargs):
         raise AssertionError("laplace check drew paths")
 
-    monkeypatch.setattr(strongdamp.ldpcheck, "log_mean_weight", no_paths)
+    monkeypatch.setattr(strongdamp.ldpcheck, "path_values", no_paths)
     with pytest.raises(ConfigError, match=r"q0 must have shape \(1,\)"):
         laplace_check(P1, "q1^2", (0.25, 0.125), M=4, T=0.5, seed=0,
                       q0=[0.0, 0.5])
@@ -188,3 +188,20 @@ def test_controlled_initial_momentum_is_checked_before_any_path(
     u = ControlSignal(T=0.5, values=np.zeros(17))
     with pytest.raises(ConfigError, match=r"p0 must have shape \(1,\)"):
         controlled_convergence(P1, u, (0.3,), M=4, seed=0, p0=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("check", ["h_eps_scaling", "controlled_convergence"])
+def test_batch_split_reaches_no_result(monkeypatch, check):
+    """Every path's value lands in one array that one compensated sum
+    reduces, so the rows drawn per batch change no metric bit."""
+    u = ControlSignal(T=0.5, values=np.sin(np.linspace(0, 0.5, 33)))
+    run = {"h_eps_scaling": lambda: h_eps_scaling(
+               P2, (0.2, 0.1, 0.05), M=300, T=2e-4, seed=7),
+           "controlled_convergence": lambda: controlled_convergence(
+               P2, u, (0.2, 0.1, 0.05), M=60, seed=5)}[check]
+    metrics = []
+    for rows in (250, 64, 7):
+        monkeypatch.setattr(strongdamp.ldpcheck, "BATCH", rows)
+        metrics.append(run().metric_values)
+    for got in metrics[1:]:
+        assert got.tobytes() == metrics[0].tobytes()

@@ -398,9 +398,9 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("scheme", ["exponential", "euler", "first_order"])
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_step_matches_checked_einsum_oracle(case, scheme, control):
-    """The compiled step and its checked twin, with a constant sigma
-    multiplied elementwise or skipped and the friction constants hoisted,
-    give the oracle's bits over a few chained steps."""
+    """The compiled step and its checked twin, with a constant identity
+    sigma skipped and the friction constants hoisted, give the oracle's
+    bits over a few chained steps."""
     p = STEP_CASES[case]
     eps = 0.3
     h = 0.5 * default_step(p, eps)
