@@ -35,13 +35,6 @@ from .fields import ProblemDefinition
 from .sde import NoisePath, SimParams, check_ladder, default_step, \
     simulate_inertial, snap_step, stochastic_convolution
 
-# Rows per batch of h_eps_scaling and controlled_convergence: a speed
-# setting (fewer step-loop passes on long paths); it changes no result.
-BATCH = 250
-
-# Fewest eps rungs of each check, keyed by its verify block
-MIN_RUNGS = {"h_scaling": 3, "controlled": 1, "laplace": 2}
-
 # Default gates of `verify` and of acceptance criteria 4 and 9
 H_EXPONENT_RANGE = (0.3, 0.7)
 H_R2_MIN = 0.9
@@ -72,14 +65,14 @@ def _fit_loglog(eps_values: np.ndarray, metrics) -> ScalingFit:
 
 
 def path_values(p: ProblemDefinition, sp: SimParams, q0, p0, M: int,
-                seed: int, first_id: int, value, control=None,
-                rows: Optional[int] = None) -> np.ndarray:
+                seed: int, first_id: int, value, control=None) -> np.ndarray:
     """(M,) array of value(tr, noise), one number per row of each batch
     Trajectory, over M inertial paths from (q0, p0) under control, on
-    stream ids first_id, ..., first_id + M - 1 drawn `rows` at a time."""
+    stream ids first_id, ..., first_id + M - 1, in batches of
+    batch_rows(sp.steps) rows."""
     vals = np.empty(M)
     for start, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
-                                          first_id, rows):
+                                          first_id):
         v = value(simulate_inertial(p, sp, q0, p0, noise, control), noise)
         vals[start:start + v.size] = v
     return vals
@@ -107,7 +100,7 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     factor), which is also what the k-moment metric at fixed T shows.
     Pick T accordingly for the regime under test.
     """
-    ladder = check_ladder(eps_ladder, MIN_RUNGS["h_scaling"])
+    ladder = check_ladder(eps_ladder, 3)
 
     def value(tr, noise):
         H = stochastic_convolution(tr, p, noise).convolution
@@ -117,8 +110,7 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     metrics = []
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        vals = path_values(p, sp, p.O, np.zeros(p.d), M, seed, j * M, value,
-                           rows=BATCH)
+        vals = path_values(p, sp, p.O, np.zeros(p.d), M, seed, j * M, value)
         mean = math.fsum(vals) / M
         metrics.append(mean if k is None else mean ** (1.0 / k))
     return _fit_loglog(ladder, metrics)
@@ -134,7 +126,7 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
     sin(t/eps) * osc_amplitude to the control per rung (a weakly but not
     strongly vanishing perturbation); the limit must not care.
     """
-    ladder = check_ladder(eps_ladder, MIN_RUNGS["controlled"])
+    ladder = check_ladder(eps_ladder, 1)
     q0 = p.point(p.O if q0 is None else q0, "q0")
     p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
     T = u.T
@@ -156,7 +148,7 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
             p, sp, q0, p0, M, seed, j * M,
             lambda tr, noise: np.max(
                 np.linalg.norm(tr.q - g_ref, axis=-1), axis=-1),
-            control=u_grid[:-1], rows=BATCH)
+            control=u_grid[:-1])
         metrics.append(math.fsum(vals) / M)
     if ladder.size < 3:
         m = np.asarray(metrics)
@@ -227,7 +219,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     """
     cost = terminal_cost_expr(terminal_cost, p.d)
     q0 = p.point(p.O if q0 is None else q0, "q0")
-    ladder = check_ladder(eps_ladder, MIN_RUNGS["laplace"])
+    ladder = check_ladder(eps_ladder, 2)
 
     lhs = np.empty(ladder.size)
     flagged = np.zeros(ladder.size, dtype=bool)

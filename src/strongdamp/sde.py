@@ -191,12 +191,15 @@ def snap_step(T: float, h: float, min_steps: int = 1) -> float:
     return T / max(math.ceil(T / h - 1e-9), min_steps)
 
 
-ROW_STEPS_PER_BATCH = 2**19
+# About 8 MB per stored array.  Each step of the path loop also pays a
+# fixed ~20 us, what ~80 rows of p2 cost, so a smaller budget leaves long
+# paths in batches dominated by that fixed cost.
+ROW_STEPS_PER_BATCH = 2**20
 
 
 def batch_rows(steps: int) -> int:
     """Rows per stored batch of `steps`-step paths: the row-step budget
-    ROW_STEPS_PER_BATCH (about 4 MB per stored array), at least one row."""
+    ROW_STEPS_PER_BATCH, at least one row."""
     return max(ROW_STEPS_PER_BATCH // (steps + 1), 1)
 
 

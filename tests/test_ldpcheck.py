@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import strongdamp.ldpcheck
+import strongdamp.sde
 from strongdamp.action import ControlSignal
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
@@ -199,9 +200,11 @@ def test_batch_split_reaches_no_result(monkeypatch, check):
                P2, (0.2, 0.1, 0.05), M=300, T=2e-4, seed=7),
            "controlled_convergence": lambda: controlled_convergence(
                P2, u, (0.2, 0.1, 0.05), M=60, seed=5)}[check]
-    metrics = []
+    metrics, used = [], []
     for rows in (250, 64, 7):
-        monkeypatch.setattr(strongdamp.ldpcheck, "BATCH", rows)
+        monkeypatch.setattr(strongdamp.sde, "batch_rows",
+                            lambda steps, rows=rows: used.append(rows) or rows)
         metrics.append(run().metric_values)
+    assert set(used) == {250, 64, 7}
     for got in metrics[1:]:
         assert got.tobytes() == metrics[0].tobytes()
