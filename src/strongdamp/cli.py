@@ -35,12 +35,12 @@ from .artifacts import load_manifest, write_csv, write_grid, write_json, \
 from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .exit import exit_location_histogram, exit_scaling
+from .expr import q_field
 from .fields import load_problem, load_preset, validate_hypotheses
 from .front import extract_front, fit_front_speed, front_field_constant, \
     front_field_path, front_field_prefix, riemannian_distance
 from .ldpcheck import H_EXPONENT_RANGE, H_R2_MIN, LAPLACE_GAP_MAX, \
-    controlled_convergence, h_eps_scaling, laplace_check, \
-    terminal_cost_expr
+    controlled_convergence, h_eps_scaling, laplace_check
 from .quasipotential import check_action_equivalence, quasipotential, \
     quasipotential_boundary
 from .sde import NoisePath, SimParams, check_ladder, default_step, \
@@ -368,7 +368,7 @@ def cmd_verify(p, cfg, out, seed):
             if key in s:
                 p.point(s[key], key)
         if name == "laplace":
-            terminal_cost_expr(s["terminal_cost"], p.d)
+            q_field(s["terminal_cost"], p.d, "terminal cost")
         if name == "controlled":
             u = _build_control(s["control"])
     report = {}

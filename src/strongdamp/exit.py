@@ -177,8 +177,7 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     cap.  Stream ids are pre-assigned per (rung, path), so results do not
     depend on scheduling.
     """
-    if p.G is None:
-        raise ConfigError("problem declares no exit domain G")
+    p.require("G")
     ladder = check_ladder(eps_ladder, 1)
     if M < 1:
         raise ConfigError("need at least one sample per rung")

@@ -5,7 +5,8 @@ variable ``u``, with ``+ - * / ^``, unary minus, parentheses and the
 function set sin, cos, exp, log, sqrt, tanh, abs, sign, min, max (min
 and max take two arguments).  Parsing is a small Pratt parser; syntax
 errors carry the byte offset and the token set that would have been
-accepted.
+accepted.  `q_field` is the one check that a field stays within q1..qd,
+and references u only where its caller allows it.
 
 The AST supports four consumers:
 
@@ -238,12 +239,6 @@ class ScalarExpr:
         return to_string(self.root)
 
     @property
-    def variables(self) -> frozenset:
-        out = set()
-        _collect_vars(self.root, out)
-        return frozenset(out)
-
-    @property
     def max_q_index(self) -> int:
         """Highest 1-based q index referenced, 0 if none."""
         return max((i + 1 for _, n, i in _iter_vars(self.root) if i >= 0),
@@ -274,6 +269,17 @@ def parse_expression(src: str) -> ScalarExpr:
     return ScalarExpr(root, src)
 
 
+def q_field(src, d: int, what: str, allow_u: bool = False) -> ScalarExpr:
+    """src, a ScalarExpr or its source, as a field of q1..qd (and of u
+    when allow_u): ConfigError naming `what` if it reaches beyond them."""
+    f = src if isinstance(src, ScalarExpr) else parse_expression(src)
+    if f.uses_u and not allow_u:
+        raise ConfigError(f"{what} may not reference u")
+    if f.max_q_index > d:
+        raise ConfigError(f"{what} references q{f.max_q_index} but d = {d}")
+    return f
+
+
 def _iter_vars(node):
     kind = node[0]
     if kind == "var":
@@ -286,11 +292,6 @@ def _iter_vars(node):
     elif kind == "call":
         for a in node[2]:
             yield from _iter_vars(a)
-
-
-def _collect_vars(node, out):
-    for _, name, _ in _iter_vars(node):
-        out.add(name)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
-from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, \
-    parse_expression
+from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, q_field
 
 _ALLOWED_KEYS = {"d", "r", "b", "sigma", "alpha", "alpha0", "U", "l", "c",
                  "g", "G", "O", "beta", "box"}
@@ -65,12 +65,12 @@ class ProblemDefinition:
     # sigma (d, r) and alpha frozen once when they do not depend on q
     @cached_property
     def sigma_const(self) -> Optional[np.ndarray]:
-        return None if any(e.variables for e in self._sigma_flat) \
+        return None if any(e.max_q_index for e in self._sigma_flat) \
             else self.eval_sigma(self.O[None, :])[0]
 
     @cached_property
     def alpha_const(self) -> Optional[float]:
-        return None if self.alpha.variables \
+        return None if self.alpha.max_q_index \
             else float(self.eval_alpha(self.O[None, :])[0])
 
     # -- field evaluation (expr.evaluate: compiled, checked on failure) -------
@@ -96,14 +96,18 @@ class ProblemDefinition:
         s = self.eval_sigma(Q)
         return s @ np.swapaxes(s, -1, -2)
 
+    def require(self, *keys) -> None:
+        """ProblemError unless the problem declares each optional field."""
+        for key in keys:
+            if getattr(self, key) is None:
+                raise ProblemError(f"problem declares no field {key}")
+
     def eval_U(self, Q) -> np.ndarray:
-        if self.U is None:
-            raise ProblemError("problem declares no potential U")
+        self.require("U")
         return evaluate(self.U, Q)
 
     def grad_U(self, Q) -> np.ndarray:
-        if self.U is None:
-            raise ProblemError("problem declares no potential U")
+        self.require("U")
         return grad_field(self.U, Q, self.d)
 
     def eval_l(self, Q) -> np.ndarray:
@@ -112,23 +116,19 @@ class ProblemDefinition:
         return evaluate_all(self.l, Q)
 
     def eval_c(self, Q, u) -> np.ndarray:
-        if self.c is None:
-            raise ProblemError("problem declares no reaction rate c")
+        self.require("c")
         return evaluate(self.c, Q, u=u)
 
     def eval_g(self, Q) -> np.ndarray:
-        if self.g is None:
-            raise ProblemError("problem declares no initial datum g")
+        self.require("g")
         return evaluate(self.g, Q)
 
     def eval_phi(self, Q) -> np.ndarray:
-        if self.G is None:
-            raise ProblemError("problem declares no domain G")
+        self.require("G")
         return evaluate(self.G, Q)
 
     def grad_phi(self, Q) -> np.ndarray:
-        if self.G is None:
-            raise ProblemError("problem declares no domain G")
+        self.require("G")
         return grad_field(self.G, Q, self.d)
 
     # -- sampled coefficient ranges -------------------------------------------
@@ -152,17 +152,27 @@ class ProblemDefinition:
         return bool(np.all(q >= self.box[:, 0]) and np.all(q <= self.box[:, 1]))
 
 
-def _parse_vector(raw, what, d) -> tuple:
-    if not isinstance(raw, list) or len(raw) != d:
-        raise ProblemError(f"{what} must be a list of {d} expression strings")
-    return tuple(parse_expression(s) for s in raw)
+def _numeric(spec, key, scalar=False, default=None):
+    """spec[key], or default when absent, as a float if scalar and a float
+    array if not: ProblemError unless it is a number or nested lists of
+    numbers."""
+    arr = np.asarray(spec.get(key, default), dtype=object)
+    if (scalar and arr.ndim) or not all(
+            isinstance(x, Real) and not isinstance(x, bool) for x in arr.flat):
+        raise ProblemError(f"{key} must be a number" if scalar
+                           else f"{key} must be an array of numbers")
+    return float(arr) if scalar else arr.astype(float)
 
 
 def load_problem(spec) -> ProblemDefinition:
     """Build a ProblemDefinition from a dict or a JSON file path."""
-    if isinstance(spec, (str,)):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+    if isinstance(spec, str):
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
+            raise ProblemError(f"cannot read problem file {spec}: {exc}") \
+                from None
     if not isinstance(spec, dict):
         raise ProblemError("problem definition must be a JSON object")
     unknown = set(spec) - _ALLOWED_KEYS - {"name"}
@@ -173,76 +183,60 @@ def load_problem(spec) -> ProblemDefinition:
         raise ProblemError(f"missing problem keys: {sorted(missing)}")
 
     d = spec["d"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ProblemError("d must be a positive integer")
+
+    def q_expr(raw, what, allow_u=False):
+        return q_field(raw, d, f"field {what}", allow_u)
+
+    def vector(key):
+        raw = spec[key]
+        if not isinstance(raw, list) or len(raw) != d:
+            raise ProblemError(
+                f"{key} must be a list of {d} expression strings")
+        return tuple(q_expr(s, f"{key}[{i}]") for i, s in enumerate(raw))
 
     sigma_raw = spec["sigma"]
     if (not isinstance(sigma_raw, list) or len(sigma_raw) != d
             or not all(isinstance(row, list) for row in sigma_raw)):
         raise ProblemError(f"sigma must be a {d}-row matrix of expressions")
     r = spec.get("r", len(sigma_raw[0]))
+    if type(r) is not int or r < d:
+        raise ProblemError(
+            "r, the number of sigma columns, must be an integer >= d")
     if any(len(row) != r for row in sigma_raw):
         raise ProblemError("sigma rows must share a common length r")
-    if r < d:
-        raise ProblemError("sigma must have r >= d columns")
 
-    alpha0 = float(spec["alpha0"])
+    alpha0 = _numeric(spec, "alpha0", scalar=True)
     if not 0 < alpha0 < np.inf:
         raise ProblemError("alpha0 must be positive and finite")
-    beta = float(spec.get("beta", 0.0))
+    beta = _numeric(spec, "beta", scalar=True, default=0.0)
     if not (0.0 <= beta < 0.5):
         raise ProblemError("beta must lie in [0, 1/2)")
 
-    box = np.asarray(spec["box"], dtype=float)
+    box = _numeric(spec, "box")
     if box.shape != (d, 2) or not (np.all(box[:, 0] < box[:, 1])
                                    and np.isfinite(box).all()):
         raise ProblemError("box must be a finite (d, 2) array with lo < hi")
-    O = np.asarray(spec["O"], dtype=float)
+    O = _numeric(spec, "O")
     if O.shape != (d,):
         raise ProblemError(f"O must have {d} coordinates")
     if not (np.all(O >= box[:, 0]) and np.all(O <= box[:, 1])):
         raise ProblemError("O must lie inside the box")
 
-    def opt_expr(key, allow_u=False):
-        raw = spec.get(key)
-        if raw is None:
-            return None
-        e = parse_expression(raw)
-        if e.uses_u and not allow_u:
-            raise ProblemError(f"field {key!r} may not reference u")
-        return e
-
-    p = ProblemDefinition(
+    return ProblemDefinition(
         d=d, r=r,
-        b=_parse_vector(spec["b"], "b", d),
-        sigma=tuple(tuple(parse_expression(s) for s in row)
-                    for row in sigma_raw),
-        alpha=parse_expression(spec["alpha"]),
+        b=vector("b"),
+        sigma=tuple(tuple(q_expr(s, f"sigma[{i}][{j}]")
+                          for j, s in enumerate(row))
+                    for i, row in enumerate(sigma_raw)),
+        alpha=q_expr(spec["alpha"], "alpha"),
         alpha0=alpha0,
         O=O, box=box, beta=beta,
-        U=opt_expr("U"),
-        l=_parse_vector(spec["l"], "l", d) if spec.get("l") is not None else None,
-        c=opt_expr("c", allow_u=True),
-        g=opt_expr("g"),
-        G=opt_expr("G"),
+        l=None if spec.get("l") is None else vector("l"),
         name=spec.get("name", ""),
-    )
-
-    # coordinate indices must stay within d
-    named = [("alpha", p.alpha)] + [(f"b[{i}]", e) for i, e in enumerate(p.b)]
-    named += [(f"sigma[{i}][{j}]", e) for i, row in enumerate(p.sigma)
-              for j, e in enumerate(row)]
-    for key in ("U", "c", "g", "G"):
-        e = getattr(p, key)
-        if e is not None:
-            named.append((key, e))
-    if p.l is not None:
-        named += [(f"l[{i}]", e) for i, e in enumerate(p.l)]
-    for what, e in named:
-        if e.max_q_index > d:
-            raise ProblemError(
-                f"field {what} references q{e.max_q_index} but d = {d}")
-    return p
+        **{key: q_expr(spec[key], key, allow_u=key == "c")
+           for key in ("U", "c", "g", "G") if spec.get(key) is not None})
 
 
 def load_preset(name: str) -> ProblemDefinition:

@@ -92,8 +92,7 @@ def riemannian_distance(p: ProblemDefinition, spacing: float) -> GridField:
 
     Unreached nodes keep +inf.  Raises when no grid node lies inside G0.
     """
-    if p.g is None:
-        raise ProblemError("problem declares no initial support g")
+    p.require("g")
     if p.d not in (1, 2):
         raise ConfigError("grid distance supports d = 1 or 2 only")
     if spacing <= 0:
@@ -230,8 +229,7 @@ def fit_front_speed(contours, center, stat: str = "max") -> FrontSpeed:
 
 def g0_samples(p: ProblemDefinition, per_dim: int = 512) -> np.ndarray:
     """Regular-grid samples of G0 = {g > 0} inside the box."""
-    if p.g is None:
-        raise ProblemError("problem declares no initial support g")
+    p.require("g")
     axes = [np.linspace(p.box[k, 0], p.box[k, 1], per_dim)
             for k in range(p.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -272,8 +270,7 @@ def _front_value(p: ProblemDefinition, q, t: float, N: int,
     others seeded perturbations of it; candidates are ranked by value
     minus the terminal penalty.
     """
-    if p.c is None:
-        raise ProblemError("problem declares no reaction rate c")
+    p.require("c")
     q = p.point(q, "front point q")
     if t <= 0 or N < 2:
         raise ConfigError("need t > 0 and N >= 2")
@@ -368,8 +365,7 @@ def feynman_kac_bound(p: ProblemDefinition, q, t: float, eps: float,
     ldpcheck.path_values returns all M, and one log-sum-exp reduces them,
     so growth or decay never overflows; no path reaching G0 gives -inf.
     """
-    if p.g is None or p.c is None:
-        raise ProblemError("bound needs both g and c declared")
+    p.require("g", "c")
     sp = SimParams(eps=eps, T=t, h=snap_step(t, default_step(p, eps)))
 
     def log_weight(tr, noise):

@@ -30,7 +30,7 @@ from .action import ControlSignal, DiscretePath, controlled_skeleton, \
     minimize_path, node_gradient
 from .contour import interp_columns
 from .errors import ConfigError, NumericalError
-from .expr import ScalarExpr, evaluate, grad_field, parse_expression
+from .expr import ScalarExpr, evaluate, grad_field, q_field
 from .fields import ProblemDefinition
 from .sde import NoisePath, SimParams, check_ladder, default_step, \
     simulate_inertial, snap_step, stochastic_convolution
@@ -160,24 +160,12 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
 CostLike = Union[str, ScalarExpr]
 
 
-def terminal_cost_expr(terminal_cost: CostLike, d: int) -> ScalarExpr:
-    """The terminal cost as an expression of q1..qd only."""
-    cost = (terminal_cost if isinstance(terminal_cost, ScalarExpr)
-            else parse_expression(str(terminal_cost)))
-    if cost.uses_u:
-        raise ConfigError("terminal cost must depend on q only")
-    if cost.max_q_index > d:
-        raise ConfigError(
-            f"terminal cost references q{cost.max_q_index} but d = {d}")
-    return cost
-
-
 def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
                                   terminal_cost: CostLike, N: int = 64,
                                   seed: int = 0):
     """min over paths from q_start (free right endpoint) of
     terminal_cost(f(T)) + action(f); returns (value, endpoint, path)."""
-    cost = terminal_cost_expr(terminal_cost, p.d)
+    cost = q_field(terminal_cost, p.d, "terminal cost")
     q_start = p.point(q_start, "q_start")
     d = p.d
     if T <= 0 or N < 8:
@@ -217,7 +205,7 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     optimization with a free endpoint.  Rungs whose relative CI of
     E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
     """
-    cost = terminal_cost_expr(terminal_cost, p.d)
+    cost = q_field(terminal_cost, p.d, "terminal cost")
     q0 = p.point(p.O if q0 is None else q0, "q0")
     ladder = check_ladder(eps_ladder, 2)
 

@@ -243,8 +243,7 @@ def gradient_case_oracle(p: ProblemDefinition, q) -> float:
     returned.
     """
     q = p.point(q, "q")
-    if p.U is None:
-        raise ProblemError("problem declares no potential U")
+    p.require("U")
     report = validate_hypotheses(p, samples=512, seed=0)
     if not report.passed:
         raise ProblemError(

@@ -202,9 +202,15 @@ def test_kernel_matches_its_checked_rerun(name, mode):
         assert fast.tobytes() == checked.tobytes()
 
 
-def test_constant_sigma_costs_match_direct_quadratic_form():
-    """A constant, correlated sigma is squared once per kernel; the costs
-    still equal (h/2) y^T a^{-1} y with a inverted at every midpoint."""
+@pytest.mark.parametrize("mode, residual", [
+    ("standard", lambda alpha, df, b: alpha * df - b),
+    ("alt", lambda alpha, df, b: df - alpha * b),
+    ("driftfree", lambda alpha, df, b: alpha * df),
+], ids=["standard", "alt", "driftfree"])
+def test_constant_sigma_costs_match_direct_quadratic_form(mode, residual):
+    """A constant, correlated sigma is squared once per kernel; each form's
+    costs still equal (h/2) y^T a^{-1} y with its residual y written out
+    and a inverted at every midpoint."""
     p = load_problem({
         "d": 2, "r": 2, "b": ["-q1 + 0.5*q2", "-q2 - sin(q1)"],
         "sigma": [["1", "0.3"], ["0.2", "2"]],
@@ -215,11 +221,11 @@ def test_constant_sigma_costs_match_direct_quadratic_form():
     N, T = 10, 0.9
     pts = np.cumsum(rng.normal(0, 0.2, size=(N + 1, 2)), axis=0)
     mids = 0.5 * (pts[:-1] + pts[1:])
-    y = (p.eval_alpha(mids)[:, None] * (pts[1:] - pts[:-1]) / (T / N)
-         - p.eval_b(mids))
+    y = residual(p.eval_alpha(mids)[:, None], (pts[1:] - pts[:-1]) / (T / N),
+                 p.eval_b(mids))
     a_inv = np.linalg.inv(p.eval_a(mids))
     expect = 0.5 * (T / N) * np.einsum("ki,kij,kj->k", y, a_inv, y)
-    costs, _, _ = action_kernel(p, T, N, "standard")(pts)
+    costs, _, _ = action_kernel(p, T, N, mode)(pts)
     np.testing.assert_allclose(costs, expect, rtol=1e-12)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_csv_bytes_across_chunk_boundaries(tmp_path, n_rows):
     path = str(tmp_path / "table.csv")
     write_csv(path, ["a", "b", "c"], rows)
     lines = ["a,b,c"] + [f"{fmt(a)},{b},{c}" for a, b, c in rows]
-    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+    assert Path(path).read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_row_error_leaves_no_file(tmp_path):
@@ -110,7 +111,7 @@ def test_grid_dump_1d_with_sidecar(tmp_path):
     assert header == ["x", "value"]
     np.testing.assert_allclose(data[:, 0], [-1.0, -0.5, 0.0])
     np.testing.assert_array_equal(data[:, 1], [3.0, 4.0, 5.0])
-    meta = json.loads(open(str(tmp_path / "field.meta.json")).read())
+    meta = json.loads((tmp_path / "field.meta.json").read_text())
     assert meta["shape"] == [3]
     assert meta["kind"] == "rho"
     assert meta["spacing"] == [0.5]
@@ -165,7 +166,7 @@ def test_grid_dump_matches_per_cell_fmt(tmp_path, origin, spacing, shape):
                       values=special_values(shape, len(shape)), kind="value")
     path = str(tmp_path / "field.csv")
     write_grid(path, field)
-    assert open(path, "rb").read() == reference_grid_csv(field)
+    assert Path(path).read_bytes() == reference_grid_csv(field)
 
 
 def test_grid_dump_rejects_3d(tmp_path):
@@ -214,5 +215,5 @@ def test_write_json_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.json")
     write_json(path, {"x": 1})
     write_json(path, {"x": 2})
-    assert json.loads(open(path).read()) == {"x": 2}
+    assert json.loads(Path(path).read_text()) == {"x": 2}
     assert sorted(os.listdir(tmp_path)) == ["out.json"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ def write_cfg(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+P1_SPEC = json.loads((Path(strongdamp.__file__).parent / "presets"
+                      / "p1.json").read_text())
 
 
 SIM_CFG = {
@@ -71,16 +76,46 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, block):
 def test_non_finite_problem_file_is_config_error(tmp_path, capsys, over):
     """A problem file read from disk holds no infinite box or alpha0
     (json.dumps writes inf as Infinity)."""
-    spec = json.loads(open(os.path.join(
-        os.path.dirname(strongdamp.__file__), "presets", "p1.json")).read())
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({**spec, **over}))
+    problem.write_text(json.dumps({**P1_SPEC, **over}))
     cfg = write_cfg(tmp_path, {"problem": str(problem)})
     for cmd in ("validate", "quasipotential"):
         rc = cli.main([cmd, "--config", cfg,
                        "--seed", "0", "--out", str(tmp_path / cmd)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**P1_SPEC, "alpha0": "x"}),
+    json.dumps({**P1_SPEC, "box": [[-2, "a"]]}),
+    json.dumps({**P1_SPEC, "O": ["z"]}),
+    json.dumps({**P1_SPEC, "beta": "q"}),
+    json.dumps({**P1_SPEC, "r": 1.0}),
+    json.dumps({**P1_SPEC, "d": True}),
+    '{"d": 1, "b": ',
+    b'\xff{"d": 1}',
+    None,                       # the problem path is a directory
+    json.dumps({**P1_SPEC, "b": ["-q1 + u"]}),
+    json.dumps({**P1_SPEC, "sigma": [["1 + 0*u"]]}),
+    json.dumps({**P1_SPEC, "alpha": "1 + u^2"}),
+    json.dumps({**P1_SPEC, "l": ["u"]}),
+], ids=["alpha0_string", "box_string", "O_string", "beta_string",
+        "r_float", "d_bool", "not_json", "not_utf8", "directory", "u_in_b",
+        "u_in_sigma", "u_in_alpha", "u_in_l"])
+def test_malformed_problem_file_is_config_error(tmp_path, capsys, text):
+    """A problem file that breaks a rule of README's "Problem definitions"
+    exits 2 before anything is simulated."""
+    problem = tmp_path / "problem.json"
+    if text is None:
+        problem.mkdir()
+    else:
+        problem.write_bytes(text.encode() if isinstance(text, str) else text)
+    cfg = write_cfg(tmp_path, {**SIM_CFG, "problem": str(problem)})
+    rc = cli.main(["simulate", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -463,7 +498,7 @@ def test_validate_reports_clean_preset(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["validate", "--config", cfg,
                      "--seed", "0", "--out", out]) == 0
-    rep = json.loads(open(os.path.join(out, "validate.json")).read())
+    rep = json.loads(Path(out, "validate.json").read_text())
     assert rep["passed"] is True
     assert rep["failures"] == []
 
@@ -477,7 +512,7 @@ def test_action_command_on_path_file(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["action", "--config", cfg,
                      "--seed", "0", "--out", out]) == 0
-    res = json.loads(open(os.path.join(out, "action.json")).read())
+    res = json.loads(Path(out, "action.json").read_text())
     # unit friction and unit noise: both discretizations agree
     assert res["value_standard"] == pytest.approx(res["value_alt"], rel=1e-9)
     assert res["value_standard"] > 0
@@ -505,7 +540,7 @@ def test_all_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "out")
     rc = cli.main(["all", "--seed", "0", "--out", out])
     assert rc == 4
-    rep = json.loads(open(os.path.join(out, "acceptance_report.json")).read())
+    rep = json.loads(Path(out, "acceptance_report.json").read_text())
     assert rep["passed"] is False
     assert rep["criteria"][0]["name"] == "stub"
     assert "FAIL" in capsys.readouterr().out
@@ -519,7 +554,7 @@ def test_all_success_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(strongdamp.acceptance, "run_all", fake_run_all)
     out = str(tmp_path / "out")
     assert cli.main(["all", "--seed", "0", "--out", out]) == 0
-    rep = json.loads(open(os.path.join(out, "acceptance_report.json")).read())
+    rep = json.loads(Path(out, "acceptance_report.json").read_text())
     assert rep["passed"] is True
 
 
@@ -541,7 +576,7 @@ def test_all_runs_only_the_listed_criteria(tmp_path, monkeypatch):
     assert cli.main(["all", "--config", cfg, "--seed", "0",
                      "--out", out]) == 0
     assert ran == [2]
-    rep = json.loads(open(os.path.join(out, "acceptance_report.json")).read())
+    rep = json.loads(Path(out, "acceptance_report.json").read_text())
     assert [c["index"] for c in rep["criteria"]] == [2]
 
 

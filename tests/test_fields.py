@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from strongdamp.errors import ConfigError
 from strongdamp.expr import EvalDomainError
 from strongdamp.fields import (ProblemError, boundary_points_by_ray,
                                box_samples, inward_normals, load_preset,
@@ -66,6 +69,31 @@ def test_load_problem_rejects_non_finite_box_and_alpha0(over):
     """An infinite box passed every in_box check and broke box sampling."""
     with pytest.raises(ProblemError, match="finite"):
         make(**over)
+
+
+@pytest.mark.parametrize("over, what", [
+    ({"b": ["-q1 + u"]}, "b[0]"),
+    ({"sigma": [["1 + 0*u"]]}, "sigma[0][0]"),
+    ({"alpha": "1 + u^2"}, "alpha"),
+    ({"l": ["u"]}, "l[0]"),
+], ids=["b", "sigma", "alpha", "l"])
+def test_only_the_reaction_rate_may_reference_u(over, what):
+    """Every field but c is a function of q alone, checked at load."""
+    with pytest.raises(ConfigError, match=rf"^field {re.escape(what)} may "
+                       "not reference u$"):
+        make(**over)
+    assert load_preset("kpp1d").c.uses_u
+    assert make(c="1 - u").c.uses_u
+
+
+def test_undeclared_field_is_named():
+    p = make()
+    q = np.zeros((1, 1))
+    for key, call in (("U", p.grad_U), ("c", lambda q: p.eval_c(q, 0.0)),
+                      ("g", p.eval_g), ("G", p.grad_phi)):
+        with pytest.raises(ProblemError,
+                           match=f"^problem declares no field {key}$"):
+            call(q)
 
 
 def test_field_evaluation_shapes():

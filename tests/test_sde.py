@@ -1,5 +1,6 @@
 import gzip
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,7 +486,7 @@ def test_dump_roundtrip(tmp_path, suffix):
     tr = stochastic_convolution(tr, P1, noise)
     path = str(tmp_path / f"traj{suffix}")
     dump_trajectory(tr, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     text = gzip.decompress(raw).decode() if suffix.endswith(".gz") \
         else raw.decode()
     rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
@@ -520,8 +521,8 @@ def test_dump_bytes_match_per_row_repr(tmp_path, with_p, with_h):
     plain, packed = str(tmp_path / "a.csv"), str(tmp_path / "a.csv.gz")
     dump_trajectory(tr, plain)
     dump_trajectory(tr, packed)
-    assert open(plain, "rb").read() == want
-    raw = open(packed, "rb").read()
+    assert Path(plain).read_bytes() == want
+    raw = Path(packed).read_bytes()
     assert raw[4:8] == bytes(4)                  # mtime pinned to 0
     assert gzip.decompress(raw) == want
 
@@ -536,4 +537,4 @@ def test_dump_gzip_is_reproducible(tmp_path):
     a, b = str(tmp_path / "a.csv.gz"), str(tmp_path / "b.csv.gz")
     dump_trajectory(tr, a)
     dump_trajectory(tr, b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
