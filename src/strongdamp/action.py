@@ -26,7 +26,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
@@ -249,6 +248,7 @@ def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
     gradient over the free nodes.  Returns the final (N+1, d) path and
     scipy's result (fun and jac there, nit, success).
     """
+    from scipy.optimize import minimize   # importing scipy.optimize is slow
     init = np.asarray(init, dtype=float)
     free = slice(1, -1 if pin_end else None)
     shape = init[free].shape

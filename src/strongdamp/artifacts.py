@@ -34,6 +34,11 @@ MANIFEST_NAME = "manifest.json"
 # lines joined and encoded per write by write_csv: tens of kB of CSV,
 # under malloc's mmap threshold, so chunk buffers reuse heap memory
 CHUNK_LINES = 1024
+# deflate level of .gz output.  On 12 stored p2 trajectories (1 385 588
+# bytes of CSV; one core of a 2-vCPU machine), level 9, GzipFile's
+# default, writes 570 585 bytes in 0.21 s, level 6 573 965 bytes in
+# 0.09 s and level 1 619 443 bytes in 0.016 s
+GZIP_LEVEL = 6
 
 
 @contextmanager
@@ -114,7 +119,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     # gzip's mtime and FNAME pinned so identical content gives identical
     # bytes; deflate's output does not depend on how its input is chunked
     with atomic_file(path) as raw, (
-            gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+            gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0,
+                          compresslevel=GZIP_LEVEL)
             if path.endswith(".gz") else nullcontext(raw)) as fh:
         while chunk := list(islice(lines, CHUNK_LINES)):
             chunk.append("")

@@ -2,8 +2,10 @@
 
 exit_scaling runs M paths per rung of an eps ladder and reports each
 rung's statistics and their eps -> 0 limit; exit_location_histogram bins
-where the paths of one rung left.  The paths run in a streaming kernel
-(nothing is stored but the current state), exit is detected as the first
+where the paths of one rung left.  The paths of all rungs run together in
+one call of a streaming kernel (nothing is stored but the current state),
+each on its rung's step and step cap, so a ladder takes as many steps as
+its longest path, not the sum over rungs.  Exit is detected as the first
 sign change of the domain function phi along a step, and the crossing
 time and point are placed by linear interpolation inside that step.
 Exit times live on the rescaled clock; divide by eps for the original
@@ -27,11 +29,12 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import check_ladder, default_step, make_step, philox_keys, \
-    philox_start
+from .sde import DRAW_ROWS, check_ladder, default_step, make_step, \
+    philox_keys, philox_start
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
+CHUNK_VALUES = 2**17       # noise values a chunk holds at most (1 MB)
 
 
 def default_max_steps(eps: float) -> int:
@@ -60,24 +63,28 @@ class ExitScaling:
     used_eps: np.ndarray       # rungs that entered the fit (timeout-free)
 
 
-def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
+def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
                  q0: np.ndarray, v0: np.ndarray, seed: int,
-                 stream_ids: Sequence[int], max_steps: int,
+                 stream_ids: Sequence[int], max_steps,
                  chunk_steps: int = DEFAULT_CHUNK):
-    """Advance M paths until each exits G or hits the step cap.
+    """Advance M paths until each exits G or hits its step cap.
 
-    Returns (tau (M,), exit_points (M, d), timed_out (M,)); a row that
-    times out keeps tau = nan.  The state keeps only the rows inside G: a
-    step where a row exits drops it, and `live` maps the state rows to
-    their rows of the chunk's noise.  Each row draws from its own Philox
-    stream as it goes (FIRST_DRAW steps, then as many as have run, at most
-    chunk_steps), which gives the numbers of one long draw; each row's
-    bit-generator state is kept between chunks.  A chunk runs under one
-    trap, and a trapped step runs again on step.checked and on phi's
-    checked twin.  phi is checked finite on the rows that cross and on all
-    rows at the chunk's end: a NaN never crosses, as NaN >= 0 is false.
+    eps, h and max_steps are scalars or per-row (M,) arrays, so the rows of a
+    whole eps ladder can advance together, each on its rung's step and cap.
+    Returns (tau (M,), exit_points (M, d), timed_out (M,)); a row that times
+    out keeps tau = nan.  The state keeps the rows inside G and under their
+    cap; `rows` maps it to the M rows, `live` to the rows of the chunk's
+    noise, and a step where rows exit takes the rows that stay once from each.
+    Rows draw from their own Philox streams as they go (FIRST_DRAW steps, then
+    as many as have run, at most chunk_steps and CHUNK_VALUES in all, never
+    past a cap), which gives the numbers of one long draw, stored time-major:
+    a step reads one (rows, r) block.  A chunk runs under one trap, and a
+    trapped step runs again on step.checked and on phi's checked twin.  phi
+    is checked finite on the rows that cross and on all rows at the chunk's
+    end: a NaN never crosses, as NaN >= 0 is false.
     """
     M, d = q0.shape
+    eps, h, cap = (np.broadcast_to(a, M) for a in (eps, h, max_steps))
     tau = np.full(M, np.nan)
     exit_pts = np.full((M, d), np.nan)
 
@@ -86,59 +93,69 @@ def _exit_kernel(p: ProblemDefinition, eps: float, h: float, scheme: str,
     tau[immediate] = 0.0
     exit_pts[immediate] = q0[immediate]
 
-    active = np.flatnonzero(~immediate)
-    q, v, phi = q0[active], v0[active], phi_init[active]
-
     states = [philox_start(key)
               for key in philox_keys(seed, stream_ids).tolist()]
     gen = np.random.Generator(np.random.Philox(0))
+    root_h = np.sqrt(h)[:, None]
 
     step = make_step(p, eps, h, scheme)
     G = compiled_all([p.G])
 
+    def keep(idx):
+        """The state keeps its rows idx."""
+        nonlocal q, v, phi, rows, live, consts, c
+        q, v, phi, rows, live = (a.take(idx, axis=0)
+                                 for a in (q, v, phi, rows, live))
+        consts = consts.take(idx, axis=1)
+        c = tuple(consts)
+
     def advance(k, checked):
         """Step k of the chunk; the rows that cross leave the state.
         True once no row is left."""
-        nonlocal q, v, phi, live
+        nonlocal q, v, phi
         st, phi_of = (step.checked, G.checked) if checked else (step, G)
-        q1, v1 = st(q, v, inc[:, k] if live is None else inc[live, k])
+        q1, v1 = st(q, v, inc[k].take(live, axis=0), c=c)
         phi1 = phi_of(q1).reshape(phi.shape)
-        if phi1.max() >= 0:
-            crossed = phi1 >= 0
-            gap = phi[crossed] - phi1[crossed]
+        crossed = phi1.max() >= 0
+        if crossed:
+            out = np.flatnonzero(phi1 >= 0)
+            gap = phi[out] - phi1[out]
             if not np.isfinite(gap).all():
                 raise NumericalError("exit path diverged (non-finite state)")
-            if live is None:
-                live = np.arange(active.size)
-            frac = phi[crossed] / gap
-            ids = active[live[crossed]]
-            tau[ids] = (step_count + k + frac) * h
-            exit_pts[ids] = q[crossed] + frac[:, None] * (
-                q1[crossed] - q[crossed])
-            stay = ~crossed
-            live, q1, v1, phi1 = live[stay], q1[stay], v1[stay], phi1[stay]
+            frac = phi[out] / gap
+            ids = rows[out]
+            tau[ids] = (step_count + k + frac) * h[ids]
+            exit_pts[ids] = q[out] + frac[:, None] * (q1[out] - q[out])
         q, v, phi = q1, v1, phi1
+        if crossed:
+            keep(np.flatnonzero(phi1 < 0))
         return phi.size == 0
 
+    rows = live = np.arange(M)
+    q, v, phi, consts, c = q0, v0, phi_init, step.constants, None
+    keep(np.flatnonzero(~immediate))
     step_count = 0
-    while active.size and step_count < max_steps:
+    while rows.size:
         n_chunk = min(chunk_steps, max(FIRST_DRAW, step_count),
-                      max_steps - step_count)
-        inc = np.empty((active.size, n_chunk, p.r))
-        for row, i in enumerate(active.tolist()):
-            gen.bit_generator.state = states[i]
-            gen.standard_normal(out=inc[row])
-            states[i] = gen.bit_generator.state
-        inc *= math.sqrt(h)
+                      int(cap[rows].min()) - step_count,
+                      max(CHUNK_VALUES // (rows.size * p.r), 1))
+        inc = np.empty((n_chunk, rows.size, p.r))
+        draw = np.empty((min(DRAW_ROWS, rows.size), n_chunk, p.r))
+        for start in range(0, rows.size, DRAW_ROWS):
+            block = rows[start:start + DRAW_ROWS]
+            for row, i in enumerate(block.tolist()):
+                gen.bit_generator.state = states[i]
+                gen.standard_normal(out=draw[row])
+                states[i] = gen.bit_generator.state
+            np.multiply(draw[:block.size].transpose(1, 0, 2), root_h[block],
+                        out=inc[:, start:start + block.size])
 
-        live = None                # chunk rows of the state, once compacted
+        live = np.arange(rows.size)
         run_trapped(n_chunk, advance)
         if not np.isfinite(phi).all():
             raise NumericalError("exit path diverged (non-finite state)")
-
         step_count += n_chunk
-        if live is not None:
-            active = active[live]
+        keep(np.flatnonzero(cap[rows] > step_count))
 
     return tau, exit_pts, np.isnan(tau)
 
@@ -184,10 +201,11 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     q0 = p.point(p.O if q0 is None else q0, "q0")
     p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
 
-    stats = []
-    for j, eps in enumerate(ladder):
-        h_eps = default_step(p, eps) if h is None else h
-        cap = default_max_steps(eps) if max_steps is None else max_steps
+    hs = np.array([default_step(p, eps) if h is None else h
+                   for eps in ladder])
+    caps = np.array([default_max_steps(eps) if max_steps is None
+                     else max_steps for eps in ladder])
+    for eps, h_eps, cap in zip(ladder, hs, caps):
         if V0_hint is not None:
             predicted = math.exp(V0_hint / eps)
             if predicted > 0.5 * cap * h_eps:
@@ -195,11 +213,13 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
                     f"rung eps={eps:g}: predicted mean exit time "
                     f"{predicted:.3g} approaches the step-cap horizon "
                     f"{cap * h_eps:.3g}; expect timeouts", stacklevel=2)
-        stream_ids = [j * M + i for i in range(M)]
-        taus, pts, out = _exit_kernel(
-            p, eps, h_eps, scheme, np.broadcast_to(q0, (M, p.d)),
-            np.broadcast_to(p0 / eps, (M, p.d)), seed, stream_ids, cap)
-        stats.append(_rung_stats(eps, taus, pts, out))
+    rung = np.repeat(np.arange(ladder.size), M)    # row j*M + i: rung j
+    taus, pts, out = _exit_kernel(
+        p, ladder[rung], hs[rung], scheme,
+        np.broadcast_to(q0, (rung.size, p.d)), p0 / ladder[rung, None],
+        seed, range(rung.size), caps[rung])
+    stats = [_rung_stats(eps, taus[rung == j], pts[rung == j],
+                         out[rung == j]) for j, eps in enumerate(ladder)]
 
     clean = [(s.eps, s.eps_log_mean) for s in stats
              if s.timeouts == 0 and s.n_samples > 0]

@@ -26,7 +26,6 @@ from numbers import Real
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, q_field
@@ -275,6 +274,7 @@ def boundary_points_by_ray(p: ProblemDefinition, n_rays: int,
     Rays that never leave G inside the box are dropped; raises when no
     boundary point is found.
     """
+    from scipy.optimize import brentq   # importing scipy.optimize is slow
     phi_O = float(p.eval_phi(p.O[None, :])[0])
     if phi_O >= 0:
         raise ProblemError("O must lie inside G (phi(O) < 0)")

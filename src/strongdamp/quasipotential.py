@@ -27,7 +27,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .action import DiscretePath, minimize_path, node_gradient
 from .contour import arc_length_resample, contour_polylines, \
@@ -131,6 +130,7 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
     of its solves from the best rung's path.  Returns the best of all
     solves, ladder rungs included.
     """
+    from scipy.optimize import minimize_scalar  # slow to import
     if q_start is None:
         q_start = p.O
     ladder = (np.geomspace(*DEFAULT_LADDER) if T_ladder is None

@@ -16,10 +16,16 @@ noise part keeps the trapezoidal weight h/2).  The explicit Euler-Maruyama
 scheme is a cross check and only accepts h <= default_step.  make_step
 also builds the Euler-Maruyama step of the limit equation.  Two loops
 drive the step: the stored-path loop behind simulate_inertial and
-simulate_first_order, and the streaming exit kernel.  The step runs the
+simulate_first_order, on one float eps and h, and the streaming exit
+kernel, which advances the rows of a whole eps ladder together.  There
+eps and h are per-row arrays, and the constants the step freezes from
+them are per-row columns that the kernel compacts with the state; each
+row gets the bits a float eps and h would give it.  The step runs the
 generated field evaluators unchecked; each loop owns one floating-point
 trap scope (expr.run_trapped) and re-runs a trapped step on their checked
-twins, so EvalDomainError still names the sub-expression.
+twins, so EvalDomainError still names the sub-expression.  sigma_applier
+is the one rule for applying sigma, shared with stochastic_convolution:
+a constant identity sigma is not applied at all.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
@@ -42,6 +48,7 @@ as views of that storage.  A (d,) start drives every row of a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -313,46 +320,71 @@ def _apply_sigma(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("...dr,...r->...d", sig, vec)
 
 
-def make_step(p: ProblemDefinition, eps: float, h: float,
+def sigma_applier(p: ProblemDefinition) -> Callable:
+    """apply(sig, vec) -> sigma vec for p's sigma, the one rule make_step
+    and stochastic_convolution share.  A constant identity sigma is not
+    applied at all: the einsum's sum would only add exact zeros."""
+    sig_c = p.sigma_const
+    if sig_c is not None and np.array_equal(sig_c, np.eye(p.d)):
+        return lambda sig, vec: vec
+    return _apply_sigma
+
+
+def make_step(p: ProblemDefinition, eps, h,
               scheme: str = "exponential") -> Callable:
     """One step of the damped second-order system, coefficients frozen at
     the left point, or with scheme "first_order" one Euler-Maruyama step
     of the first-order limit equation.
 
-    Returns step(q, v, dW, u=None) -> (q1, v1): positions and velocities
-    (..., d), from Brownian increments dW (..., r) and an optional control
-    value u (r,).  The first-order step hands v back unchanged.  The
-    Euler scheme raises StabilityError for h > default_step.  A constant
-    alpha or sigma is frozen once (p.alpha_const, p.sigma_const); step
-    runs the generated evaluators of the other fields unchecked, under
-    run_trapped, and step.checked is the same step on their checked twins
-    (expr.compiled_all), which name a sub-expression that traps.
+    Returns step(q, v, dW, u=None, c=step.constants) -> (q1, v1):
+    positions and velocities (..., d), from Brownian increments dW
+    (..., r) and an optional control value u (r,).  The first-order step
+    hands v back unchanged.  The Euler scheme raises StabilityError for
+    h > default_step.  A constant alpha or sigma is frozen once
+    (p.alpha_const, p.sigma_const); step runs the generated evaluators of
+    the other fields unchecked, under run_trapped, and step.checked is the
+    same step on their checked twins (expr.compiled_all), which name a
+    sub-expression that traps.
+
+    step.constants holds what the step freezes from eps and h.  For float
+    eps and h it is a tuple of floats.  eps and h may instead be per-row
+    (n,) arrays, for rows that each run their own eps ladder rung: each
+    distinct (eps, h) pair is frozen as a float pair would be, and
+    step.constants stacks the values as (n, 1) columns, shape
+    (n_constants, n, 1).  A caller that drops rows passes c = tuple of
+    those columns taken on the rows it keeps.
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if scheme == "euler":
-        h_max = default_step(p, eps)
-        if h > h_max * (1 + 1e-9):
-            raise StabilityError(
-                f"euler scheme needs h <= 0.2*eps^2/alpha_max = {h_max:.3e}, "
-                f"got h = {h:.3e}")
-    eps2 = eps * eps
-    noise_pow = eps ** (0.5 - p.beta)
-    sqrt_h = math.sqrt(h)
-    h_eps2 = h / eps2
-    half_h = 0.5 * h
     sig_c, al_c = p.sigma_const, p.alpha_const
+    apply_sigma = sigma_applier(p)
 
-    def relax(al):     # decay, 1 - decay, mu1, h - mu1, noise amplitude
+    def relax(al, h, eps2, noise_pow):
+        # decay, 1 - decay, mu1, h - mu1, noise amplitude
         decay = np.exp(-al * h / eps2)
-        mu1 = (eps2 / al) * (1.0 - decay)
+        keep = 1.0 - decay
+        mu1 = (eps2 / al) * keep
         amp = noise_pow * np.sqrt((1.0 - decay**2) / (2.0 * al * eps2))
-        return decay, 1.0 - decay, mu1, h - mu1, amp
-    relax_c = relax(al_c) if al_c is not None else None
-    # a constant identity sigma is not applied at all: the einsum's sum
-    # would only add exact zeros
-    identity = sig_c is not None and np.array_equal(sig_c, np.eye(p.d))
-    apply_sigma = (lambda sig, vec: vec) if identity else _apply_sigma
+        return decay, keep, mu1, h - mu1, amp
+
+    @functools.cache
+    def frozen_constants(eps, h):
+        if scheme == "euler":
+            h_max = default_step(p, eps)
+            if h > h_max * (1 + 1e-9):
+                raise StabilityError(
+                    f"euler scheme needs h <= 0.2*eps^2/alpha_max = "
+                    f"{h_max:.3e}, got h = {h:.3e}")
+        eps2 = eps * eps
+        noise_pow = eps ** (0.5 - p.beta)
+        return (h, eps2, noise_pow, math.sqrt(h), h / eps2, 0.5 * h) + (
+            () if al_c is None else relax(al_c, h, eps2, noise_pow))
+
+    if np.ndim(eps) == np.ndim(h) == 0:
+        consts = frozen_constants(eps, h)
+    else:
+        consts = np.array([frozen_constants(*pair) for pair in
+                           zip(*np.broadcast_arrays(eps, h))]).T[..., None]
 
     def bind(b_of, alpha_of, flat_sigma):
         def frozen(q, u):
@@ -364,23 +396,26 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
                 drift = drift + apply_sigma(sig, u)
             return sig, al, drift
 
-        def euler(q, v, dW, u=None):
+        def euler(q, v, dW, u=None, c=consts):
+            h, eps2, noise_pow, _, h_eps2, *_ = c
             sig, al, drift = frozen(q, u)
             v1 = (v + h_eps2 * (drift - al * v)
                   + noise_pow * apply_sigma(sig, dW) / eps2)
             return q + h * v, v1
 
-        def exponential(q, v, dW, u=None):
+        def exponential(q, v, dW, u=None, c=consts):
+            h, eps2, noise_pow, sqrt_h, _, half_h, *relax_c = c
             sig, al, drift = frozen(q, u)
             decay, keep, mu1, h_mu1, amp = (
-                relax_c if relax_c is not None else relax(al))
+                relax_c or relax(al, h, eps2, noise_pow))
             drift = drift / al
             xi = amp * apply_sigma(sig, dW) / sqrt_h
             v1 = decay * v + keep * drift + xi
             q1 = q + v * mu1 + drift * h_mu1 + half_h * xi
             return q1, v1
 
-        def first_order(q, v, dW, u=None):
+        def first_order(q, v, dW, u=None, c=consts):
+            h, _, noise_pow, *_ = c
             sig, al, drift = frozen(q, u)
             q1 = q + h * drift / al + noise_pow * apply_sigma(sig, dW) / al
             return q1, v
@@ -395,6 +430,7 @@ def make_step(p: ProblemDefinition, eps: float, h: float,
     step = bind(*runs)
     step.checked = bind(*(None if run is None else run.checked
                            for run in runs))
+    step.constants = consts
     return step
 
 
@@ -478,10 +514,11 @@ def stochastic_convolution(tr: Trajectory, p: ProblemDefinition,
     h = tr.times[1] - tr.times[0] if steps else 0.0
     decay = np.exp(-p.eval_alpha(q) * h / (tr.eps * tr.eps))[..., None]
     amp = tr.eps ** (0.5 - p.beta)
+    apply_sigma = sigma_applier(p)
     H = np.zeros((steps + 1,) + q.shape[1:])
     for n in range(steps):
         sig = p.eval_sigma(q[n]) if p.sigma_const is None else p.sigma_const
-        H[n + 1] = decay[n] * (H[n] + amp * _apply_sigma(sig, inc[n]))
+        H[n + 1] = decay[n] * (H[n] + amp * apply_sigma(sig, inc[n]))
     return replace(tr, convolution=np.moveaxis(H, 0, -2))
 
 

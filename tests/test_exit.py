@@ -1,10 +1,14 @@
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
 
+import strongdamp.exit
 from strongdamp.errors import ConfigError, NumericalError
-from strongdamp.exit import (DEFAULT_CHUNK, FIRST_DRAW, _exit_kernel,
-                             default_max_steps, exit_location_histogram,
-                             exit_scaling)
+from strongdamp.exit import (DEFAULT_CHUNK, FIRST_DRAW, ExitStats,
+                             _exit_kernel, _rung_stats, default_max_steps,
+                             exit_location_histogram, exit_scaling)
 from strongdamp.expr import EvalDomainError
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.sde import NoisePath, SimParams, default_step, \
@@ -128,6 +132,69 @@ def test_batched_kernel_follows_simulator(preset, eps, steps, chunk):
     np.testing.assert_array_equal(pts, q_n + frac[:, None] * (q_n1 - q_n))
 
 
+def rung_alone(p, eps, j, M, seed, p0, *, h=None, scheme="exponential",
+               max_steps=None):
+    """Stats of rung j of exit_scaling's ladder run by the kernel alone,
+    on stream ids j*M + i."""
+    h = default_step(p, eps) if h is None else h
+    cap = default_max_steps(eps) if max_steps is None else max_steps
+    q0 = np.broadcast_to(p.O, (M, p.d))
+    v0 = np.broadcast_to(p0 / eps, (M, p.d))
+    return _rung_stats(eps, *_exit_kernel(
+        p, eps, h, scheme, q0, v0, seed, range(j * M, (j + 1) * M), cap))
+
+
+def assert_same_stats(got, want):
+    for f in fields(ExitStats):
+        a = np.asarray(getattr(got, f.name))
+        b = np.asarray(getattr(want, f.name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
+@pytest.mark.parametrize("preset, ladder, scheme, h", [
+    ("p1", (0.55, 0.5, 0.45), "exponential", None),
+    ("p2", (0.8, 0.7), "exponential", None),
+    ("p3", (0.5, 0.45), "exponential", None),
+    ("p1", (0.55, 0.45), "euler", 1e-2),
+], ids=["p1", "p2", "p3", "p1_euler"])
+def test_ladder_rungs_match_the_kernel_alone(preset, ladder, scheme, h,
+                                             chunk, monkeypatch):
+    """exit_scaling runs every rung's rows in one kernel call, each row on
+    its rung's eps, step and cap; rung by rung it returns, bit for bit,
+    what the kernel returns on that rung alone, whatever the chunk."""
+    p = load_preset(preset)
+    M, seed, p0 = 12, 3, np.full(p.d, 0.1)
+    monkeypatch.setattr(strongdamp.exit, "_exit_kernel",
+                        partial(_exit_kernel, chunk_steps=chunk))
+    sc = exit_scaling(p, ladder, M, seed, p0=p0, h=h, scheme=scheme)
+    for j, eps in enumerate(np.asarray(ladder)):
+        assert_same_stats(sc.stats[j], rung_alone(
+            p, eps, j, M, seed, p0, h=h, scheme=scheme))
+    assert all(s.n_samples == M for s in sc.stats)
+
+
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_each_row_times_out_at_its_own_cap(chunk):
+    """Rows of one call with caps 300 and 20 000, where about half the
+    rows under the small cap exit before it: each half matches the kernel
+    run alone at its cap, so no chunk runs a row past its cap."""
+    M, eps = 8, 0.4
+    h = default_step(P1, eps)
+    q0, v0 = np.zeros((2 * M, 1)), np.zeros((2 * M, 1))
+    caps = np.repeat([300, 20_000], M)
+    tau, pts, out = _exit_kernel(P1, eps, h, "exponential", q0, v0, 9,
+                                 range(2 * M), caps, chunk_steps=chunk)
+    for j, cap in enumerate((300, 20_000)):
+        want = _exit_kernel(P1, eps, h, "exponential", q0[:M], v0[:M], 9,
+                            range(j * M, (j + 1) * M), cap)
+        half = slice(j * M, (j + 1) * M)
+        for got, exp in zip((tau[half], pts[half], out[half]), want):
+            np.testing.assert_array_equal(got, exp)
+    assert 0 < out[:M].sum() < M and not out[M:].any()
+    assert np.all(tau[:M][~out[:M]] <= 300 * h)
+
+
 def test_drift_leaving_its_domain_names_the_subexpression():
     """The drift is defined only for q1 < 2; the path reaches q1 = 2 after
     some hundreds of steps, inside the exit domain |q1| < 3."""
@@ -218,13 +285,18 @@ def test_rescaled_clock_and_original_clock():
 
 def test_timeout_rung_marks_lower_bound():
     """A rung whose paths hit the step cap only bounds the mean from
-    below; the fit must use the clean rungs and flag the capped one."""
+    below; the fit must use the clean rungs and flag the capped one.  The
+    two rungs run in one kernel call, and each returns, bit for bit, what
+    the kernel returns on that rung alone."""
     sc = exit_scaling(P1, [0.3, 0.1], M=6, seed=5, max_steps=20_000)
     clean, capped = sc.stats
     assert clean.timeouts == 0 and not clean.lower_bound
     assert capped.timeouts == 6 and capped.lower_bound
     assert list(sc.used_eps) == [0.3]
     assert sc.limit == pytest.approx(clean.eps_log_mean)
+    for j, eps in enumerate(np.array([0.3, 0.1])):
+        assert_same_stats(sc.stats[j], rung_alone(
+            P1, eps, j, 6, 5, np.zeros(1), max_steps=20_000))
 
 
 def test_all_rungs_capped_is_an_error():

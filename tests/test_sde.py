@@ -419,6 +419,34 @@ def test_step_matches_checked_einsum_oracle(case, scheme, control):
         q, v = want[0], want[1]
 
 
+@pytest.mark.parametrize("scheme", ["exponential", "euler", "first_order"])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_per_row_eps_and_h_match_float_steps(case, scheme):
+    """Rows of two eps, each with its own h, stepped at once on per-row
+    constants taken on a subset of rows, as the exit kernel keeps them:
+    every row gets the bits of the step built from its own float eps
+    and h."""
+    p = STEP_CASES[case]
+    ladder = np.array([0.3, 0.25])
+    hs = np.array([0.5 * default_step(p, e) for e in ladder])
+    rung = np.repeat([0, 1], 8)
+    step = make_step(p, ladder[rung], hs[rung], scheme)
+    rng = np.random.default_rng(7)
+    q = rng.uniform(-1.5, 1.5, (16, p.d))
+    v = rng.standard_normal((16, p.d))
+    dW = rng.standard_normal((16, p.r)) * np.sqrt(hs[rung])[:, None]
+    rows = np.array([0, 3, 5, 8, 9, 15])
+    c = tuple(step.constants.take(rows, axis=1))
+    for fn in (step, step.checked):
+        got = fn(q[rows], v[rows], dW[rows], c=c)
+        for j in (0, 1):
+            alone = make_step(p, ladder[j], hs[j], scheme)
+            on = rung[rows] == j
+            want = alone(q[rows][on], v[rows][on], dW[rows][on])
+            for g, w in zip(got, want):
+                _same_bits(g[on], w)
+
+
 def test_convolution_matches_double_sum_at_state_dependent_coefficients():
     """H(t_n) = eps^(1/2-beta) sum_{k<n} exp(-(A(t_n) - A(t_k))/eps^2)
     sigma(q_k) dW_k with the left-point friction integral
