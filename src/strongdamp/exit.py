@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
-from .sde import DRAW_ROWS, check_ladder, default_step, make_step, \
-    philox_keys, philox_start
+from .sde import check_ladder, default_step, draw_rows, make_step, \
+    stream_generators
 
 DEFAULT_CHUNK = 4096
 FIRST_DRAW = 256           # steps in a row's first noise draw
@@ -75,13 +75,13 @@ def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
     out keeps tau = nan.  The state keeps the rows inside G and under their
     cap; `rows` maps it to the M rows, `live` to the rows of the chunk's
     noise, and a step where rows exit takes the rows that stay once from each.
-    Rows draw from their own Philox streams as they go (FIRST_DRAW steps, then
-    as many as have run, at most chunk_steps and CHUNK_VALUES in all, never
-    past a cap), which gives the numbers of one long draw, stored time-major:
-    a step reads one (rows, r) block.  A chunk runs under one trap, and a
-    trapped step runs again on step.checked and on phi's checked twin.  phi
-    is checked finite on the rows that cross and on all rows at the chunk's
-    end: a NaN never crosses, as NaN >= 0 is false.
+    Each row keeps its own Philox generator and draws as it goes (FIRST_DRAW
+    steps, then as many as have run, at most chunk_steps and CHUNK_VALUES in
+    all, never past a cap), one long draw's numbers, which draw_rows stores
+    time-major: a step reads one (rows, r) block.  A chunk runs under one
+    trap, and a trapped step runs again on step.checked and on phi's checked
+    twin.  phi is checked finite on the rows that cross and on all rows at
+    the chunk's end: a NaN never crosses, as NaN >= 0 is false.
     """
     M, d = q0.shape
     eps, h, cap = (np.broadcast_to(a, M) for a in (eps, h, max_steps))
@@ -93,9 +93,7 @@ def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
     tau[immediate] = 0.0
     exit_pts[immediate] = q0[immediate]
 
-    states = [philox_start(key)
-              for key in philox_keys(seed, stream_ids).tolist()]
-    gen = np.random.Generator(np.random.Philox(0))
+    gens = stream_generators(seed, stream_ids)
     root_h = np.sqrt(h)[:, None]
 
     step = make_step(p, eps, h, scheme)
@@ -139,17 +137,8 @@ def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
         n_chunk = min(chunk_steps, max(FIRST_DRAW, step_count),
                       int(cap[rows].min()) - step_count,
                       max(CHUNK_VALUES // (rows.size * p.r), 1))
-        inc = np.empty((n_chunk, rows.size, p.r))
-        draw = np.empty((min(DRAW_ROWS, rows.size), n_chunk, p.r))
-        for start in range(0, rows.size, DRAW_ROWS):
-            block = rows[start:start + DRAW_ROWS]
-            for row, i in enumerate(block.tolist()):
-                gen.bit_generator.state = states[i]
-                gen.standard_normal(out=draw[row])
-                states[i] = gen.bit_generator.state
-            np.multiply(draw[:block.size].transpose(1, 0, 2), root_h[block],
-                        out=inc[:, start:start + block.size])
-
+        inc = draw_rows(map(gens.__getitem__, rows.tolist()), n_chunk,
+                        p.r, root_h[rows])
         live = np.arange(rows.size)
         run_trapped(n_chunk, advance)
         if not np.isfinite(phi).all():

@@ -69,7 +69,10 @@ def path_values(p: ProblemDefinition, sp: SimParams, q0, p0, M: int,
     """(M,) array of value(tr, noise), one number per row of each batch
     Trajectory, over M inertial paths from (q0, p0) under control, on
     stream ids first_id, ..., first_id + M - 1, in batches of
-    batch_rows(sp.steps) rows."""
+    batch_rows(sp.steps) rows.  ConfigError unless M >= 1, before any
+    path is drawn."""
+    if M < 1:
+        raise ConfigError(f"need at least one sample path, got M = {M}")
     vals = np.empty(M)
     for start, noise in NoisePath.batches(seed, M, sp.steps, p.r, sp.h,
                                           first_id):
@@ -203,7 +206,8 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     The left side is assembled in log space per rung and extrapolated
     linearly in eps; the right side is one deterministic path
     optimization with a free endpoint.  Rungs whose relative CI of
-    E exp(-cost/eps) exceeds ci_threshold are flagged (and still used).
+    E exp(-cost/eps) exceeds ci_threshold, or that hold one sample, are
+    flagged (and still used).
     """
     cost = q_field(terminal_cost, p.d, "terminal cost")
     q0 = p.point(p.O if q0 is None else q0, "q0")
@@ -217,12 +221,11 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
             p, sp, q0, np.zeros(p.d), M, seed, j * M,
             lambda tr, noise: -evaluate(cost, tr.q[:, -1, :]) / eps)
         lhs[j] = -eps * (logsumexp(logw) - math.log(M))
-        # relative CI of the weight mean via normalized weights
+        # relative CI of the weight mean via normalized weights; one
+        # sample gives no CI, so its rung is flagged
         w = np.exp(logw - logw.max())
-        mu = float(np.mean(w))
-        se = float(np.std(w, ddof=1)) / math.sqrt(M)
-        if se > ci_threshold * mu:
-            flagged[j] = True
+        se = float(np.std(w, ddof=1)) / math.sqrt(M) if M > 1 else math.inf
+        flagged[j] = se > ci_threshold * float(np.mean(w))
 
     extrap = float(np.polyfit(ladder, lhs, 1)[1])
     var_val, endpoint, _ = minimize_terminal_plus_action(

@@ -33,9 +33,10 @@ default_step is the package's one step-size rule, alpha_max h / eps^2 =
 Noise is reproducible: every path owns a counter-based Philox stream keyed
 by mixing (seed, stream_id) through a fixed 64-bit finalizer, so results
 do not depend on scheduling or batch composition.  philox_keys derives
-the keys of a whole batch in uint64 array arithmetic.  A batch draw and
-the exit kernel re-key one Philox bit generator per row (philox_start)
-instead of building a generator per row, which gives the same numbers.
+the keys of a whole batch in uint64 array arithmetic.  draw_rows draws
+rows of noise from positioned generators: a batch draw re-keys one to each
+fresh row's start (rekeyed), the exit kernel keeps one per row
+(stream_generators).  Both give make_generator's numbers.
 NoisePath.batches is the one place that splits M paths into batches of
 consecutive stream ids; ldpcheck.path_values, the one Monte Carlo path
 loop, and the simulate command draw through it.
@@ -70,8 +71,7 @@ class GridMismatchError(ConfigError):
 
 
 _MASK64 = (1 << 64) - 1
-_ZERO4 = (0, 0, 0, 0)
-DRAW_ROWS = 256    # rows a batch draws before it scales them into place
+DRAW_ROWS = 256    # rows draw_rows draws before it scales them into place
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -95,18 +95,45 @@ def philox_keys(seed: int, stream_ids: Iterable[int]) -> np.ndarray:
     return keys
 
 
-def philox_start(key) -> dict:
-    """Philox bit-generator state at the start of the stream keyed `key`
-    (a philox_keys row): a zero counter and an empty buffer."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": key}, "buffer": _ZERO4,
-            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def stream_generators(seed: int, stream_ids: Iterable[int]) -> list:
+    """A Philox generator at the start of each stream (seed, stream_id)."""
+    return [np.random.Generator(np.random.Philox(key=key))
+            for key in philox_keys(seed, stream_ids)]
+
+
+def rekeyed(seed: int, stream_ids: Iterable[int]) -> Iterator:
+    """One Philox generator, re-keyed in turn to the start of each stream
+    (seed, stream_id): a zero counter and an empty buffer."""
+    gen = np.random.Generator(np.random.Philox(0))
+    state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0,
+             "state": {"counter": (0,) * 4, "key": None}}
+    for key in philox_keys(seed, stream_ids).tolist():
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        yield gen
 
 
 def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Independent counter-based generator for (seed, stream_id)."""
-    return np.random.Generator(
-        np.random.Philox(key=philox_keys(seed, [stream_id])[0]))
+    return stream_generators(seed, [stream_id])[0]
+
+
+def draw_rows(gens: Iterator, steps: int, r: int,
+              root: np.ndarray) -> np.ndarray:
+    """Time-major (steps, n, r) normals: row i is the next of gens drawn as
+    standard_normal((steps, r)), times root[i] of an (n, 1) column.  Rows
+    are drawn DRAW_ROWS at a time, each block scaled into place at once."""
+    n = len(root)
+    inc = np.empty((steps, n, r))
+    draw = np.empty((min(DRAW_ROWS, n), steps, r))
+    for start in range(0, n, DRAW_ROWS):
+        block = draw[:min(DRAW_ROWS, n - start)]
+        for row, gen in zip(block, gens):
+            gen.standard_normal(out=row)
+        np.multiply(block.transpose(1, 0, 2), root[start:start + len(block)],
+                    out=inc[:, start:start + len(block)])
+    return inc
 
 
 @dataclass
@@ -137,30 +164,14 @@ class NoisePath:
         result is identical however the batch is later split.
 
         Row i holds make_generator(seed, stream_ids[i]).standard_normal(
-        (steps, r)) * sqrt(dt).  One Philox bit generator is re-keyed per
-        row to its philox_start state, so no buffered word of one row
-        reaches the next, and draws the row into a contiguous row of a
-        block of DRAW_ROWS rows; each block is scaled into the time-major
-        storage in one call.
+        (steps, r)) * sqrt(dt), drawn by draw_rows from one generator
+        re-keyed per row, so no buffered word of one row reaches the next.
         """
         if steps < 1 or r < 1 or not 0 < dt < math.inf:
             raise ConfigError(
                 "NoisePath needs steps >= 1, r >= 1, 0 < dt < inf")
-        keys = philox_keys(seed, stream_ids).tolist()
-        inc = np.empty((steps, len(keys), r))
-        draw = np.empty((min(DRAW_ROWS, len(keys)), steps, r))
-        root = np.sqrt(dt)
-        bits = np.random.Philox(0)
-        gen = np.random.Generator(bits)
-        state = philox_start(None)
-        for start in range(0, len(keys), DRAW_ROWS):
-            block = keys[start:start + DRAW_ROWS]
-            for row, key in enumerate(block):
-                state["state"]["key"] = key
-                bits.state = state
-                gen.standard_normal(out=draw[row])
-            np.multiply(draw[:len(block)].transpose(1, 0, 2), root,
-                        out=inc[:, start:start + len(block)])
+        inc = draw_rows(rekeyed(seed, stream_ids), steps, r,
+                        np.full((len(stream_ids), 1), np.sqrt(dt)))
         return cls(dt=dt, increments=inc.transpose(1, 0, 2))
 
     @classmethod

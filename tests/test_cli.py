@@ -266,6 +266,18 @@ def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
     assert f"must have shape ({d},)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("scheme", "euler"), ("p0", [5.0])])
+def test_simulate_keys_the_first_order_limit_ignores_are_rejected(
+        tmp_path, capsys, key, value):
+    """The first-order limit has no momentum and one scheme."""
+    cfg = write_cfg(tmp_path, {"problem": "p1", "simulate": {
+        "eps": 0.1, "T": 0.1, "first_order": True, key: value}})
+    rc = cli.main(["simulate", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config invalid at simulate/{key}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("block, key", [
     ({"boundary": True, "q_end": [1.0]}, "q_end"),
     ({"boundary": True, "q_start": [0.0]}, "q_start"),

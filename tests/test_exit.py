@@ -101,18 +101,28 @@ def test_exit_kernel_follows_simulator(preset, scheme):
     assert pt[0] == tr.q[n, 0] + frac * (tr.q[n + 1, 0] - tr.q[n, 0])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 300, DEFAULT_CHUNK])
-@pytest.mark.parametrize("preset, eps, steps", [("p2", 0.8, 2000),
-                                                ("p3", 0.45, 1000)])
-def test_batched_kernel_follows_simulator(preset, eps, steps, chunk):
-    """32 rows through the kernel against crossings rebuilt from stored
+def batched_case(preset, eps, steps, M, chunk):
+    rows = "" if M == 32 else f"-{M}rows"
+    return pytest.param(preset, eps, steps, M, chunk,
+                        id=f"{preset}-{eps}-{steps}{rows}-{chunk}")
+
+
+@pytest.mark.parametrize("preset, eps, steps, M, chunk", [
+    batched_case(*case, chunk)
+    for case in [("p2", 0.8, 2000, 32), ("p3", 0.45, 1000, 32)]
+    for chunk in [1, 7, 300, DEFAULT_CHUNK]] + [
+    batched_case("p3", 0.45, 1000, 300, chunk)
+    for chunk in [7, DEFAULT_CHUNK]])
+def test_batched_kernel_follows_simulator(preset, eps, steps, M, chunk):
+    """M rows through the kernel against crossings rebuilt from stored
     paths on generate_batch noise with the same stream ids.  The rows exit
     over hundreds to ~1600 steps, so the kernel's piecewise noise draws,
     its compaction on exit and its index from state rows to noise rows
-    all have to keep each row's own noise and step, bit for bit."""
+    all have to keep each row's own noise and step, bit for bit.  300 rows
+    are more than one DRAW_ROWS block."""
     p = load_preset(preset)
     h = default_step(p, eps)
-    M, seed = 32, 11
+    seed = 11
     ids = list(range(40, 40 + M))
     q0 = np.broadcast_to(p.O, (M, p.d)).copy()
     p0 = np.zeros((M, p.d))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import strongdamp.sde
 from strongdamp.action import ControlSignal
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
+from strongdamp.front import feynman_kac_bound
 from strongdamp.ldpcheck import (controlled_convergence, h_eps_scaling,
                                  laplace_check,
                                  minimize_terminal_plus_action)
@@ -156,12 +159,12 @@ def _no_batches(monkeypatch):
 
 
 LADDER_CHECKS = {
-    "h_eps_scaling": lambda ladder: h_eps_scaling(
-        P2, ladder, M=4, T=1e-3, seed=0),
-    "controlled_convergence": lambda ladder: controlled_convergence(
-        P2, ControlSignal(T=0.5, values=np.zeros(17)), ladder, M=4, seed=0),
-    "laplace_check": lambda ladder: laplace_check(
-        P2, "q1^2", ladder, M=4, T=0.5, seed=0),
+    "h_eps_scaling": lambda ladder, M=4: h_eps_scaling(
+        P2, ladder, M=M, T=1e-3, seed=0),
+    "controlled_convergence": lambda ladder, M=4: controlled_convergence(
+        P2, ControlSignal(T=0.5, values=np.zeros(17)), ladder, M=M, seed=0),
+    "laplace_check": lambda ladder, M=4: laplace_check(
+        P2, "q1^2", ladder, M=M, T=0.5, seed=0),
 }
 
 
@@ -181,6 +184,31 @@ def test_every_check_rejects_a_bad_ladder_before_any_path(
     _no_batches(monkeypatch)
     with pytest.raises(ConfigError, match=message):
         LADDER_CHECKS[check](ladder)
+
+
+@pytest.mark.parametrize("check", sorted(LADDER_CHECKS)
+                         + ["feynman_kac_bound"])
+def test_every_path_loop_rejects_zero_samples_before_any_path(
+        monkeypatch, check):
+    """M = 0 is a ConfigError from the one path loop, not a division by
+    zero or a log of zero after it."""
+    _no_batches(monkeypatch)
+    with pytest.raises(ConfigError, match="at least one sample path"):
+        if check == "feynman_kac_bound":
+            feynman_kac_bound(load_preset("kpp1d"), q=[0.0], t=0.05,
+                              eps=0.25, M=0, seed=0)
+        else:
+            LADDER_CHECKS[check]((0.2, 0.1, 0.05), M=0)
+
+
+def test_laplace_flags_every_one_sample_rung():
+    """One path per rung gives no CI: each rung is flagged, with no
+    degrees-of-freedom warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = LADDER_CHECKS["laplace_check"]((0.2, 0.1, 0.05), M=1)
+    assert report.flagged.all()
+    assert np.isfinite(report.lhs_values).all()
 
 
 def test_controlled_initial_momentum_is_checked_before_any_path(
