@@ -6,7 +6,10 @@ discrete action is minimized over the interior nodes (endpoints are hard
 constraints) by action.minimize_path, the L-BFGS path driver shared with
 the Laplace check and the front values; the travel time is then
 optimized over a log-spaced ladder followed by a bounded Brent search
-in log T (scipy.optimize.minimize_scalar) around the best rung.
+in log T (scipy.optimize.minimize_scalar) around the best rung.  From the
+rest point O the fixed-T minimum does not increase in T (waiting at O is
+free), so when the ladder's top rung is best and its solve converged,
+that rung is the result and the search is skipped.
 
 The action has two quadratic forms, "standard" and "alt", which minimize
 to the same quasipotential.  check_action_equivalence solves both from the
@@ -128,7 +131,9 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
     Scans the T ladder, then minimizes over log T between the neighbours
     of the best rung with scipy's bounded Brent search, warm-starting each
     of its solves from the best rung's path.  Returns the best of all
-    solves, ladder rungs included.
+    solves, ladder rungs included.  The search is skipped when refine is
+    False, and when q_start is the rest point O and the best rung is the
+    ladder's top with a converged solve: from O no shorter T does better.
     """
     from scipy.optimize import minimize_scalar  # slow to import
     if q_start is None:
@@ -143,7 +148,11 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
 
     results = [solve(T, init=init) for T in ladder]
     k = int(np.argmin([r.value for r in results]))
-    if ladder.size == 1 or not refine:
+    # Waiting at the rest point O costs no action, so V_T(O, q_end) does not
+    # increase in T: a converged top rung leaves no better T below it.
+    top_from_rest = (k == ladder.size - 1 and results[k].converged
+                     and np.array_equal(q_start, p.O))
+    if ladder.size == 1 or not refine or top_from_rest:
         return results[k]
 
     warm = results[k].path.points

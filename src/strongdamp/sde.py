@@ -152,12 +152,6 @@ class NoisePath:
         return self.increments.shape[-1]
 
     @classmethod
-    def generate(cls, seed: int, stream_id: int, steps: int, r: int,
-                 dt: float) -> "NoisePath":
-        batch = cls.generate_batch(seed, [stream_id], steps, r, dt)
-        return cls(dt=dt, increments=batch.increments[0])
-
-    @classmethod
     def generate_batch(cls, seed: int, stream_ids: Sequence[int], steps: int,
                        r: int, dt: float) -> "NoisePath":
         """Stack of independent paths; stream ids are pre-assigned so the

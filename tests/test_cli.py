@@ -266,10 +266,12 @@ def test_wrong_length_start_vector_is_config_error(tmp_path, capsys,
     assert f"must have shape ({d},)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("scheme", "euler"), ("p0", [5.0])])
+@pytest.mark.parametrize("key, value", [("scheme", "euler"), ("p0", [5.0]),
+                                        ("with_convolution", True)])
 def test_simulate_keys_the_first_order_limit_ignores_are_rejected(
         tmp_path, capsys, key, value):
-    """The first-order limit has no momentum and one scheme."""
+    """The first-order limit has no momentum, one scheme and no inertial
+    stochastic convolution."""
     cfg = write_cfg(tmp_path, {"problem": "p1", "simulate": {
         "eps": 0.1, "T": 0.1, "first_order": True, key: value}})
     rc = cli.main(["simulate", "--config", cfg,
@@ -445,9 +447,9 @@ def test_simulate_batch_matches_single_path_reference(tmp_path):
     """`simulate` runs its paths as one batch; each file matches the path
     simulated, convolved and dumped on its own."""
     from strongdamp.fields import load_preset
-    from strongdamp.sde import NoisePath, SimParams, default_step, \
-        dump_trajectory, simulate_inertial, snap_step, \
-        stochastic_convolution
+    from conftest import noise_row
+    from strongdamp.sde import SimParams, default_step, dump_trajectory, \
+        simulate_inertial, snap_step, stochastic_convolution
     blk = {"eps": 0.2, "T": 0.3, "n_paths": 3, "with_convolution": True,
            "q0": [0.4], "p0": [0.1]}
     cfg = write_cfg(tmp_path, {"problem": "p2", "simulate": blk})
@@ -457,7 +459,7 @@ def test_simulate_batch_matches_single_path_reference(tmp_path):
     p = load_preset("p2")
     sp = SimParams(eps=0.2, T=0.3, h=snap_step(0.3, default_step(p, 0.2)))
     for i in range(3):
-        noise = NoisePath.generate(17, i, sp.steps, p.r, sp.h)
+        noise = noise_row(17, i, sp.steps, p.r, sp.h)
         tr = simulate_inertial(p, sp, np.array([0.4]), np.array([0.1]),
                                noise)
         ref = tmp_path / f"ref_{i}.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import strongdamp.exit
+from conftest import noise_row
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.exit import (DEFAULT_CHUNK, FIRST_DRAW, ExitStats,
                              _exit_kernel, _rung_stats, default_max_steps,
@@ -81,13 +82,13 @@ def test_scaling_ladder_validation():
 @pytest.mark.parametrize("scheme", ["exponential", "euler"])
 def test_exit_kernel_follows_simulator(preset, scheme):
     """The kernel's row on stream (5, 0) draws the numbers of
-    NoisePath.generate(5, 0, ...), and the kernel and simulate_inertial
+    noise_row(5, 0, ...), and the kernel and simulate_inertial
     share one step: the crossing rebuilt from the stored path is
     bit-identical."""
     p = load_preset(preset)
     eps, steps = 0.5, 5000
     h = default_step(p, eps)
-    noise = NoisePath.generate(5, 0, steps, 1, h)
+    noise = noise_row(5, 0, steps, 1, h)
     q0, p0 = np.array([0.3]), np.array([0.2])
     tau, pt, timeout = exit_one(p, eps, q0=q0, p0=p0, seed=5, h=h,
                                 scheme=scheme, max_steps=steps)
@@ -258,7 +259,7 @@ def test_invalid_step_arithmetic_is_numerical_error():
     with pytest.raises(NumericalError, match="non-finite"):
         exit_one(p, eps, q0=q0, seed=1)
     h = default_step(p, eps)
-    noise = NoisePath.generate(1, 0, 10, 1, h)
+    noise = noise_row(1, 0, 10, 1, h)
     with pytest.raises(NumericalError, match="non-finite"):
         simulate_inertial(p, SimParams(eps=eps, T=10 * h, h=h), q0,
                           np.zeros(1), noise)

@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from strongdamp import action
 from strongdamp.errors import ConfigError
 from strongdamp.fields import load_preset
-from strongdamp.quasipotential import (check_action_equivalence,
+from strongdamp.quasipotential import (DEFAULT_LADDER,
+                                       check_action_equivalence,
                                        gradient_case_oracle,
                                        minimize_action_fixed_T,
                                        quasipotential,
@@ -98,6 +101,65 @@ def test_travel_time_search_finds_interior_optimum():
     res = quasipotential(P1, [1.0], q_start=[0.5])
     assert res.value == pytest.approx(0.75, rel=1e-5)
     assert res.T_star == pytest.approx(math.log(2.0), rel=2e-2)
+
+
+def _solve_spy(monkeypatch):
+    """List that records the travel time of every fixed-T solve."""
+    module = sys.modules["strongdamp.quasipotential"]
+    solve = module.minimize_action_fixed_T
+    times = []
+
+    def spy(p, q_start, q_end, T, **kw):
+        times.append(T)
+        return solve(p, q_start, q_end, T, **kw)
+
+    monkeypatch.setattr(module, "minimize_action_fixed_T", spy)
+    return times
+
+
+@pytest.mark.parametrize("q_start", [None, [0.0]], ids=["default", "explicit"])
+def test_converged_top_rung_from_rest_ends_the_search(monkeypatch, q_start):
+    """p2 from O = 0: the top rung (T = 64) is best and converged, so the
+    ladder's 8 solves are all; an explicit start at O counts as O."""
+    times = _solve_spy(monkeypatch)
+    res = quasipotential(P2, [1.0], q_start=q_start)
+    assert len(times) == 8
+    assert res.converged and res.T_star == 64.0
+
+
+def test_top_rung_away_from_rest_is_still_searched(monkeypatch):
+    """p2 from 0.5 (not a rest point) to -1: the top rung is best, but
+    V_T need not fall in T from there, so the search runs."""
+    times = _solve_spy(monkeypatch)
+    res = quasipotential(P2, [-1.0], q_start=[0.5])
+    assert res.T_star == 64.0
+    assert len(times) > 8
+
+
+def test_unconverged_top_rung_from_rest_is_still_searched(monkeypatch):
+    # minimize_path binds the dict as its default: set the item, not the name
+    monkeypatch.setitem(action.LBFGS_ACTION, "maxiter", 3)
+    ladder = [1.0, 2.0, 4.0]
+    rungs = [minimize_action_fixed_T(P2, [0.0], [1.0], T) for T in ladder]
+    assert int(np.argmin([r.value for r in rungs])) == 2
+    assert not rungs[2].converged
+    times = _solve_spy(monkeypatch)
+    quasipotential(P2, [1.0], T_ladder=ladder)
+    assert len(times) > 3
+
+
+@pytest.mark.parametrize("preset, ends", [
+    ("p1", ([1.0], [-0.6])), ("p2", ([1.0], [-1.3])),
+    ("p3", ([1.0, 0.0], [-0.5, 0.8])), ("p1_tilted", ([-1.0], [1.0]))])
+def test_fixed_time_action_from_rest_does_not_rise_with_T(preset, ends):
+    """The premise of ending the search at a top rung: from O, waiting is
+    free, so the fixed-T minimum does not increase along the default
+    ladder (up to rounding)."""
+    p = load_preset(preset)
+    for q in ends:
+        values = np.array([minimize_action_fixed_T(p, p.O, q, T).value
+                           for T in np.geomspace(*DEFAULT_LADDER)])
+        assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
 
 
 def test_action_form_equivalence():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import noise_row
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.expr import EvalDomainError, eval_field
 from strongdamp.fields import load_preset, load_problem
@@ -69,7 +70,7 @@ def test_schemes_agree_on_shared_noise():
     h = 0.1 * eps**2 / P2.alpha_max
     steps = round(0.5 / h)
     h = 0.5 / steps
-    noise = NoisePath.generate(3, 0, steps, 1, h)
+    noise = noise_row(3, 0, steps, 1, h)
     q0, p0 = np.array([0.4]), np.array([0.2])
     qs = {}
     for scheme in ("exponential", "euler"):
@@ -110,7 +111,7 @@ def _check_batch_equals_loop(p, first_order=False, control=False,
             np.testing.assert_array_equal(getattr(tr, field),
                                           getattr(tiled, field))
     for row, sid in enumerate(ids):
-        single = NoisePath.generate(11, sid, sp.steps, p.r, sp.h)
+        single = noise_row(11, sid, sp.steps, p.r, sp.h)
         np.testing.assert_array_equal(single.increments,
                                       batch.increments[row])
         one = run(starts[row], single)
@@ -161,14 +162,14 @@ def test_batch_rows_equal_own_generator(seed):
             * np.sqrt(dt)
         np.testing.assert_array_equal(batch.increments[row], want)
         np.testing.assert_array_equal(
-            NoisePath.generate(seed, sid, steps, r, dt).increments, want)
+            noise_row(seed, sid, steps, r, dt).increments, want)
 
 
 def test_batched_q0_needs_one_noise_path_per_row():
     """A single unbatched path would drive every row with the same
     increments; both integrators refuse it."""
     sp = SimParams(eps=0.5, T=0.1, h=0.01)
-    shared = NoisePath.generate(3, 0, sp.steps, 1, sp.h)
+    shared = noise_row(3, 0, sp.steps, 1, sp.h)
     q0 = np.zeros((4, 1))
     with pytest.raises(GridMismatchError):
         simulate_first_order(P1, sp, q0, shared)
@@ -265,7 +266,7 @@ def test_generator_streams_do_not_collide():
 
 
 def test_coarsen_preserves_brownian_path():
-    noise = NoisePath.generate(0, 0, 24, 2, 0.05)
+    noise = noise_row(0, 0, 24, 2, 0.05)
     coarse = noise.coarsen(4)
     assert coarse.steps == 6 and coarse.dt == pytest.approx(0.2)
     np.testing.assert_allclose(
@@ -278,7 +279,7 @@ def test_coarsen_preserves_brownian_path():
 @given(st.integers(1, 6), st.integers(1, 8))
 def test_coarsen_total_displacement_property(factor, groups):
     steps = factor * groups
-    noise = NoisePath.generate(9, 3, steps, 1, 0.01)
+    noise = noise_row(9, 3, steps, 1, 0.01)
     coarse = noise.coarsen(factor)
     np.testing.assert_allclose(coarse.increments.sum(axis=0),
                                noise.increments.sum(axis=0), atol=1e-12)
@@ -320,9 +321,9 @@ def test_convolution_pointwise_variance():
 def test_convolution_grid_mismatch():
     eps = 0.4
     sp = SimParams(eps=eps, T=0.5, h=snap(0.5, 0.1 * eps**2))
-    noise = NoisePath.generate(0, 0, sp.steps, 1, sp.h)
+    noise = noise_row(0, 0, sp.steps, 1, sp.h)
     tr = simulate_inertial(P1, sp, np.zeros(1), np.zeros(1), noise)
-    other = NoisePath.generate(0, 0, sp.steps * 2, 1, sp.h / 2)
+    other = noise_row(0, 0, sp.steps * 2, 1, sp.h / 2)
     with pytest.raises(GridMismatchError):
         stochastic_convolution(tr, P1, other)
 
@@ -332,7 +333,7 @@ def test_first_order_limit_tracks_inertial():
     h = 0.2 * eps**2 / P2.alpha_max
     steps = round(1.0 / h)
     h = 1.0 / steps
-    noise = NoisePath.generate(6, 0, steps, 1, h)
+    noise = noise_row(6, 0, steps, 1, h)
     sp = SimParams(eps=eps, T=1.0, h=h)
     tr2 = simulate_inertial(P2, sp, np.array([0.6]), np.zeros(1), noise)
     tr1 = simulate_first_order(P2, sp, np.array([0.6]), noise)
@@ -480,7 +481,7 @@ def test_convolution_reads_the_step_not_the_start_time():
     same path started at 0; a path of no steps gets H = 0."""
     eps, h = 0.3, 0.01
     sp = SimParams(eps=eps, T=50 * h, h=h)
-    noise = NoisePath.generate(3, 0, sp.steps, P2.r, h)
+    noise = noise_row(3, 0, sp.steps, P2.r, h)
     tr = simulate_inertial(P2, sp, np.full(P2.d, 0.2), np.zeros(P2.d), noise)
     want = stochastic_convolution(tr, P2, noise).convolution
     late = Trajectory(times=tr.times + 2.0, q=tr.q, p=tr.p, eps=eps)
@@ -500,7 +501,7 @@ def test_drift_leaving_its_domain_names_the_subexpression():
         "alpha": "1", "alpha0": 1.0, "O": [0.0], "box": [[-3.0, 3.0]],
     })
     sp = SimParams(eps=0.15, T=1.5, h=snap(1.5, default_step(p, 0.15)))
-    noise = NoisePath.generate(2, 0, sp.steps, 1, sp.h)
+    noise = noise_row(2, 0, sp.steps, 1, sp.h)
     with pytest.raises(EvalDomainError, match=r"'log\(2 - q1\)'"):
         simulate_inertial(p, sp, np.zeros(1), np.zeros(1), noise)
 
@@ -509,7 +510,7 @@ def test_drift_leaving_its_domain_names_the_subexpression():
 def test_dump_roundtrip(tmp_path, suffix):
     eps = 0.3
     sp = SimParams(eps=eps, T=0.2, h=snap(0.2, 0.2 * eps**2))
-    noise = NoisePath.generate(2, 5, sp.steps, 1, sp.h)
+    noise = noise_row(2, 5, sp.steps, 1, sp.h)
     tr = simulate_inertial(P1, sp, np.array([0.1]), np.array([0.3]), noise)
     tr = stochastic_convolution(tr, P1, noise)
     path = str(tmp_path / f"traj{suffix}")
@@ -558,7 +559,7 @@ def test_dump_bytes_match_per_row_repr(tmp_path, with_p, with_h):
 def test_dump_gzip_is_reproducible(tmp_path):
     eps = 0.3
     sp = SimParams(eps=eps, T=0.1, h=snap(0.1, 0.2 * eps**2))
-    noise = NoisePath.generate(2, 5, sp.steps, 1, sp.h)
+    noise = noise_row(2, 5, sp.steps, 1, sp.h)
     tr = simulate_inertial(P1, sp, np.array([0.1]), np.zeros(1), noise)
     # identical content must give identical bytes even under different
     # file names (no embedded name or timestamp in the archive)
