@@ -8,11 +8,11 @@ sampling box.  All coefficient fields are expression trees over q1..qd
 (c may additionally reference u).
 
 validate_hypotheses samples the box with a scrambled Sobol design and
-checks the standing assumptions: friction bounded below by alpha0, sigma
-invertible with bounded inverse, b Lipschitz on the box, and, when the
-structure is declared, the gradient decomposition alpha*b = -grad U + l
-with grad U orthogonal to l, plus inward-pointing drift on the boundary
-of G.
+checks the standing assumptions: b vanishing at O (up to REST_POINT_TOL),
+friction bounded below by alpha0, sigma invertible with bounded inverse,
+b Lipschitz on the box, and, when the structure is declared, the gradient
+decomposition alpha*b = -grad U + l with grad U orthogonal to l, plus
+inward-pointing drift on the boundary of G.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, q_field
 _ALLOWED_KEYS = {"d", "r", "b", "sigma", "alpha", "alpha0", "U", "l", "c",
                  "g", "G", "O", "beta", "box"}
 RAY_XTOL = 1e-14      # absolute root tolerance along a boundary ray
+# |b(O)| at or below this makes O a rest point: rounding of a declared root
+REST_POINT_TOL = 1e-12
 
 
 class ProblemError(ConfigError):
@@ -71,6 +73,16 @@ class ProblemDefinition:
     def alpha_const(self) -> Optional[float]:
         return None if self.alpha.max_q_index \
             else float(self.eval_alpha(self.O[None, :])[0])
+
+    @cached_property
+    def b_at_O(self) -> float:
+        """|b(O)|, zero up to rounding when O is a rest point."""
+        return float(np.linalg.norm(self.eval_b(self.O[None, :])[0]))
+
+    @property
+    def O_is_rest_point(self) -> bool:
+        """Whether b vanishes at O, so that waiting there costs no action."""
+        return self.b_at_O <= REST_POINT_TOL
 
     # -- field evaluation (expr.evaluate: compiled, checked on failure) -------
 
@@ -343,7 +355,11 @@ def validate_hypotheses(p: ProblemDefinition, samples: int = 10_000,
     pts = box_samples(p.box, samples, seed=seed)
     pts = np.vstack([pts, p.O[None, :]])
     failures = []
-    metrics = {}
+    metrics = {"b_at_O": p.b_at_O}
+    if not p.O_is_rest_point:
+        failures.append(
+            f"equilibrium O is not a rest point: |b(O)| = {p.b_at_O:.6g} "
+            f"exceeds {REST_POINT_TOL:g}")
 
     alpha = p.eval_alpha(pts)
     metrics["alpha_min"] = float(np.min(alpha))

@@ -4,12 +4,11 @@ The quasipotential between two points is the infimum of the path action
 over all travel times T and all paths joining them.  At fixed T the
 discrete action is minimized over the interior nodes (endpoints are hard
 constraints) by action.minimize_path, the L-BFGS path driver shared with
-the Laplace check and the front values; the travel time is then
-optimized over a log-spaced ladder followed by a bounded Brent search
-in log T (scipy.optimize.minimize_scalar) around the best rung.  From the
-rest point O the fixed-T minimum does not increase in T (waiting at O is
-free), so when the ladder's top rung is best and its solve converged,
-that rung is the result and the search is skipped.
+the Laplace check and the front values.  From a rest point O the fixed-T
+minimum does not increase in T (waiting at O is free), so one converged
+solve at the top of the log-spaced T ladder is the result.  Otherwise the
+whole ladder is solved and a bounded Brent search in log T
+(scipy.optimize.minimize_scalar) runs around the best rung.
 
 The action has two quadratic forms, "standard" and "alt", which minimize
 to the same quasipotential.  check_action_equivalence solves both from the
@@ -128,12 +127,12 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
                    seed: int = 0) -> MinActionResult:
     """Infimum of the action over paths q_start -> q_end and over T.
 
-    Scans the T ladder, then minimizes over log T between the neighbours
-    of the best rung with scipy's bounded Brent search, warm-starting each
-    of its solves from the best rung's path.  Returns the best of all
-    solves, ladder rungs included.  The search is skipped when refine is
-    False, and when q_start is the rest point O and the best rung is the
-    ladder's top with a converged solve: from O no shorter T does better.
+    Solves the ladder's top rung first.  When q_start is O, O is a rest
+    point and that solve converged, it is the result: from O no shorter T
+    does better.  Otherwise scans the rest of the T ladder, then (unless
+    refine is False) minimizes over log T between the neighbours of the
+    best rung with scipy's bounded Brent search, warm-starting each of its
+    solves from the best rung's path, and returns the best of all solves.
     """
     from scipy.optimize import minimize_scalar  # slow to import
     if q_start is None:
@@ -146,13 +145,14 @@ def quasipotential(p: ProblemDefinition, q_end, q_start=None, *,
     solve = partial(minimize_action_fixed_T, p, q_start, q_end, N=N,
                     mode=mode, seed=seed)
 
-    results = [solve(T, init=init) for T in ladder]
-    k = int(np.argmin([r.value for r in results]))
-    # Waiting at the rest point O costs no action, so V_T(O, q_end) does not
+    # Waiting at a rest point O costs no action, so V_T(O, q_end) does not
     # increase in T: a converged top rung leaves no better T below it.
-    top_from_rest = (k == ladder.size - 1 and results[k].converged
-                     and np.array_equal(q_start, p.O))
-    if ladder.size == 1 or not refine or top_from_rest:
+    top = solve(ladder[-1], init=init)
+    if top.converged and np.array_equal(q_start, p.O) and p.O_is_rest_point:
+        return top
+    results = [solve(T, init=init) for T in ladder[:-1]] + [top]
+    k = int(np.argmin([r.value for r in results]))
+    if ladder.size == 1 or not refine:
         return results[k]
 
     warm = results[k].path.points

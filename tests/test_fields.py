@@ -147,6 +147,12 @@ def test_validate_flags_violations():
     assert not rep.passed
     assert any("inward" in f for f in rep.failures)
 
+    # O is no rest point: b(O) = 0.5
+    p = make(b=["-q1 + 0.5"])
+    rep = validate_hypotheses(p, samples=500, seed=0)
+    assert not rep.passed and rep.metrics["b_at_O"] == 0.5
+    assert any("not a rest point" in f and "0.5" in f for f in rep.failures)
+
 
 def test_box_samples_deterministic_and_inside():
     box = np.array([[-1.0, 3.0], [0.0, 2.0]])

@@ -6,7 +6,7 @@ import pytest
 
 from strongdamp import action
 from strongdamp.errors import ConfigError
-from strongdamp.fields import load_preset
+from strongdamp.fields import load_preset, load_problem
 from strongdamp.quasipotential import (DEFAULT_LADDER,
                                        check_action_equivalence,
                                        gradient_case_oracle,
@@ -119,12 +119,24 @@ def _solve_spy(monkeypatch):
 
 @pytest.mark.parametrize("q_start", [None, [0.0]], ids=["default", "explicit"])
 def test_converged_top_rung_from_rest_ends_the_search(monkeypatch, q_start):
-    """p2 from O = 0: the top rung (T = 64) is best and converged, so the
-    ladder's 8 solves are all; an explicit start at O counts as O."""
+    """p2 from O = 0: the top rung (T = 64) converges, so its one solve is
+    the result; an explicit start at O counts as O."""
     times = _solve_spy(monkeypatch)
     res = quasipotential(P2, [1.0], q_start=q_start)
-    assert len(times) == 8
+    assert len(times) == 1
     assert res.converged and res.T_star == 64.0
+
+
+def test_start_at_O_that_is_no_rest_point_is_searched(monkeypatch):
+    """p1 with b = -q1 + 0.5 and O = 0: waiting at O is not free, so the
+    quasipotential from O solves more than the top rung."""
+    p = load_problem({"d": 1, "r": 1, "b": ["-q1 + 0.5"], "sigma": [["1"]],
+                      "alpha": "1", "alpha0": 1.0, "O": [0.0],
+                      "box": [[-2.0, 2.0]]})
+    assert not p.O_is_rest_point
+    times = _solve_spy(monkeypatch)
+    quasipotential(p, [1.0], N=16, T_ladder=[1.0, 2.0, 4.0])
+    assert len(times) > 1
 
 
 def test_top_rung_away_from_rest_is_still_searched(monkeypatch):
@@ -152,7 +164,7 @@ def test_unconverged_top_rung_from_rest_is_still_searched(monkeypatch):
     ("p1", ([1.0], [-0.6])), ("p2", ([1.0], [-1.3])),
     ("p3", ([1.0, 0.0], [-0.5, 0.8])), ("p1_tilted", ([-1.0], [1.0]))])
 def test_fixed_time_action_from_rest_does_not_rise_with_T(preset, ends):
-    """The premise of ending the search at a top rung: from O, waiting is
+    """The premise of the one top-rung solve from O: waiting there is
     free, so the fixed-T minimum does not increase along the default
     ladder (up to rounding)."""
     p = load_preset(preset)
@@ -160,6 +172,17 @@ def test_fixed_time_action_from_rest_does_not_rise_with_T(preset, ends):
         values = np.array([minimize_action_fixed_T(p, p.O, q, T).value
                            for T in np.geomspace(*DEFAULT_LADDER)])
         assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
+
+
+@pytest.mark.parametrize("preset, q", [
+    ("p1", [1.8]), ("p3", [1.3, 1.3]), ("p1_tilted", [1.0])])
+def test_quasipotential_from_rest_is_best_fixed_T_solve(preset, q):
+    """From O the one top-rung solve matches the best fixed-T solve over
+    the whole default ladder, the machinery it replaces."""
+    p = load_preset(preset)
+    best = min(minimize_action_fixed_T(p, p.O, q, T).value
+               for T in np.geomspace(*DEFAULT_LADDER))
+    assert quasipotential(p, q).value == pytest.approx(best, rel=1e-12)
 
 
 def test_action_form_equivalence():
