@@ -21,7 +21,7 @@ from .sde import (NoisePath, SimParams, Trajectory, simulate_first_order,
                   simulate_inertial, stochastic_convolution)
 from .action import (ControlSignal, DiscretePath, SingularSigmaError,
                      control_cost, controlled_skeleton, path_action,
-                     path_action_alt, segment_costs)
+                     segment_costs)
 from .quasipotential import (BoundaryScan, MinActionResult,
                              check_action_equivalence, gradient_case_oracle,
                              quasipotential, quasipotential_boundary)
@@ -44,8 +44,7 @@ __all__ = [
     "NoisePath", "SimParams", "Trajectory", "simulate_first_order",
     "simulate_inertial", "stochastic_convolution",
     "ControlSignal", "DiscretePath", "SingularSigmaError",
-    "control_cost", "controlled_skeleton", "path_action", "path_action_alt",
-    "segment_costs",
+    "control_cost", "controlled_skeleton", "path_action", "segment_costs",
     "BoundaryScan", "MinActionResult", "check_action_equivalence",
     "gradient_case_oracle", "quasipotential", "quasipotential_boundary",
     "ExitHistogram", "ExitScaling", "ExitStats", "exit_location_histogram",

@@ -17,12 +17,14 @@ cost inside reaction-front functionals.
 action_kernel is the one copy of this arithmetic, built once per grid:
 minimize_path, the L-BFGS driver of every quasipotential, front value and
 Laplace solve, calls it once per iterate, and segment_costs applies it once.
+Each call runs under one floating-point trap; a field stack that leaves
+its domain re-runs on the checked walker, which raises EvalDomainError
+naming the sub-expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -123,9 +125,9 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
 
     Built once per solve: the varying fields go into one compiled stack,
     and a constant sigma is checked and squared here (w = y when a = I, as
-    LAPACK returns it).  A call runs under one trap scope; a call that
-    traps runs again on the stack's checked twin (kernel.checked), which
-    raises EvalDomainError naming the sub-expression.
+    LAPACK returns it).  A call runs under one trap scope (run_trapped):
+    a stack that traps re-runs on the checked walker, which raises
+    EvalDomainError naming the sub-expression.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown action mode {mode!r}")
@@ -140,7 +142,7 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
 
     def grads(exprs):
         return [e.derivative(j) for e in exprs for j in range(d)]
-    # the varying fields, in the order the checked re-run reports them
+    # the varying fields, in the order the walker reports them
     stack, cut = [], {}
     for name, exprs, shape, varies in (
             ("alpha", [p.alpha], (1,), al_c is None),
@@ -156,10 +158,10 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
 
     run = compiled_all(stack)
 
-    def kernel(pts, checked):
+    def kernel(pts):
         mids = 0.5 * (pts[:-1] + pts[1:])
         delta = (pts[1:] - pts[:-1]) / h
-        out = (run.checked if checked else run)(mids)
+        out = run(mids)
         # each field in C order: the einsum and matmul calls below were
         # checked bit for bit on such arrays
         val = {k: np.ascontiguousarray(out[:, s]).reshape(shape)
@@ -206,12 +208,7 @@ def action_kernel(p: ProblemDefinition, T: float, N: int,
         skew = w if mode == "alt" else alpha * w
         return costs, -skew + sym, skew + sym
 
-    def trapped(pts):
-        out = []
-        run_trapped(1, lambda _, checked: out.append(kernel(pts, checked)))
-        return out[0]
-    trapped.checked = partial(kernel, checked=True)
-    return trapped
+    return lambda pts: run_trapped(1, lambda _: kernel(pts))
 
 
 def segment_costs(p: ProblemDefinition, f: DiscretePath,
@@ -273,12 +270,6 @@ def minimize_path(p: ProblemDefinition, T: float, init: np.ndarray, body,
 def path_action(p: ProblemDefinition, f: DiscretePath) -> float:
     """Rate functional of a path: half the minimal control energy."""
     return float(np.sum(segment_costs(p, f, "standard")))
-
-
-def path_action_alt(p: ProblemDefinition, f: DiscretePath) -> float:
-    """Alternative quadratic form with residual f' - alpha b; yields the
-    same quasipotential after minimizing over the travel time."""
-    return float(np.sum(segment_costs(p, f, "alt")))
 
 
 def control_cost(u: ControlSignal) -> float:

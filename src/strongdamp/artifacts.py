@@ -241,9 +241,26 @@ def write_manifest(out_dir: str, command: str, config: dict, seed: int,
     return path
 
 
+def read_json(path: str, what: str):
+    """The JSON file at path, `what` naming it in a ConfigError when it is
+    missing, is not valid JSON, or holds NaN, Infinity or -Infinity, which
+    Python's json accepts but no config or manifest number may be."""
+    def reject_constant(name):
+        raise ConfigError(f"{what} number {name} is not finite")
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject_constant)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path, "manifest")
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest is not a JSON object")
     for key in ("command", "config", "seed"):
         if key not in manifest:
             raise ConfigError(f"manifest lacks required key {key!r}")

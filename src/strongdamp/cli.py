@@ -28,10 +28,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .action import ControlSignal, DiscretePath, control_cost, path_action, \
-    path_action_alt, segment_costs
-from .artifacts import load_manifest, write_csv, write_grid, write_json, \
-    write_manifest, write_path_csv, read_path_csv
+from .action import ControlSignal, DiscretePath, control_cost, segment_costs
+from .artifacts import load_manifest, read_json, write_csv, write_grid, \
+    write_json, write_manifest, write_path_csv, read_path_csv
 from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .exit import exit_location_histogram, exit_scaling
@@ -62,20 +61,8 @@ def _schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _reject_constant(name: str):
-    """json.load hook for NaN, Infinity and -Infinity, which Python's json
-    accepts but no config number may be."""
-    raise ConfigError(f"config number {name} is not finite")
-
-
 def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    cfg = read_json(path, "config")
     validate_config(cfg)
     return cfg
 
@@ -190,17 +177,17 @@ def cmd_action(p, cfg, out, seed):
     blk = _block(cfg, "action")
     times, pts = read_path_csv(blk["path_csv"])
     f = DiscretePath(T=float(times[-1] - times[0]), points=pts)
+    cs = segment_costs(p, f, "standard")
+    ca = segment_costs(p, f, "alt")
     result = {
-        "value_standard": path_action(p, f),
-        "value_alt": path_action_alt(p, f),
+        "value_standard": float(np.sum(cs)),
+        "value_alt": float(np.sum(ca)),
         "segments_csv": "segments.csv",
     }
     if "control_csv" in blk:
         ct, cv = read_path_csv(blk["control_csv"])
         u = ControlSignal(T=float(ct[-1] - ct[0]), values=cv)
         result["control_energy"] = control_cost(u)
-    cs = segment_costs(p, f, "standard")
-    ca = segment_costs(p, f, "alt")
     write_csv(os.path.join(out, "segments.csv"),
               ["k", "cost_standard", "cost_alt"],
               ([k, a, b] for k, (a, b) in enumerate(zip(cs, ca))))
@@ -507,6 +494,10 @@ def main(argv=None) -> int:
     try:
         if args.replay:
             manifest = load_manifest(args.replay)
+            if manifest["command"] not in COMMANDS:
+                raise ConfigError(
+                    f"manifest command {manifest['command']!r} is not one "
+                    "of " + ", ".join(COMMANDS))
             cfg = manifest["config"]
             validate_config(cfg)
             if args.seed is None:

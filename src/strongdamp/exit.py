@@ -9,7 +9,8 @@ its longest path, not the sum over rungs.  Exit is detected as the first
 sign change of the domain function phi along a step, and the crossing
 time and point are placed by linear interpolation inside that step.
 Exit times live on the rescaled clock; divide by eps for the original
-one.
+one.  A field that leaves its domain during a step raises EvalDomainError
+naming the sub-expression.
 
 The headline check: eps * log E[tau] approaches the boundary minimum of
 the quasipotential as eps decreases.  Means use compensated summation and
@@ -79,9 +80,9 @@ def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
     steps, then as many as have run, at most chunk_steps and CHUNK_VALUES in
     all, never past a cap), one long draw's numbers, which draw_rows stores
     time-major: a step reads one (rows, r) block.  A chunk runs under one
-    trap, and a trapped step runs again on step.checked and on phi's checked
-    twin.  phi is checked finite on the rows that cross and on all rows at
-    the chunk's end: a NaN never crosses, as NaN >= 0 is false.
+    trap (run_trapped), and a field of the step or phi that traps names its
+    sub-expression.  phi is checked finite on the rows that cross and on
+    all rows at the chunk's end: a NaN never crosses, as NaN >= 0 is false.
     """
     M, d = q0.shape
     eps, h, cap = (np.broadcast_to(a, M) for a in (eps, h, max_steps))
@@ -107,13 +108,12 @@ def _exit_kernel(p: ProblemDefinition, eps, h, scheme: str,
         consts = consts.take(idx, axis=1)
         c = tuple(consts)
 
-    def advance(k, checked):
+    def advance(k):
         """Step k of the chunk; the rows that cross leave the state.
         True once no row is left."""
         nonlocal q, v, phi
-        st, phi_of = (step.checked, G.checked) if checked else (step, G)
-        q1, v1 = st(q, v, inc[k].take(live, axis=0), c=c)
-        phi1 = phi_of(q1).reshape(phi.shape)
+        q1, v1 = step(q, v, inc[k].take(live, axis=0), c=c)
+        phi1 = G(q1).reshape(phi.shape)
         crossed = phi1.max() >= 0
         if crossed:
             out = np.flatnonzero(phi1 >= 0)
@@ -239,7 +239,8 @@ def exit_location_histogram(stats: ExitStats, bins: int = 16,
     """Histogram of exit locations over a boundary parameterization.
 
     d=1 bins the exit coordinate directly; d=2 bins the angle around
-    `center` (default the sample mean is NOT used; pass the rest point O).
+    `center`, which defaults to the origin (the sample mean is never used;
+    pass the rest point O when it lies elsewhere).
     Requires at least 50 exited samples.
     """
     pts = stats.exit_points

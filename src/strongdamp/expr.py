@@ -12,12 +12,9 @@ The AST supports four consumers:
 
 * a code generator, `compiled_all`, that emits one straight-line numpy
   function per stack of fields, cached per stack, with each sub-expression
-  the fields share computed once.  `evaluate_all` runs it under a
-  floating-point trap, one per call, and `evaluate` is its one-field
-  case.  The step loops (exit kernel, stored path) and the action solves
-  own the trap instead: they call the function unchecked, under one
-  `run_trapped` scope per loop or per objective call, and re-run what
-  traps on its checked twin, evaluate_all over its fields;
+  the fields share computed once.  Its caller sets the floating-point
+  trap: `evaluate_all` per call, `run_trapped` per step loop or action
+  call.  Where it traps, the function re-runs its stack on the walker;
 * a checked tree-walking evaluator, `eval_field`, the reference the
   generated code is tested against; it runs only when that code traps,
   and then reports the domain violation with the offending sub-expression;
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -367,6 +364,14 @@ def eval_field(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
 _FALLBACK = (ArithmeticError, LookupError, TypeError)
 
 
+def _walk(fs, points, u):
+    """The fields fs stacked as the checked walker evaluates them, with
+    division by zero and invalid operations warned of, as numpy does
+    outside its caller's trap."""
+    with np.errstate(divide="warn", invalid="warn"):
+        return np.stack([eval_field(f, points, u) for f in fs], axis=-1)
+
+
 def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
     """Values of f on points (..., d), shape points.shape[:-1]: evaluate_all
     of the one field."""
@@ -375,11 +380,10 @@ def evaluate(f: ScalarExpr, points: np.ndarray, u=None) -> np.ndarray:
 
 @cache
 def _generated(fs: tuple) -> Callable:
-    env = {"_np": np, "inf": np.inf, "nan": np.nan}
+    env = {"_np": np, "inf": np.inf, "nan": np.nan, "_FALLBACK": _FALLBACK,
+           "_walk": _walk, "_fs": fs}
     exec(_codegen([f.root for f in fs]), env)  # noqa: S102  (our own AST)
-    run = env["run"]
-    run.checked = partial(evaluate_all, fs)
-    return run
+    return env["run"]
 
 
 def compiled_all(fs) -> Callable:
@@ -388,8 +392,10 @@ def compiled_all(fs) -> Callable:
     points.shape[:-1] + (len(fs),), with each sub-expression the fields
     share computed once.
 
-    It checks nothing: its caller runs it inside run_trapped, and re-runs
-    what traps on its checked twin run.checked, evaluate_all over fs.
+    Its caller sets the trap (evaluate_all, run_trapped).  When that
+    traps, or a field needs u and none is given, run evaluates fs on the
+    checked walker eval_field with the trap lifted: it raises
+    EvalDomainError naming the sub-expression, or returns the same values.
     """
     return _generated(tuple(fs))
 
@@ -399,35 +405,29 @@ def evaluate_all(fs, points: np.ndarray, u=None) -> np.ndarray:
     axis: shape points.shape[:-1] + (len(fs),).
 
     Runs compiled_all(fs) with division by zero and invalid operations
-    trapped.  When it traps, or when a field needs u and none is given,
-    the checked walker eval_field runs instead: it raises EvalDomainError
-    naming the sub-expression, or returns the same values.
+    trapped.
     """
-    points = np.asarray(points, dtype=float)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return compiled_all(fs)(points, u)
-    except _FALLBACK:
-        return np.stack([eval_field(f, points, u) for f in fs], axis=-1)
+    with np.errstate(divide="raise", invalid="raise"):
+        return compiled_all(fs)(np.asarray(points, dtype=float), u)
 
 
-def run_trapped(n: int, body: Callable) -> None:
-    """body(k, checked) for k = 0, ..., n - 1 under one trap of division
-    by zero and invalid operations, until body returns True.  A step that
-    traps runs again alone, outside it, with checked=True: its checked
-    evaluators raise EvalDomainError naming the field, and a non-finite
-    result is the caller's to check."""
+def run_trapped(n: int, body: Callable):
+    """body(k) for k = 0, ..., n - 1 under one trap of division by zero
+    and invalid operations, until body returns a true value, which is
+    returned.  A field the body evaluates with compiled_all explains its
+    own trap.  A step whose own arithmetic traps runs again alone, outside
+    the trap: a non-finite result is the caller's to check."""
     k = 0
     while k < n:
         try:
             with np.errstate(divide="raise", invalid="raise"):
                 for k in range(k, n):
-                    if body(k, False):
-                        return
-                return
-        except _FALLBACK:
-            if body(k, True):
-                return
+                    if done := body(k):
+                        return done
+                return None
+        except FloatingPointError:
+            if done := body(k):
+                return done
             k += 1
 
 
@@ -604,7 +604,8 @@ def _simplify(node):
 def _codegen(roots) -> str:
     """Source of run(Q, U=None): one assignment per distinct non-leaf
     subtree of the roots, in the walker's order of evaluation, then one
-    output column per root."""
+    output column per root, inside a try whose fallback evaluates the
+    stack _fs on _walk."""
     lines, names = [], {}
 
     def emit(node):
@@ -643,7 +644,9 @@ def _codegen(roots) -> str:
         lines.append(f"out = _np.empty(Q.shape[:-1] + ({len(cols)},))")
         lines += [f"out[..., {i}] = {c}" for i, c in enumerate(cols)]
         lines.append("return out")
-    return "def run(Q, U=None):\n    " + "\n    ".join(lines)
+    return ("def run(Q, U=None):\n    try:\n        "
+            + "\n        ".join(lines)
+            + "\n    except _FALLBACK:\n        return _walk(_fs, Q, U)")
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ simulate_first_order, on one float eps and h, and the streaming exit
 kernel, which advances the rows of a whole eps ladder together.  There
 eps and h are per-row arrays, and the constants the step freezes from
 them are per-row columns that the kernel compacts with the state; each
-row gets the bits a float eps and h would give it.  The step runs the
-generated field evaluators unchecked; each loop owns one floating-point
-trap scope (expr.run_trapped) and re-runs a trapped step on their checked
-twins, so EvalDomainError still names the sub-expression.  sigma_applier
-is the one rule for applying sigma, shared with stochastic_convolution:
-a constant identity sigma is not applied at all.
+row gets the bits a float eps and h would give it.  Each loop owns one
+floating-point trap scope (expr.run_trapped) for all its steps; a field
+evaluator that traps re-runs on the checked walker, so EvalDomainError
+names the sub-expression.  sigma_applier is the one rule for applying
+sigma, shared with stochastic_convolution: a constant identity sigma is
+not applied at all.
 
 default_step is the package's one step-size rule, alpha_max h / eps^2 =
 0.2, and snap_step shortens a step so that it divides the horizon.
@@ -347,9 +347,8 @@ def make_step(p: ProblemDefinition, eps, h,
     hands v back unchanged.  The Euler scheme raises StabilityError for
     h > default_step.  A constant alpha or sigma is frozen once
     (p.alpha_const, p.sigma_const); step runs the generated evaluators of
-    the other fields unchecked, under run_trapped, and step.checked is the
-    same step on their checked twins (expr.compiled_all), which name a
-    sub-expression that traps.
+    the other fields (expr.compiled_all) under its caller's run_trapped,
+    and a field that traps names its sub-expression.
 
     step.constants holds what the step freezes from eps and h.  For float
     eps and h it is a tuple of floats.  eps and h may instead be per-row
@@ -391,50 +390,46 @@ def make_step(p: ProblemDefinition, eps, h,
         consts = np.array([frozen_constants(*pair) for pair in
                            zip(*np.broadcast_arrays(eps, h))]).T[..., None]
 
-    def bind(b_of, alpha_of, flat_sigma):
-        def frozen(q, u):
-            sig = sig_c if sig_c is not None else flat_sigma(q).reshape(
-                q.shape[:-1] + (p.d, p.r))
-            al = al_c if al_c is not None else alpha_of(q)
-            drift = b_of(q)
-            if u is not None:
-                drift = drift + apply_sigma(sig, u)
-            return sig, al, drift
-
-        def euler(q, v, dW, u=None, c=consts):
-            h, eps2, noise_pow, _, h_eps2, *_ = c
-            sig, al, drift = frozen(q, u)
-            v1 = (v + h_eps2 * (drift - al * v)
-                  + noise_pow * apply_sigma(sig, dW) / eps2)
-            return q + h * v, v1
-
-        def exponential(q, v, dW, u=None, c=consts):
-            h, eps2, noise_pow, sqrt_h, _, half_h, *relax_c = c
-            sig, al, drift = frozen(q, u)
-            decay, keep, mu1, h_mu1, amp = (
-                relax_c or relax(al, h, eps2, noise_pow))
-            drift = drift / al
-            xi = amp * apply_sigma(sig, dW) / sqrt_h
-            v1 = decay * v + keep * drift + xi
-            q1 = q + v * mu1 + drift * h_mu1 + half_h * xi
-            return q1, v1
-
-        def first_order(q, v, dW, u=None, c=consts):
-            h, _, noise_pow, *_ = c
-            sig, al, drift = frozen(q, u)
-            q1 = q + h * drift / al + noise_pow * apply_sigma(sig, dW) / al
-            return q1, v
-
-        return {"euler": euler, "exponential": exponential,
-                "first_order": first_order}[scheme]
-
     # the constant fields are frozen above; only the others get evaluators
-    runs = (compiled_all(p.b),
-            compiled_all([p.alpha]) if al_c is None else None,
-            compiled_all(p._sigma_flat) if sig_c is None else None)
-    step = bind(*runs)
-    step.checked = bind(*(None if run is None else run.checked
-                           for run in runs))
+    b_of = compiled_all(p.b)
+    alpha_of = compiled_all([p.alpha]) if al_c is None else None
+    flat_sigma = compiled_all(p._sigma_flat) if sig_c is None else None
+
+    def frozen(q, u):
+        sig = sig_c if sig_c is not None else flat_sigma(q).reshape(
+            q.shape[:-1] + (p.d, p.r))
+        al = al_c if al_c is not None else alpha_of(q)
+        drift = b_of(q)
+        if u is not None:
+            drift = drift + apply_sigma(sig, u)
+        return sig, al, drift
+
+    def euler(q, v, dW, u=None, c=consts):
+        h, eps2, noise_pow, _, h_eps2, *_ = c
+        sig, al, drift = frozen(q, u)
+        v1 = (v + h_eps2 * (drift - al * v)
+              + noise_pow * apply_sigma(sig, dW) / eps2)
+        return q + h * v, v1
+
+    def exponential(q, v, dW, u=None, c=consts):
+        h, eps2, noise_pow, sqrt_h, _, half_h, *relax_c = c
+        sig, al, drift = frozen(q, u)
+        decay, keep, mu1, h_mu1, amp = (
+            relax_c or relax(al, h, eps2, noise_pow))
+        drift = drift / al
+        xi = amp * apply_sigma(sig, dW) / sqrt_h
+        v1 = decay * v + keep * drift + xi
+        q1 = q + v * mu1 + drift * h_mu1 + half_h * xi
+        return q1, v1
+
+    def first_order(q, v, dW, u=None, c=consts):
+        h, _, noise_pow, *_ = c
+        sig, al, drift = frozen(q, u)
+        q1 = q + h * drift / al + noise_pow * apply_sigma(sig, dW) / al
+        return q1, v
+
+    step = {"euler": euler, "exponential": exponential,
+            "first_order": first_order}[scheme]
     step.constants = consts
     return step
 
@@ -461,9 +456,9 @@ def _stored_path(p: ProblemDefinition, sp: SimParams, q0, p0,
         pv[0] = np.asarray(p0, dtype=float) / eps
     inc = np.moveaxis(noise.increments, -2, 0)
 
-    def advance(n, checked):
-        q[n + 1], pv[n + 1] = (step.checked if checked else step)(
-            q[n], pv[n], inc[n], None if u_vals is None else u_vals[n])
+    def advance(n):
+        q[n + 1], pv[n + 1] = step(q[n], pv[n], inc[n],
+                                   None if u_vals is None else u_vals[n])
     run_trapped(steps, advance)
 
     if not np.all(np.isfinite(q[steps])):

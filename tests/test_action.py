@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from strongdamp import action
 from strongdamp.action import (ControlSignal, DiscretePath,
                                SingularSigmaError, action_kernel,
                                control_cost, controlled_skeleton,
                                minimize_path, node_gradient, path_action,
-                               path_action_alt, segment_costs,
-                               segment_costs_grad)
+                               segment_costs, segment_costs_grad)
 from strongdamp.errors import ConfigError
-from strongdamp.expr import EvalDomainError
+from strongdamp.expr import EvalDomainError, compiled_all, eval_field
 from strongdamp.fields import load_preset, load_problem
 from strongdamp.quasipotential import quasipotential
 
@@ -59,7 +59,8 @@ def test_standard_and_alt_agree_for_unit_friction():
     # with alpha = sigma = 1 both quadratic forms coincide identically
     f = line_path(-0.3, 0.9, 50)
     np.testing.assert_allclose(path_action(P1, f),
-                               path_action_alt(P1, f), rtol=1e-14)
+                               np.sum(segment_costs(P1, f, "alt")),
+                               rtol=1e-14)
 
 
 def test_driftfree_mode_closed_form():
@@ -190,16 +191,36 @@ def test_path_driver_gradient_matches_fd(pin_end):
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1_tilted", "kpp1d",
                                   "correlated"])
 @pytest.mark.parametrize("mode", ["standard", "alt", "driftfree"])
-def test_kernel_matches_its_checked_rerun(name, mode):
-    """The compiled kernel and its re-run on the checked evaluators give
-    the same bytes, so a call that traps changes nothing but the error."""
+def test_kernel_matches_its_checked_rerun(name, mode, monkeypatch):
+    """The kernel's compiled field stack and the checked walker eval_field
+    give the same bytes, and so does the whole kernel on either, so a
+    call whose stack traps and re-runs on the walker changes nothing but
+    the error."""
     p = CORRELATED if name == "correlated" else load_preset(name)
     rng = np.random.default_rng(9)
     N = 12
     pts = p.O + np.cumsum(rng.normal(0, 0.2, size=(N + 1, p.d)), axis=0)
+    mids = 0.5 * (pts[:-1] + pts[1:])
     kernel = action_kernel(p, 1.3, N, mode)
-    for fast, checked in zip(kernel(pts), kernel.checked(pts)):
-        assert fast.tobytes() == checked.tobytes()
+    stacks = []
+
+    def walker(fs):
+        stacks.append(fs)
+
+        def run(Q, U=None):
+            out = np.empty(Q.shape[:-1] + (len(fs),))
+            for k, f in enumerate(fs):
+                out[..., k] = eval_field(f, Q, U)
+            return out
+        return run
+
+    monkeypatch.setattr(action, "compiled_all", walker)
+    walked = action_kernel(p, 1.3, N, mode)
+    (stack,) = stacks
+    assert (compiled_all(stack)(mids).tobytes()
+            == walker(stack)(mids).tobytes())
+    for fast, slow in zip(kernel(pts), walked(pts)):
+        assert fast.tobytes() == slow.tobytes()
 
 
 @pytest.mark.parametrize("mode, residual", [
@@ -230,8 +251,8 @@ def test_constant_sigma_costs_match_direct_quadratic_form(mode, residual):
 
 
 def test_solve_names_the_failing_subexpression():
-    """A path into q1 < -0.2 traps inside the kernel; its checked re-run
-    reports the friction's square root."""
+    """A path into q1 < -0.2 traps inside the kernel; its stack's re-run
+    on the walker reports the friction's square root."""
     p = load_problem({
         "d": 1, "r": 1, "b": ["-q1"], "sigma": [["1"]],
         "alpha": "1 + sqrt(q1 + 0.2)", "alpha0": 0.5, "O": [0.0],

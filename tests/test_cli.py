@@ -507,6 +507,40 @@ def test_replay_reproduces_bytes(tmp_path):
     assert load_manifest(os.path.join(again, "manifest.json"))["seed"] == 5
 
 
+@pytest.mark.parametrize("text", [
+    None,
+    '{"command": ',
+    '{"command": "simulate", "seed": 5, "config": {"problem": "p1",'
+    ' "simulate": {"eps": 0.3, "T": NaN}}}',
+    '{"command": "bogus", "seed": 5, "config": {"problem": "p1"}}',
+    '3',
+], ids=["missing", "not_json", "non_finite", "unknown_command",
+        "not_an_object"])
+def test_bad_replay_manifest_is_config_error(tmp_path, capsys, text):
+    """--replay reads its manifest as load_config reads a config, and
+    replays only a known command."""
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    rc = cli.main(["--replay", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_tolerances_take_only_the_gates_verify_reads(tmp_path, capsys):
+    """A misspelt tolerance is rejected rather than leaving the default
+    gate in force; the four gates verify reads still validate."""
+    cfg = write_cfg(tmp_path, {"problem": "p1",
+                               "tolerances": {"laplace_gap": 0.5}})
+    rc = cli.main(["validate", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config invalid at tolerances" in capsys.readouterr().err
+    cli.validate_config({"problem": "p1", "tolerances": {
+        "h_exponent_lo": 0.2, "h_exponent_hi": 0.8, "r_squared_min": 0.5,
+        "laplace_rel_gap": 0.5}})
+
+
 def test_validate_reports_clean_preset(tmp_path):
     cfg = write_cfg(tmp_path, {"problem": "p1"})
     out = str(tmp_path / "out")

@@ -221,7 +221,7 @@ def test_drift_leaving_its_domain_names_the_subexpression():
 def test_domain_function_leaving_its_domain_names_the_subexpression():
     """phi = sqrt(1.5 - q1) - 2 stays negative up to q1 = 1.5, where its
     square root leaves its domain; the drift takes the path there within
-    a few dozen steps, and the re-run on phi's checked twin names it."""
+    a few dozen steps, and phi's re-run on the walker names it."""
     p = load_problem({
         "d": 1, "r": 1, "b": ["2"], "sigma": [["0.1"]], "alpha": "1",
         "alpha0": 1.0, "G": "sqrt(1.5 - q1) - 2", "O": [0.0],

@@ -258,36 +258,56 @@ def test_missing_u_names_the_variable(src):
                      np.zeros((2, 1)))
 
 
-def test_compiled_all_checked_twin():
-    """run.checked is evaluate_all over the same fields, for the one-field
-    view and for the stack: the same values where the generated code is
-    defined, and EvalDomainError naming the sub-expression where not."""
+def test_compiled_all_explains_its_own_trap():
+    """Called under an outer trap, compiled_all(fs) gives the walker's
+    values where the generated code is defined, and where not it re-runs
+    on the walker, which raises EvalDomainError naming the sub-expression;
+    for the one-field view and for the stack."""
     pts = np.array([[0.5, 2.0], [3.0, 1.0]])
     log_q1 = parse_expression("log(q1) + q2")
     for fs in ([log_q1], [parse_expression("q2^2"), log_q1,
                           parse_expression("3")]):
         run = compiled_all(fs)
-        np.testing.assert_array_equal(run.checked(pts), run(pts))
-        with pytest.raises(EvalDomainError, match=r"'log\(q1\)'"):
-            run.checked(np.array([[-1.0, 2.0]]))
+        want = np.stack([eval_field(f, pts) for f in fs], axis=-1)
+        with np.errstate(divide="raise", invalid="raise"):
+            np.testing.assert_array_equal(run(pts), want)
+            with pytest.raises(EvalDomainError, match=r"'log\(q1\)'"):
+                run(np.array([[-1.0, 2.0]]))
 
 
 def test_run_trapped_reruns_only_the_trapped_step():
     """Steps 2 and 4 divide by zero under the trap; each runs again alone,
-    checked, and the loop goes on inside a new trap until the body stops
-    it at step 5.  The trap does not outlive the loop."""
+    outside it, and the loop goes on inside a new trap until the body
+    stops it at step 5.  The trap does not outlive the loop."""
     calls = []
 
-    def body(k, checked):
-        calls.append((k, checked))
-        if k in (2, 4) and not checked:
+    def body(k):
+        trapped = np.geterr()["divide"] == "raise"
+        calls.append((k, trapped))
+        if k in (2, 4) and trapped:
             np.ones(1) / 0.0
         return k == 5
 
     run_trapped(8, body)
-    assert calls == [(0, False), (1, False), (2, False), (2, True),
-                     (3, False), (4, False), (4, True), (5, False)]
+    assert calls == [(0, True), (1, True), (2, True), (2, False),
+                     (3, True), (4, True), (4, False), (5, True)]
     assert np.geterr()["divide"] != "raise"
+
+
+def test_run_trapped_field_outside_its_domain_names_it_once():
+    """A generated field that leaves its domain inside the loop's trap
+    re-runs on the walker within the same call: the body runs once, and
+    the error names the sub-expression."""
+    run = compiled_all([parse_expression("q2 + sqrt(q1 - 1)")])
+    calls = []
+
+    def body(k):
+        calls.append(k)
+        run(np.array([[0.5, 2.0]]))
+
+    with pytest.raises(EvalDomainError, match=r"'sqrt\(q1 - 1\)'"):
+        run_trapped(3, body)
+    assert calls == [0]
 
 
 @settings(max_examples=60, deadline=None)

@@ -400,9 +400,9 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("scheme", ["exponential", "euler", "first_order"])
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_step_matches_checked_einsum_oracle(case, scheme, control):
-    """The compiled step and its checked twin, with a constant identity
-    sigma skipped and the friction constants hoisted, give the oracle's
-    bits over a few chained steps."""
+    """The compiled step, with a constant identity sigma skipped and the
+    friction constants hoisted, gives the checked oracle's bits over a few
+    chained steps."""
     p = STEP_CASES[case]
     eps = 0.3
     h = 0.5 * default_step(p, eps)
@@ -414,9 +414,8 @@ def test_step_matches_checked_einsum_oracle(case, scheme, control):
     for _ in range(4):
         dW = rng.standard_normal((16, p.r)) * np.sqrt(h)
         want = oracle_step(p, eps, h, scheme, q, v, dW, u)
-        for fn in (step, step.checked):
-            for got, exp in zip(fn(q, v, dW, u), want):
-                _same_bits(got, exp)
+        for got, exp in zip(step(q, v, dW, u), want):
+            _same_bits(got, exp)
         q, v = want[0], want[1]
 
 
@@ -438,14 +437,13 @@ def test_per_row_eps_and_h_match_float_steps(case, scheme):
     dW = rng.standard_normal((16, p.r)) * np.sqrt(hs[rung])[:, None]
     rows = np.array([0, 3, 5, 8, 9, 15])
     c = tuple(step.constants.take(rows, axis=1))
-    for fn in (step, step.checked):
-        got = fn(q[rows], v[rows], dW[rows], c=c)
-        for j in (0, 1):
-            alone = make_step(p, ladder[j], hs[j], scheme)
-            on = rung[rows] == j
-            want = alone(q[rows][on], v[rows][on], dW[rows][on])
-            for g, w in zip(got, want):
-                _same_bits(g[on], w)
+    got = step(q[rows], v[rows], dW[rows], c=c)
+    for j in (0, 1):
+        alone = make_step(p, ladder[j], hs[j], scheme)
+        on = rung[rows] == j
+        want = alone(q[rows][on], v[rows][on], dW[rows][on])
+        for g, w in zip(got, want):
+            _same_bits(g[on], w)
 
 
 def test_convolution_matches_double_sum_at_state_dependent_coefficients():
@@ -494,8 +492,9 @@ def test_convolution_reads_the_step_not_the_start_time():
 
 
 def test_drift_leaving_its_domain_names_the_subexpression():
-    """The stored-path loop owns one trap for all its steps; the step that
-    takes q1 past 2 re-runs checked and names the failing sub-expression."""
+    """The stored-path loop owns one trap for all its steps; the drift
+    evaluated past q1 = 2 re-runs on the walker and names the failing
+    sub-expression."""
     p = load_problem({
         "d": 1, "r": 1, "b": ["2 + 0.001*log(2 - q1)"], "sigma": [["0.1"]],
         "alpha": "1", "alpha0": 1.0, "O": [0.0], "box": [[-3.0, 3.0]],
