@@ -133,15 +133,34 @@ def float_lines(rows) -> Iterator[str]:
     return (",".join(map(repr, row)) for row in rows)
 
 
-def read_csv(path: str):
-    """Read a numeric CSV written by write_csv: (header, float array)."""
+@contextmanager
+def reading(path: str, what: str):
+    """Scope of a read of the file at path, `what` naming it: a file that is
+    missing, unreadable (a directory, no permission) or malformed (not
+    UTF-8, not JSON, a non-numeric CSV cell) raises a ConfigError naming
+    the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            data = [line.strip().split(",") for line in fh if line.strip()]
+        yield
     except FileNotFoundError:
-        raise ConfigError(f"CSV file not found: {path}") from None
-    return header, np.asarray(data, dtype=float)
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} file {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def read_csv(path: str):
+    """Read a numeric CSV written by write_csv: (header, float array of
+    shape (rows, len(header))); a row of another length is a ConfigError."""
+    with reading(path, "CSV"), open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+        if any(len(row) != len(header) for row in rows):
+            raise ConfigError(f"CSV file {path}: every row must have "
+                              f"{len(header)} cells, as its header has")
+        return header, np.asarray(rows, dtype=float).reshape(
+            len(rows), len(header))
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -206,6 +225,8 @@ def read_path_csv(path: str):
     header, data = read_csv(path)
     if len(header) < 2 or header[0] != "t":
         raise ConfigError(f"{path}: expected columns t,<values...>")
+    if data.shape[0] < 2:
+        raise ConfigError(f"{path}: expected at least two rows")
     return data[:, 0], data[:, 1:]
 
 
@@ -242,19 +263,15 @@ def write_manifest(out_dir: str, command: str, config: dict, seed: int,
 
 
 def read_json(path: str, what: str):
-    """The JSON file at path, `what` naming it in a ConfigError when it is
-    missing, is not valid JSON, or holds NaN, Infinity or -Infinity, which
-    Python's json accepts but no config or manifest number may be."""
+    """The JSON file at path, `what` naming it in a ConfigError when it
+    cannot be read (see `reading`) or holds NaN, Infinity or -Infinity,
+    which Python's json accepts but no config, manifest or problem number
+    may be."""
     def reject_constant(name):
-        raise ConfigError(f"{what} number {name} is not finite")
+        raise ConfigError(f"{what} file {path}: number {name} is not finite")
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject_constant)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    with reading(path, what), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject_constant)
 
 
 def load_manifest(path: str) -> dict:

@@ -77,11 +77,22 @@ def _validator():
 
 
 def validate_config(cfg) -> None:
+    _validate(_validator(), cfg, "config")
+
+
+def _validate(validator, instance, what: str) -> None:
     from jsonschema.exceptions import best_match
-    error = best_match(_validator().iter_errors(cfg))
+    error = best_match(validator.iter_errors(instance))
     if error is not None:
         where = "/".join(str(k) for k in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {error.message}")
+        raise ConfigError(f"{what} invalid at {where}: {error.message}")
+
+
+def _validate_seed(manifest: dict) -> None:
+    """ConfigError unless the manifest's seed meets the config's seed rule."""
+    rule = _validator().schema["properties"]["seed"]
+    _validate(_validator().evolve(schema={"properties": {"seed": rule}}),
+              manifest, "manifest")
 
 
 def _resolve_problem(cfg: dict):
@@ -427,13 +438,18 @@ def cmd_all(p, cfg, out, seed):
         } for r in results],
     }
     write_json(os.path.join(out, "acceptance_report.json"), report)
+    outputs = ["acceptance_report.json"]
     if not report["passed"]:
-        raise AcceptanceFailure("acceptance criteria failed")
-    return ["acceptance_report.json"], []
+        raise AcceptanceFailure(outputs)
+    return outputs, []
 
 
 class AcceptanceFailure(Exception):
-    pass
+    """A failed `all` run, raised once its report is written."""
+
+    def __init__(self, outputs):
+        super().__init__("acceptance criteria failed")
+        self.outputs = outputs
 
 
 HANDLERS = {
@@ -453,11 +469,13 @@ def _run(command: str, cfg: dict, args) -> int:
     seed = _resolve_seed(args, cfg)
     out = _resolve_out(args, cfg)
     p = _resolve_problem(cfg)
+    status = EXIT_OK
     try:
         outputs, plot = HANDLERS[command](p, cfg, out, seed)
     except AcceptanceFailure as exc:
+        # a failed run is the one most worth replaying: it gets a manifest
         print(str(exc), file=sys.stderr)
-        return EXIT_ACCEPTANCE
+        outputs, plot, status = exc.outputs, [], EXIT_ACCEPTANCE
     if getattr(args, "emit_plot_data", False):
         write_csv(os.path.join(out, "plotdata.csv"),
                   ["series", "x", "y"],
@@ -465,7 +483,7 @@ def _run(command: str, cfg: dict, args) -> int:
         outputs = list(outputs) + ["plotdata.csv"]
     write_manifest(out, command, cfg, seed, outputs, time.time() - t0)
     print(f"{command}: wrote {len(outputs)} artifact(s) to {out}")
-    return EXIT_OK
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,6 +518,7 @@ def main(argv=None) -> int:
                     "of " + ", ".join(COMMANDS))
             cfg = manifest["config"]
             validate_config(cfg)
+            _validate_seed(manifest)
             if args.seed is None:
                 args.seed = int(manifest["seed"])
             return _run(manifest["command"], cfg, args)

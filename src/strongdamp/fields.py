@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import read_json
 from .errors import ConfigError, NumericalError
 from .expr import ScalarExpr, evaluate, evaluate_all, grad_field, q_field
 
@@ -178,12 +179,7 @@ def _numeric(spec, key, scalar=False, default=None):
 def load_problem(spec) -> ProblemDefinition:
     """Build a ProblemDefinition from a dict or a JSON file path."""
     if isinstance(spec, str):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
-            raise ProblemError(f"cannot read problem file {spec}: {exc}") \
-                from None
+        spec = read_json(spec, "problem")
     if not isinstance(spec, dict):
         raise ProblemError("problem definition must be a JSON object")
     unknown = set(spec) - _ALLOWED_KEYS - {"name"}

@@ -6,12 +6,13 @@ verdict; the suite passes only when every criterion does.
 
 import pytest
 
-from strongdamp.acceptance import _DET_CONFIGS, CRITERIA, criterion_10
+from strongdamp.acceptance import _DET_CONFIGS, CRITERIA, run_criterion
 
 
-@pytest.mark.parametrize("fn", CRITERIA, ids=[f.__name__ for f in CRITERIA])
-def test_criterion(fn):
-    res = fn(1.0)
+@pytest.mark.parametrize("index", range(1, len(CRITERIA) + 1),
+                         ids=[check.__name__ for _, check in CRITERIA])
+def test_criterion(index):
+    res = run_criterion(index, 1.0)
     print(res.line())
     assert res.passed, res.line()
 
@@ -23,5 +24,5 @@ def test_criterion_10_without_pythonpath(monkeypatch):
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.setattr("strongdamp.acceptance._DET_CONFIGS",
                         {"front": _DET_CONFIGS["front"]})
-    res = criterion_10(1.0)
+    res = run_criterion(10, 1.0)
     assert res.passed, res.line()

@@ -273,11 +273,35 @@ def test_simulate_keys_the_first_order_limit_ignores_are_rejected(
     """The first-order limit has no momentum, one scheme and no inertial
     stochastic convolution."""
     cfg = write_cfg(tmp_path, {"problem": "p1", "simulate": {
-        "eps": 0.1, "T": 0.1, "first_order": True, key: value}})
+        "eps": 0.1, "T": 0.1, "h": 0.001, "first_order": True, key: value}})
     rc = cli.main(["simulate", "--config", cfg,
                    "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"config invalid at simulate/{key}:" in capsys.readouterr().err
+
+
+def test_first_order_limit_needs_a_step(tmp_path, capsys):
+    """The limit equation has no eps^2 time scale, so the inertial step
+    rule h ~ eps^2 does not apply to it: h is required."""
+    cfg = write_cfg(tmp_path, {"problem": "p1", "simulate": {
+        "eps": 0.1, "T": 0.1, "first_order": True}})
+    rc = cli.main(["simulate", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'h' is a required property" in capsys.readouterr().err
+
+
+def test_first_order_step_does_not_depend_on_eps(tmp_path):
+    """With h given, the limit takes the same steps at every eps."""
+    rows = []
+    for eps in (0.01, 0.1):
+        cfg = write_cfg(tmp_path, {"problem": "p1", "simulate": {
+            "eps": eps, "T": 0.1, "h": 0.001, "first_order": True}})
+        out = tmp_path / f"eps{eps}"
+        assert cli.main(["simulate", "--config", cfg,
+                         "--seed", "0", "--out", str(out)]) == 0
+        rows.append(read_csv(str(out / "traj_0000.csv"))[1].shape[0])
+    assert rows == [101, 101]
 
 
 @pytest.mark.parametrize("block, key", [
@@ -527,6 +551,59 @@ def test_bad_replay_manifest_is_config_error(tmp_path, capsys, text):
     assert "config error" in capsys.readouterr().err
 
 
+REPLAY = {"command": "validate", "config": {"problem": "p1"}}
+
+
+@pytest.mark.parametrize("role, content, message", [
+    ("config", None, "cannot read config file"),
+    ("config", b'\xff{"problem": "p1"}', "cannot read config file"),
+    ("manifest", None, "cannot read manifest file"),
+    ("manifest", b"\xff{}", "cannot read manifest file"),
+    ("manifest", {**REPLAY, "seed": "abc"}, "manifest invalid at seed"),
+    ("manifest", {**REPLAY, "seed": 1.5}, "manifest invalid at seed"),
+    ("manifest", {**REPLAY, "seed": -1}, "manifest invalid at seed"),
+    ("path_csv", None, "cannot read CSV file"),
+    ("path_csv", b"t,q1\n0,0\n\xff,1\n", "cannot read CSV file"),
+    ("path_csv", b"t,q1\n0,0\n1,1,2\n", "every row must have 2 cells"),
+    ("path_csv", b"t,q1\n0,0,0\n1,1,1\n", "every row must have 2 cells"),
+    ("path_csv", b"t,q1\n0,0\n1,x\n", "cannot read CSV file"),
+    ("path_csv", b"t,q1\n", "expected at least two rows"),
+    ("problem", {**P1_SPEC, "O": [float("nan")]}, "number NaN is not finite"),
+], ids=["config_directory", "config_not_utf8", "manifest_directory",
+        "manifest_not_utf8", "manifest_seed_string", "manifest_seed_float",
+        "manifest_seed_negative", "path_csv_directory", "path_csv_not_utf8",
+        "path_csv_ragged", "path_csv_wide", "path_csv_non_numeric",
+        "path_csv_no_rows", "problem_nan"])
+def test_unreadable_or_malformed_input_is_config_error(
+        tmp_path, monkeypatch, capsys, role, content, message):
+    """Every input file (config, manifest, problem file, path or control
+    CSV) that cannot be read or parsed exits 2 with a message naming it."""
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "input"
+    if content is None:
+        target.mkdir()
+    elif isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(json.dumps(content))
+    if role == "config":
+        argv = ["validate", "--config", str(target), "--seed", "0"]
+    elif role == "manifest":
+        argv = ["--replay", str(target)]
+    elif role == "path_csv":
+        argv = ["action", "--seed", "0", "--config", write_cfg(
+            tmp_path, {"problem": "p1", "action": {"path_csv": "input"}})]
+    else:
+        argv = ["validate", "--seed", "0", "--config", write_cfg(
+            tmp_path, {"problem": str(target)})]
+    rc = cli.main(argv + ["--out", "out"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and message in err
+    if "seed" not in message:           # the message names the file
+        assert os.path.join(tmp_path, "input") in err or " input" in err
+
+
 def test_tolerances_take_only_the_gates_verify_reads(tmp_path, capsys):
     """A misspelt tolerance is rejected rather than leaving the default
     gate in force; the four gates verify reads still validate."""
@@ -592,6 +669,10 @@ def test_all_failure_sets_exit_code(tmp_path, monkeypatch, capsys):
     assert rep["passed"] is False
     assert rep["criteria"][0]["name"] == "stub"
     assert "FAIL" in capsys.readouterr().out
+    # a failed run is replayable
+    m = load_manifest(os.path.join(out, "manifest.json"))
+    assert (m["command"], m["seed"]) == ("all", 0)
+    assert m["outputs"] == ["acceptance_report.json"]
 
 
 def test_all_success_exit_code(tmp_path, monkeypatch):
@@ -613,9 +694,8 @@ def test_all_runs_only_the_listed_criteria(tmp_path, monkeypatch):
     def stub(index):
         def criterion(scale):
             ran.append(index)
-            return CriterionResult(index=index, name=f"stub {index}",
-                                   passed=True, detail="ok", runtime_s=0.0)
-        return criterion
+            return True, "ok", {}
+        return f"stub {index}", criterion
 
     monkeypatch.setattr(strongdamp.acceptance, "CRITERIA",
                         tuple(stub(i) for i in range(1, 11)))
@@ -625,7 +705,8 @@ def test_all_runs_only_the_listed_criteria(tmp_path, monkeypatch):
                      "--out", out]) == 0
     assert ran == [2]
     rep = json.loads(Path(out, "acceptance_report.json").read_text())
-    assert [c["index"] for c in rep["criteria"]] == [2]
+    assert [(c["index"], c["name"]) for c in rep["criteria"]] == [
+        (2, "stub 2")]
 
 
 def test_every_export_resolves():

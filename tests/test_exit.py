@@ -326,6 +326,32 @@ def test_exit_concentrates_at_boundary():
     assert hist.counts.sum() == st.exit_points.shape[0]
 
 
+def test_angle_histogram_around_a_center():
+    """d = 2 bins the angle of each exit point around center on
+    [-pi, pi]: 30 points at angle 0.1, 20 at 2.0 and 10 at -3.0 around
+    (1, -2), at radii whose mean is 1 in each group."""
+    center = np.array([1.0, -2.0])
+    angles = np.repeat([0.1, 2.0, -3.0], [30, 20, 10])
+    radii = np.concatenate([np.linspace(0.5, 1.5, n) for n in (30, 20, 10)])
+    pts = center + radii[:, None] * np.column_stack([np.cos(angles),
+                                                     np.sin(angles)])
+    st = ExitStats(eps=0.1, n_samples=60, mean_tau=1.0, ci_halfwidth=0.0,
+                   eps_log_mean=0.0, exit_points=pts, taus=np.ones(60),
+                   timeouts=0, lower_bound=False)
+    hist = exit_location_histogram(st, bins=8, center=center)
+    assert hist.kind == "angle"
+    np.testing.assert_array_equal(hist.edges,
+                                  np.linspace(-np.pi, np.pi, 9))
+    # bins of width pi/4: -3.0 in the first, 0.1 in the fifth, 2.0 in
+    # the seventh
+    np.testing.assert_array_equal(hist.counts, [10, 0, 0, 0, 30, 0, 20, 0])
+    assert hist.mode == pytest.approx(np.pi / 8)
+    np.testing.assert_allclose(hist.mode_point,
+                               center + [np.cos(0.1), np.sin(0.1)])
+    # the default center is the origin, above every point: all angles < 0
+    assert exit_location_histogram(st, bins=8).counts[4:].sum() == 0
+
+
 def test_histogram_needs_enough_samples():
     sc = exit_scaling(OUTWARD, [0.25], M=3, seed=1, q0=[0.5])
     with pytest.raises(ConfigError):

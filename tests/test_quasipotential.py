@@ -86,10 +86,15 @@ def test_ladder_must_increase():
         quasipotential(P1, [1.0], N=32, T_ladder=np.array([-1.0, 2.0]))
 
 
-def test_refinement_does_not_worsen():
-    coarse = quasipotential(P1, [1.0], N=32, T_ladder=LADDER, refine=False)
-    fine = quasipotential(P1, [1.0], N=32, T_ladder=LADDER, refine=True)
-    assert fine.value <= coarse.value + 1e-12
+def test_refinement_does_not_worsen(monkeypatch):
+    """p1 from 0.5, not from O, so the search is not skipped: the default
+    ladder alone makes one solve per rung and reads 0.768 at T = 0.5, and
+    the log-T search improves on it (to 0.75 at T* = log 2)."""
+    times = _solve_spy(monkeypatch)
+    coarse = quasipotential(P1, [1.0], q_start=[0.5], N=32, refine=False)
+    assert sorted(times) == list(np.geomspace(*DEFAULT_LADDER))
+    fine = quasipotential(P1, [1.0], q_start=[0.5], N=32, refine=True)
+    assert fine.value < coarse.value - 0.01
     assert fine.T_star > 0
 
 

@@ -342,20 +342,29 @@ def test_first_order_limit_tracks_inertial():
 
 
 def oracle_step(p, eps, h, scheme, q, v, dW, u=None):
-    """One step written out with the checked evaluators and einsum, in the
-    order of operations that make_step has to keep bit for bit."""
+    """One step written out with the checked walker eval_field and einsum,
+    in the order of operations that make_step has to keep bit for bit; a
+    constant sigma or alpha is taken at O, as make_step freezes it."""
     def apply(sig, vec):
         return np.einsum("...dr,...r->...d", sig, vec)
+
+    def stacked(fs, Q):
+        return np.stack([eval_field(f, Q) for f in fs], axis=-1)
+
+    def sigma(Q):
+        return np.stack([stacked(row, Q) for row in p.sigma], axis=-2)
+
+    at_O = p.O[None, :]
     eps2 = eps * eps
     noise_pow = eps ** (0.5 - p.beta)
-    sig = p.eval_sigma(q) if p.sigma_const is None else p.sigma_const
+    sig = sigma(q) if p.sigma_const is None else sigma(at_O)[0]
     if p.alpha_const is None:
-        al = p.eval_alpha(q)[..., None]
+        al = eval_field(p.alpha, q)[..., None]
         decay = np.exp(-al * h / eps2)
     else:
-        al = p.alpha_const
+        al = float(eval_field(p.alpha, at_O)[0])
         decay = np.exp(-(al * h / eps2))
-    drift = p.eval_b(q)
+    drift = stacked(p.b, q)
     if u is not None:
         drift = drift + apply(sig, u)
     if scheme == "euler":
