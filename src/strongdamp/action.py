@@ -19,7 +19,8 @@ minimize_path, the L-BFGS driver of every quasipotential, front value and
 Laplace solve, calls it once per iterate, and segment_costs applies it once.
 Each call runs under one floating-point trap; a field stack that leaves
 its domain re-runs on the checked walker, which raises EvalDomainError
-naming the sub-expression.
+naming the sub-expression.  controlled_skeleton's RK4 stages read
+make_step's evaluator sde.frozen_fields, all N steps under one trap.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
+from .sde import frozen_fields
 
 COND_LIMIT = 1e8
 # L-BFGS-B options of the action solves (quasipotential, Laplace check)
@@ -281,7 +283,8 @@ def control_cost(u: ControlSignal) -> float:
 def controlled_skeleton(p: ProblemDefinition, u: ControlSignal, q0,
                         ) -> DiscretePath:
     """Integrate the controlled limit flow q' = (b + sigma u)/alpha with a
-    classical fourth-order one-step method; u is interpolated linearly."""
+    classical fourth-order one-step method; u is interpolated linearly.
+    The stages read sde.frozen_fields under one run_trapped."""
     q0 = p.point(q0, "q0")
     if u.r != p.r:
         raise ConfigError(f"control has r = {u.r}, problem needs {p.r}")
@@ -289,22 +292,23 @@ def controlled_skeleton(p: ProblemDefinition, u: ControlSignal, q0,
     h = u.T / N
     out = np.empty((N + 1, p.d))
     out[0] = q0
+    frozen = frozen_fields(p)
 
     def rhs(q, uval):
-        drift = p.eval_b(q) + p.eval_sigma(q) @ uval
-        return drift / p.eval_alpha(q[None, :])[0]
+        _, alpha, drift = frozen(q, uval)
+        return drift / alpha
 
     vals = u.values
-    for n in range(N):
-        qn = out[n]
-        u0 = vals[n]
-        um = 0.5 * (vals[n] + vals[n + 1])
-        u1 = vals[n + 1]
+
+    def advance(n):
+        qn, u0, u1 = out[n], vals[n], vals[n + 1]
+        um = 0.5 * (u0 + u1)
         k1 = rhs(qn, u0)
         k2 = rhs(qn + 0.5 * h * k1, um)
         k3 = rhs(qn + 0.5 * h * k2, um)
         k4 = rhs(qn + h * k3, u1)
         out[n + 1] = qn + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    run_trapped(N, advance)
     if not np.all(np.isfinite(out)):
         raise NumericalError("skeleton flow diverged")
     return DiscretePath(T=u.T, points=out)

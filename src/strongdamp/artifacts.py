@@ -24,7 +24,7 @@ import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -220,13 +220,17 @@ def write_path_csv(path: str, times: np.ndarray, points: np.ndarray,
     write_csv(path, header, rows)
 
 
-def read_path_csv(path: str):
-    """(times, points) from a CSV whose first column is t."""
+def read_path_csv(path: str, width: Optional[int] = None):
+    """(times, points) from a CSV whose first column is t; ConfigError
+    unless `width`, when given, is the number of value columns."""
     header, data = read_csv(path)
     if len(header) < 2 or header[0] != "t":
         raise ConfigError(f"{path}: expected columns t,<values...>")
     if data.shape[0] < 2:
         raise ConfigError(f"{path}: expected at least two rows")
+    if width is not None and len(header) - 1 != width:
+        raise ConfigError(f"{path}: expected {width} value column(s) after "
+                          f"t, got {len(header) - 1}")
     return data[:, 0], data[:, 1:]
 
 

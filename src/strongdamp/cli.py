@@ -35,7 +35,8 @@ from .contour import interp_columns
 from .errors import ConfigError, NumericalError
 from .exit import exit_location_histogram, exit_scaling
 from .expr import q_field
-from .fields import load_problem, load_preset, validate_hypotheses
+from .fields import load_problem, load_preset, preset_names, \
+    validate_hypotheses
 from .front import extract_front, fit_front_speed, front_field_constant, \
     front_field_path, front_field_prefix, riemannian_distance
 from .ldpcheck import H_EXPONENT_RANGE, H_R2_MIN, LAPLACE_GAP_MAX, \
@@ -97,10 +98,13 @@ def _validate_seed(manifest: dict) -> None:
 
 def _resolve_problem(cfg: dict):
     spec = cfg["problem"]
-    if isinstance(spec, dict):
+    if isinstance(spec, dict) or os.path.exists(spec):
         return load_problem(spec)
-    if os.path.exists(spec):
-        return load_problem(spec)
+    # a preset name has no directory and no .json suffix
+    if os.path.dirname(spec) or spec.lower().endswith(".json"):
+        raise ConfigError(
+            f"problem {spec!r} is neither an existing file nor a bundled "
+            f"preset (bundled presets: {', '.join(preset_names())})")
     return load_preset(spec)
 
 
@@ -186,7 +190,7 @@ def cmd_simulate(p, cfg, out, seed):
 
 def cmd_action(p, cfg, out, seed):
     blk = _block(cfg, "action")
-    times, pts = read_path_csv(blk["path_csv"])
+    times, pts = read_path_csv(blk["path_csv"], width=p.d)
     f = DiscretePath(T=float(times[-1] - times[0]), points=pts)
     cs = segment_costs(p, f, "standard")
     ca = segment_costs(p, f, "alt")
@@ -196,7 +200,7 @@ def cmd_action(p, cfg, out, seed):
         "segments_csv": "segments.csv",
     }
     if "control_csv" in blk:
-        ct, cv = read_path_csv(blk["control_csv"])
+        ct, cv = read_path_csv(blk["control_csv"], width=p.r)
         u = ControlSignal(T=float(ct[-1] - ct[0]), values=cv)
         result["control_energy"] = control_cost(u)
     write_csv(os.path.join(out, "segments.csv"),

@@ -97,12 +97,6 @@ class ProblemDefinition:
         out = evaluate_all(self._sigma_flat, Q)
         return out.reshape(out.shape[:-1] + (self.d, self.r))
 
-    def grad_sigma(self, Q) -> np.ndarray:
-        """Derivatives d sigma_ik / d q_j, shape (..., d, r, d)."""
-        out = evaluate_all([e.derivative(j) for e in self._sigma_flat
-                            for j in range(self.d)], Q)
-        return out.reshape(out.shape[:-1] + (self.d, self.r, self.d))
-
     def eval_a(self, Q) -> np.ndarray:
         """Diffusion matrix a = sigma sigma^T, shape (..., d, d)."""
         s = self.eval_sigma(Q)
@@ -113,19 +107,6 @@ class ProblemDefinition:
         for key in keys:
             if getattr(self, key) is None:
                 raise ProblemError(f"problem declares no field {key}")
-
-    def eval_U(self, Q) -> np.ndarray:
-        self.require("U")
-        return evaluate(self.U, Q)
-
-    def grad_U(self, Q) -> np.ndarray:
-        self.require("U")
-        return grad_field(self.U, Q, self.d)
-
-    def eval_l(self, Q) -> np.ndarray:
-        if self.l is None:
-            return np.zeros(np.shape(Q)[:-1] + (self.d,))
-        return evaluate_all(self.l, Q)
 
     def eval_c(self, Q, u) -> np.ndarray:
         self.require("c")
@@ -139,15 +120,14 @@ class ProblemDefinition:
         self.require("G")
         return evaluate(self.G, Q)
 
-    def grad_phi(self, Q) -> np.ndarray:
-        self.require("G")
-        return grad_field(self.G, Q, self.d)
-
     # -- sampled coefficient ranges -------------------------------------------
 
     @cached_property
     def alpha_max(self) -> float:
-        """Largest friction over a Sobol sample of the box and O."""
+        """Largest friction over a Sobol sample of the box and O; a
+        constant friction is its own maximum and is not sampled."""
+        if self.alpha_const is not None:
+            return self.alpha_const
         pts = box_samples(self.box, 4096, seed=0)
         pts = np.vstack([pts, self.O[None, :]])
         return float(np.max(self.eval_alpha(pts)))
@@ -246,6 +226,12 @@ def load_problem(spec) -> ProblemDefinition:
            for key in ("U", "c", "g", "G") if spec.get(key) is not None})
 
 
+def preset_names() -> list:
+    """Names of the bundled problem presets, sorted."""
+    files = resources.files("strongdamp").joinpath("presets").iterdir()
+    return sorted(f.name[:-5] for f in files if f.name.endswith(".json"))
+
+
 def load_preset(name: str) -> ProblemDefinition:
     """Load one of the bundled problem presets by name (e.g. 'p1', 'p3')."""
     ref = resources.files("strongdamp").joinpath(f"presets/{name.lower()}.json")
@@ -319,7 +305,7 @@ def boundary_points_by_ray(p: ProblemDefinition, n_rays: int,
 
 def inward_normals(p: ProblemDefinition, pts: np.ndarray) -> np.ndarray:
     """Unit inward normals on the boundary, -grad phi / |grad phi|."""
-    gp = p.grad_phi(pts)
+    gp = grad_field(p.G, pts, p.d)
     norms = np.linalg.norm(gp, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
         raise NumericalError("vanishing grad phi on the boundary")
@@ -385,11 +371,13 @@ def validate_hypotheses(p: ProblemDefinition, samples: int = 10_000,
         np.max(np.linalg.norm(db[keep], axis=1) / dist[keep]))
 
     # bounded derivative of sigma
-    metrics["sigma_derivative_max"] = float(np.max(np.abs(p.grad_sigma(pts))))
+    dsig = evaluate_all([e.derivative(j) for e in p._sigma_flat
+                         for j in range(p.d)], pts)
+    metrics["sigma_derivative_max"] = float(np.max(np.abs(dsig)))
 
     if p.U is not None:
-        gu = p.grad_U(pts)
-        lv = p.eval_l(pts)
+        gu = grad_field(p.U, pts, p.d)
+        lv = np.zeros_like(gu) if p.l is None else evaluate_all(p.l, pts)
         residual = p.eval_alpha(pts)[:, None] * bv + gu - lv
         metrics["gradient_residual_max"] = float(
             np.max(np.linalg.norm(residual, axis=1)))

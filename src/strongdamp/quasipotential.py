@@ -34,6 +34,7 @@ from .action import DiscretePath, minimize_path, node_gradient
 from .contour import arc_length_resample, contour_polylines, \
     interp_columns, point_in_polygon
 from .errors import ConfigError, NumericalError
+from .expr import evaluate
 from .fields import (ProblemDefinition, ProblemError, boundary_points_by_ray,
                      validate_hypotheses)
 
@@ -261,4 +262,5 @@ def gradient_case_oracle(p: ProblemDefinition, q) -> float:
     sv_hi = report.metrics["sigma_max_sv"]
     if abs(sv_lo - 1.0) > 1e-8 or abs(sv_hi - 1.0) > 1e-8:
         raise ProblemError("closed form needs sigma sigma^T = identity")
-    return float(2.0 * (p.eval_U(q[None, :])[0] - p.eval_U(p.O[None, :])[0]))
+    return float(2.0 * (evaluate(p.U, q[None, :])[0]
+                        - evaluate(p.U, p.O[None, :])[0]))

@@ -20,7 +20,9 @@ simulate_first_order, on one float eps and h, and the streaming exit
 kernel, which advances the rows of a whole eps ladder together.  There
 eps and h are per-row arrays, and the constants the step freezes from
 them are per-row columns that the kernel compacts with the state; each
-row gets the bits a float eps and h would give it.  Each loop owns one
+row gets the bits a float eps and h would give it.  frozen_fields is the
+one evaluator of a step's coefficients, also behind the RK4 stages of
+action.controlled_skeleton.  Each loop owns one
 floating-point trap scope (expr.run_trapped) for all its steps; a field
 evaluator that traps re-runs on the checked walker, so EvalDomainError
 names the sub-expression.  sigma_applier is the one rule for applying
@@ -335,6 +337,29 @@ def sigma_applier(p: ProblemDefinition) -> Callable:
     return _apply_sigma
 
 
+def frozen_fields(p: ProblemDefinition) -> Callable:
+    """frozen(q, u) -> (sigma, alpha, b + sigma u) at q (..., d), u (r,)
+    or None; a varying alpha has shape (..., 1).  A constant alpha or
+    sigma is frozen once (p.alpha_const, p.sigma_const); the others run
+    their generated evaluators (expr.compiled_all) under the caller's
+    run_trapped, and a field that traps names its sub-expression."""
+    sig_c, al_c = p.sigma_const, p.alpha_const
+    apply_sigma = sigma_applier(p)
+    b_of = compiled_all(p.b)
+    alpha_of = compiled_all([p.alpha]) if al_c is None else None
+    flat_sigma = compiled_all(p._sigma_flat) if sig_c is None else None
+
+    def frozen(q, u):
+        sig = sig_c if sig_c is not None else flat_sigma(q).reshape(
+            q.shape[:-1] + (p.d, p.r))
+        al = al_c if al_c is not None else alpha_of(q)
+        drift = b_of(q)
+        if u is not None:
+            drift = drift + apply_sigma(sig, u)
+        return sig, al, drift
+    return frozen
+
+
 def make_step(p: ProblemDefinition, eps, h,
               scheme: str = "exponential") -> Callable:
     """One step of the damped second-order system, coefficients frozen at
@@ -345,10 +370,8 @@ def make_step(p: ProblemDefinition, eps, h,
     positions and velocities (..., d), from Brownian increments dW
     (..., r) and an optional control value u (r,).  The first-order step
     hands v back unchanged.  The Euler scheme raises StabilityError for
-    h > default_step.  A constant alpha or sigma is frozen once
-    (p.alpha_const, p.sigma_const); step runs the generated evaluators of
-    the other fields (expr.compiled_all) under its caller's run_trapped,
-    and a field that traps names its sub-expression.
+    h > default_step.  The step reads sigma, alpha and b + sigma u from
+    frozen_fields(p) under its caller's run_trapped.
 
     step.constants holds what the step freezes from eps and h.  For float
     eps and h it is a tuple of floats.  eps and h may instead be per-row
@@ -360,7 +383,7 @@ def make_step(p: ProblemDefinition, eps, h,
     """
     if scheme not in ("exponential", "euler", "first_order"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    sig_c, al_c = p.sigma_const, p.alpha_const
+    al_c = p.alpha_const
     apply_sigma = sigma_applier(p)
 
     def relax(al, h, eps2, noise_pow):
@@ -390,19 +413,7 @@ def make_step(p: ProblemDefinition, eps, h,
         consts = np.array([frozen_constants(*pair) for pair in
                            zip(*np.broadcast_arrays(eps, h))]).T[..., None]
 
-    # the constant fields are frozen above; only the others get evaluators
-    b_of = compiled_all(p.b)
-    alpha_of = compiled_all([p.alpha]) if al_c is None else None
-    flat_sigma = compiled_all(p._sigma_flat) if sig_c is None else None
-
-    def frozen(q, u):
-        sig = sig_c if sig_c is not None else flat_sigma(q).reshape(
-            q.shape[:-1] + (p.d, p.r))
-        al = al_c if al_c is not None else alpha_of(q)
-        drift = b_of(q)
-        if u is not None:
-            drift = drift + apply_sigma(sig, u)
-        return sig, al, drift
+    frozen = frozen_fields(p)
 
     def euler(q, v, dW, u=None, c=consts):
         h, eps2, noise_pow, _, h_eps2, *_ = c

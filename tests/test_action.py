@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strongdamp import action
+from strongdamp import action, expr, fields
 from strongdamp.action import (ControlSignal, DiscretePath,
                                SingularSigmaError, action_kernel,
                                control_cost, controlled_skeleton,
@@ -300,3 +300,81 @@ def test_skeleton_at_zero_control_stays_at_rest():
     u = ControlSignal(T=1.0, values=np.zeros(33))
     f = controlled_skeleton(P2, u, P2.O)
     assert np.max(np.abs(f.points - P2.O)) < 1e-12
+
+
+def walker_skeleton(p, u, q0):
+    """RK4 of q' = (b + sigma u)/alpha written out on the checked walker
+    eval_field, with sigma applied by matmul."""
+    def rhs(q, uval):
+        b = np.array([eval_field(f, q) for f in p.b])
+        sig = np.array([[eval_field(f, q) for f in row] for row in p.sigma])
+        return (b + sig @ uval) / eval_field(p.alpha, q)
+
+    h = u.T / u.N
+    out = [np.asarray(q0, dtype=float)]
+    for n in range(u.N):
+        qn, u0, u1 = out[-1], u.values[n], u.values[n + 1]
+        um = 0.5 * (u0 + u1)
+        k1 = rhs(qn, u0)
+        k2 = rhs(qn + 0.5 * h * k1, um)
+        k3 = rhs(qn + 0.5 * h * k2, um)
+        k4 = rhs(qn + h * k3, u1)
+        out.append(qn + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["p2", "correlated"])
+def test_skeleton_matches_walker_rk4(name):
+    """The skeleton's stages on make_step's frozen coefficients match an
+    RK4 on the walker: bit for bit on p2, where sigma = 1 is not applied;
+    to rounding on a correlated state-dependent sigma, which the step
+    applies with einsum and the oracle with matmul."""
+    p = CORRELATED if name == "correlated" else P2
+    t = np.linspace(0.0, 1.5, 65)
+    vals = np.stack([0.4 * np.sin(2.0 * t) - 0.1, 0.3 * np.cos(t)],
+                    axis=1)[:, :p.r]
+    u = ControlSignal(T=1.5, values=vals)
+    q0 = p.O + 0.3
+    got = controlled_skeleton(p, u, q0).points
+    want = walker_skeleton(p, u, q0)
+    if name == "p2":
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_skeleton_steps_under_one_trap(monkeypatch):
+    """The skeleton reads its coefficients from frozen_fields, not the
+    checked evaluators, and runs all N steps under one run_trapped."""
+    def no_checked(*args, **kwargs):
+        raise AssertionError("skeleton ran expr.evaluate_all")
+
+    p = load_preset("p2")
+    assert p.sigma_const is not None    # frozen before the patch
+    monkeypatch.setattr(expr, "evaluate_all", no_checked)
+    monkeypatch.setattr(fields, "evaluate_all", no_checked)
+    traps = []
+
+    def counted(n, body):
+        traps.append(n)
+        return expr.run_trapped(n, body)
+
+    monkeypatch.setattr(action, "run_trapped", counted)
+    u = ControlSignal(T=1.0, values=0.5 * np.ones(257))
+    f = controlled_skeleton(p, u, p.O)
+    assert traps == [256]
+    assert f.points[-1, 0] > 0.1
+
+
+def test_skeleton_names_the_failing_subexpression():
+    """A control that drives q1 below -0.2 takes the friction's square
+    root out of its domain; the trap re-runs on the walker, which names
+    it."""
+    p = load_problem({
+        "d": 1, "r": 1, "b": ["-q1"], "sigma": [["1"]],
+        "alpha": "1 + sqrt(q1 + 0.2)", "alpha0": 0.5, "O": [0.0],
+        "box": [[-2.0, 2.0]],
+    })
+    u = ControlSignal(T=2.0, values=-3.0 * np.ones(65))
+    with pytest.raises(EvalDomainError, match=r"sqrt\(q1 \+ 0\.2\)"):
+        controlled_skeleton(p, u, p.O)

@@ -646,6 +646,46 @@ def test_action_command_on_path_file(tmp_path):
     assert m["outputs"] == ["action.json", "segments.csv"]
 
 
+@pytest.mark.parametrize("files, message", [
+    ({"path.csv": "t,q1,q2\n0,0,0\n0.5,0.5,0.5\n1,1,1\n"},
+     "path.csv: expected 1 value column(s) after t, got 2"),
+    ({"path.csv": "t,q1\n0,0\n0.5,0.5\n1,1\n",
+      "control.csv": "t,u1,u2\n0,1,1\n0.5,1,1\n1,1,1\n"},
+     "control.csv: expected 1 value column(s) after t, got 2"),
+], ids=["path_wider_than_d", "control_wider_than_r"])
+def test_action_inputs_must_match_the_problem_width(
+        tmp_path, monkeypatch, capsys, files, message):
+    """On p1 (d = r = 1) a path needs one q column and a control one u
+    column; a wider file is a config error, not an action of another
+    problem."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    block = {"path_csv": "path.csv"}
+    if "control.csv" in files:
+        block["control_csv"] = "control.csv"
+    cfg = write_cfg(tmp_path, {"problem": "p1", "action": block})
+    rc = cli.main(["action", "--config", cfg, "--seed", "0", "--out", "out"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not Path("out", "action.json").exists()
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("probs/missing.json",
+     "problem 'probs/missing.json' is neither an existing file nor a "
+     "bundled preset (bundled presets: fk1d, front2d, kpp1d, kpp1d_cosc, "
+     "p1, p1_tilted, p2, p3)"),
+    ("p9", "unknown preset 'p9'"),
+], ids=["missing_file", "unknown_name"])
+def test_unresolvable_problem_is_named(tmp_path, monkeypatch, capsys,
+                                       problem, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"problem": problem, "seed": 0})
+    assert cli.main(["validate", "--config", cfg, "--out", "out"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_emit_plot_data_writes_tidy_csv(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     out = str(tmp_path / "out")

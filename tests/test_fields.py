@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from strongdamp import fields
 from strongdamp.errors import ConfigError
 from strongdamp.expr import EvalDomainError
 from strongdamp.fields import (ProblemError, boundary_points_by_ray,
                                box_samples, inward_normals, load_preset,
                                load_problem, validate_hypotheses)
+from strongdamp.quasipotential import gradient_case_oracle
 
 
 BASE = {
@@ -89,11 +91,28 @@ def test_only_the_reaction_rate_may_reference_u(over, what):
 def test_undeclared_field_is_named():
     p = make()
     q = np.zeros((1, 1))
-    for key, call in (("U", p.grad_U), ("c", lambda q: p.eval_c(q, 0.0)),
-                      ("g", p.eval_g), ("G", p.grad_phi)):
+    for key, call in (("U", lambda q: gradient_case_oracle(p, q[0])),
+                      ("c", lambda q: p.eval_c(q, 0.0)),
+                      ("g", p.eval_g), ("G", p.eval_phi)):
         with pytest.raises(ProblemError,
                            match=f"^problem declares no field {key}$"):
             call(q)
+
+
+@pytest.mark.parametrize("name", ["p1", "p3", "front2d"])
+def test_constant_friction_is_its_own_maximum(name, monkeypatch):
+    """A constant alpha is alpha_max bit for bit, without a box sample."""
+    def no_sample(*args, **kwargs):
+        raise AssertionError("alpha_max sampled a constant friction")
+
+    monkeypatch.setattr(fields, "box_samples", no_sample)
+    p = load_preset(name)
+    assert p.alpha_const is not None
+    assert p.alpha_max == p.alpha_const
+
+
+def test_varying_friction_maximum_is_sampled():
+    assert load_preset("p2").alpha_max == 3.0
 
 
 def test_field_evaluation_shapes():
