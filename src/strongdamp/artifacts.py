@@ -220,8 +220,14 @@ def write_path_csv(path: str, times: np.ndarray, points: np.ndarray,
     write_csv(path, header, rows)
 
 
+# rounding slack of an equal-step t column, as a fraction of its span
+T_STEP_RTOL = 1e-9
+
+
 def read_path_csv(path: str, width: Optional[int] = None):
     """(times, points) from a CSV whose first column is t; ConfigError
+    unless t increases in equal steps (to T_STEP_RTOL of its span), since
+    every reader takes the rows as a uniform grid over that span, and
     unless `width`, when given, is the number of value columns."""
     header, data = read_csv(path)
     if len(header) < 2 or header[0] != "t":
@@ -231,7 +237,13 @@ def read_path_csv(path: str, width: Optional[int] = None):
     if width is not None and len(header) - 1 != width:
         raise ConfigError(f"{path}: expected {width} value column(s) after "
                           f"t, got {len(header) - 1}")
-    return data[:, 0], data[:, 1:]
+    t = data[:, 0]
+    span = t[-1] - t[0]
+    slack = np.abs(np.diff(t) - span / (t.size - 1))
+    if not (span > 0 and np.all(slack <= T_STEP_RTOL * span)):
+        raise ConfigError(f"{path}: the t column must increase in equal "
+                          f"steps (to {T_STEP_RTOL:g} of its span)")
+    return t, data[:, 1:]
 
 
 def versions() -> dict:

@@ -189,6 +189,12 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
         raise ConfigError("need at least one sample per rung")
     q0 = p.point(p.O if q0 is None else q0, "q0")
     p0 = p.point(np.zeros(p.d) if p0 is None else p0, "p0")
+    # a start on or outside G exits at tau = 0, which has no log
+    phi0 = float(p.eval_phi(q0[None])[0])
+    if not phi0 < 0:
+        raise ConfigError(f"q0 = {q0.tolist()} is not inside G: "
+                          f"phi(q0) = {phi0:g}, and an exit time needs "
+                          "phi(q0) < 0")
 
     hs = np.array([default_step(p, eps) if h is None else h
                    for eps in ladder])

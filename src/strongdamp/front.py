@@ -32,9 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-from scipy.special import logsumexp
 
 from .action import DiscretePath, minimize_path, node_gradient, \
     segment_costs
@@ -92,6 +89,9 @@ def riemannian_distance(p: ProblemDefinition, spacing: float) -> GridField:
 
     Unreached nodes keep +inf.  Raises when no grid node lies inside G0.
     """
+    from scipy.sparse import csr_matrix   # importing scipy.sparse is slow
+    from scipy.sparse.csgraph import dijkstra
+
     p.require("g")
     if p.d not in (1, 2):
         raise ConfigError("grid distance supports d = 1 or 2 only")
@@ -365,6 +365,8 @@ def feynman_kac_bound(p: ProblemDefinition, q, t: float, eps: float,
     ldpcheck.path_values returns all M, and one log-sum-exp reduces them,
     so growth or decay never overflows; no path reaching G0 gives -inf.
     """
+    from scipy.special import logsumexp   # importing scipy.special is slow
+
     p.require("g", "c")
     sp = SimParams(eps=eps, T=t, h=snap_step(t, default_step(p, eps)))
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .action import ControlSignal, DiscretePath, controlled_skeleton, \
     minimize_path, node_gradient
@@ -209,6 +208,8 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     E exp(-cost/eps) exceeds ci_threshold, or that hold one sample, are
     flagged (and still used).
     """
+    from scipy.special import logsumexp   # importing scipy.special is slow
+
     cost = q_field(terminal_cost, p.d, "terminal cost")
     q0 = p.point(p.O if q0 is None else q0, "q0")
     ladder = check_ladder(eps_ladder, 2)

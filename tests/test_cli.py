@@ -11,6 +11,7 @@ import pytest
 
 import strongdamp
 import strongdamp.acceptance
+import strongdamp.exit
 import strongdamp.ldpcheck
 from strongdamp import __version__, cli
 from strongdamp.acceptance import CriterionResult
@@ -180,6 +181,23 @@ def test_exit_rejects_eps_above_one(tmp_path, capsys):
                    "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "eps must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q0, phi", [(2.0, "3"), (1.0, "0")],
+                         ids=["outside", "on_boundary"])
+def test_exit_start_outside_G_is_config_error(tmp_path, monkeypatch, capsys,
+                                              q0, phi):
+    """On p1 (phi = q1^2 - 1) a start on or outside G exits at tau = 0
+    on every row, which has no eps log E[tau]; it exits 2, stating
+    phi(q0), before the kernel draws a path."""
+    monkeypatch.setattr(strongdamp.exit, "_exit_kernel", None)
+    cfg = write_cfg(tmp_path, {
+        "problem": "p1", "exit": {"eps_ladder": [0.35], "M": 2, "q0": [q0]}})
+    rc = cli.main(["exit", "--config", cfg,
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"q0 = [{q0}] is not inside G: phi(q0) = {phi}"
+            in capsys.readouterr().err)
 
 
 def test_verify_rejects_an_increasing_ladder(tmp_path, capsys):
@@ -568,12 +586,15 @@ REPLAY = {"command": "validate", "config": {"problem": "p1"}}
     ("path_csv", b"t,q1\n0,0,0\n1,1,1\n", "every row must have 2 cells"),
     ("path_csv", b"t,q1\n0,0\n1,x\n", "cannot read CSV file"),
     ("path_csv", b"t,q1\n", "expected at least two rows"),
+    # read as t = 0, 0.5, 1, these rows once exited 0
+    ("path_csv", b"t,q1\n0,0\n0.1,0.5\n1,1\n",
+     "the t column must increase in equal steps"),
     ("problem", {**P1_SPEC, "O": [float("nan")]}, "number NaN is not finite"),
 ], ids=["config_directory", "config_not_utf8", "manifest_directory",
         "manifest_not_utf8", "manifest_seed_string", "manifest_seed_float",
         "manifest_seed_negative", "path_csv_directory", "path_csv_not_utf8",
         "path_csv_ragged", "path_csv_wide", "path_csv_non_numeric",
-        "path_csv_no_rows", "problem_nan"])
+        "path_csv_no_rows", "path_csv_unequal_steps", "problem_nan"])
 def test_unreadable_or_malformed_input_is_config_error(
         tmp_path, monkeypatch, capsys, role, content, message):
     """Every input file (config, manifest, problem file, path or control
@@ -669,6 +690,24 @@ def test_action_inputs_must_match_the_problem_width(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not Path("out", "action.json").exists()
+
+
+def test_action_reads_the_path_quasipotential_writes(tmp_path):
+    """A path CSV the program writes passes the equal-step t check, and
+    its action is the quasipotential's value."""
+    cfg = write_cfg(tmp_path, {"problem": "p1",
+                               "quasipotential": {"q_end": [0.5], "N": 32}})
+    qp = tmp_path / "qp"
+    assert cli.main(["quasipotential", "--config", cfg,
+                     "--seed", "0", "--out", str(qp)]) == 0
+    cfg = write_cfg(tmp_path, {"problem": "p1", "action": {
+        "path_csv": str(qp / "path.csv")}}, name="action.json")
+    out = tmp_path / "out"
+    assert cli.main(["action", "--config", cfg,
+                     "--seed", "0", "--out", str(out)]) == 0
+    value = json.loads((qp / "quasipotential.json").read_text())["value"]
+    res = json.loads((out / "action.json").read_text())
+    assert res["value_standard"] == pytest.approx(value, rel=1e-9)
 
 
 @pytest.mark.parametrize("problem, message", [
@@ -809,16 +848,33 @@ def test_module_entry_point(tmp_path):
     assert "wrote 1 artifact(s)" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats and scipy.optimize are slow to import; the modules that
-    use them import them inside the functions that call them."""
+def test_cli_import_leaves_scipy_unloaded():
+    """Every scipy submodule is slow to import; the modules that use one
+    import it inside the functions that call it, so a CLI process pays
+    only for what its command runs."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, strongdamp.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith("
-         "('scipy.stats', 'scipy.optimize'))))"],
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exit_run_leaves_sparse_and_special_unloaded(tmp_path):
+    """Only front's grid distance and the log-sum-exp reductions use
+    scipy.sparse and scipy.special; an exit run loads neither."""
+    cfg = write_cfg(tmp_path, {"problem": "p1",
+                               "exit": {"eps_ladder": [0.5], "M": 4}})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, strongdamp.cli; "
+         "rc = strongdamp.cli.main(sys.argv[1:]); "
+         "print(rc, sorted(m for m in sys.modules if m.startswith("
+         "('scipy.sparse', 'scipy.special'))))",
+         "exit", "--config", cfg, "--seed", "0",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
