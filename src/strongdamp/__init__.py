@@ -28,7 +28,7 @@ from .quasipotential import (BoundaryScan, MinActionResult,
 from .exit import (ExitHistogram, ExitScaling, ExitStats,
                    exit_location_histogram, exit_scaling)
 from .front import (FrontContour, FrontSpeed, GridField, PathFrontResult,
-                    extract_front, feynman_kac_bound, fit_front_speed,
+                    extract_front, fit_front_speed,
                     front_field_constant, front_field_path,
                     front_field_prefix, g0_samples, riemannian_distance)
 from .ldpcheck import (LaplaceReport, ScalingFit, controlled_convergence,
@@ -50,7 +50,7 @@ __all__ = [
     "ExitHistogram", "ExitScaling", "ExitStats", "exit_location_histogram",
     "exit_scaling",
     "FrontContour", "FrontSpeed", "GridField", "PathFrontResult",
-    "extract_front", "feynman_kac_bound", "fit_front_speed",
+    "extract_front", "fit_front_speed",
     "front_field_constant", "front_field_path", "front_field_prefix",
     "g0_samples", "riemannian_distance",
     "LaplaceReport", "ScalingFit", "controlled_convergence", "h_eps_scaling",

@@ -13,9 +13,10 @@ one.  A field that leaves its domain during a step raises EvalDomainError
 naming the sub-expression.
 
 The headline check: eps * log E[tau] approaches the boundary minimum of
-the quasipotential as eps decreases.  Means use compensated summation and
-rungs containing timeouts are flagged as lower bounds, never silently
-averaged.
+the quasipotential as eps decreases.  Each rung is read by
+ldpcheck.rung_mean (a compensated mean and its 1.96 half-width) and the
+limit by ldpcheck.fit_line; rungs containing timeouts are flagged as lower
+bounds and left out of the fit, never silently averaged.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .expr import compiled_all, run_trapped
 from .fields import ProblemDefinition
+from .ldpcheck import fit_line, rung_mean
 from .sde import check_ladder, default_step, draw_rows, make_step, \
     stream_generators
 
@@ -155,18 +157,9 @@ def _rung_stats(eps: float, taus: np.ndarray, pts: np.ndarray,
     t_ok = taus[ok]
     n = int(t_ok.size)
     timeouts = int(np.sum(timed_out))
-    if n == 0:
-        mean = ci = eps_log_mean = math.nan
-    else:
-        mean = math.fsum(t_ok) / n
-        eps_log_mean = eps * math.log(mean)
-        if n == 1:
-            ci = math.inf
-        else:
-            var = math.fsum((t - mean) ** 2 for t in t_ok) / (n - 1)
-            ci = 1.96 * math.sqrt(var / n)
+    mean, ci = rung_mean(t_ok)
     return ExitStats(eps=eps, n_samples=n, mean_tau=mean, ci_halfwidth=ci,
-                     eps_log_mean=eps_log_mean,
+                     eps_log_mean=eps * math.log(mean),    # nan if n = 0
                      exit_points=pts[ok], taus=t_ok, timeouts=timeouts,
                      lower_bound=timeouts > 0)
 
@@ -201,13 +194,13 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     caps = np.array([default_max_steps(eps) if max_steps is None
                      else max_steps for eps in ladder])
     for eps, h_eps, cap in zip(ladder, hs, caps):
-        if V0_hint is not None:
-            predicted = math.exp(V0_hint / eps)
-            if predicted > 0.5 * cap * h_eps:
-                warnings.warn(
-                    f"rung eps={eps:g}: predicted mean exit time "
-                    f"{predicted:.3g} approaches the step-cap horizon "
-                    f"{cap * h_eps:.3g}; expect timeouts", stacklevel=2)
+        # compared in log space: e^{V0/eps} overflows a float for small eps
+        if (V0_hint is not None
+                and V0_hint / eps > math.log(0.5 * cap * h_eps)):
+            warnings.warn(
+                f"rung eps={eps:g}: predicted mean exit time "
+                f"e^{V0_hint / eps:.4g} approaches the step-cap horizon "
+                f"{cap * h_eps:.3g}; expect timeouts", stacklevel=2)
     rung = np.repeat(np.arange(ladder.size), M)    # row j*M + i: rung j
     taus, pts, out = _exit_kernel(
         p, ladder[rung], hs[rung], scheme,
@@ -216,19 +209,13 @@ def exit_scaling(p: ProblemDefinition, eps_ladder, M: int, seed: int, *,
     stats = [_rung_stats(eps, taus[rung == j], pts[rung == j],
                          out[rung == j]) for j, eps in enumerate(ladder)]
 
-    clean = [(s.eps, s.eps_log_mean) for s in stats
-             if s.timeouts == 0 and s.n_samples > 0]
+    clean = [s for s in stats if s.timeouts == 0 and s.n_samples > 0]
     if not clean:
         raise NumericalError(
             "every rung contained timeouts; no scaling fit possible")
-    if len(clean) == 1:
-        limit, slope = clean[0][1], math.nan
-    else:
-        xs = np.array([c[0] for c in clean])
-        ys = np.array([c[1] for c in clean])
-        slope, limit = (float(v) for v in np.polyfit(xs, ys, 1))
-    return ExitScaling(stats=stats, limit=limit, slope=slope,
-                       used_eps=np.array([c[0] for c in clean]))
+    used = np.array([s.eps for s in clean])
+    slope, limit, _ = fit_line(used, [s.eps_log_mean for s in clean])
+    return ExitScaling(stats=stats, limit=limit, slope=slope, used_eps=used)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Reaction-front machinery: metric distance fields, front fields and their
-interfaces, path-optimized front values, and a Monte Carlo upper bound.
+interfaces, and path-optimized front values.
 
 The propagation metric weights Euclidean length by friction and by the
 inverse diffusion tensor: an edge of displacement dq costs
@@ -18,11 +18,6 @@ free-end driver action.minimize_path, with one objective for both front
 values: the partial sums P_n of reaction gain minus transport cost over a
 path's first n segments give the path value P_N and the non-positive
 prefix value min_n P_n, the terminal pulled into G0 by a quadratic penalty.
-
-The Monte Carlo upper bound is eps log of the Feynman-Kac mean
-E g(q_eps(t)) exp(eps^{-1} int_0^t c), a log-sum-exp over the log
-weights from ldpcheck.path_values.  The weight is a rare event wherever
-few paths reach G0, not only where R < 0: far from G0 it reads -inf.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ from .contour import contour_polylines
 from .errors import ConfigError, NumericalError
 from .expr import grad_field
 from .fields import ProblemDefinition, ProblemError
-from .ldpcheck import path_values
-from .sde import SimParams, default_step, snap_step
 
 PENALTY_DEFAULT = 1e3
 # L-BFGS-B options of the front path solves
@@ -350,32 +343,3 @@ def front_field_prefix(p: ProblemDefinition, q, t: float, N: int = 64,
     return _front_value(p, q, t, N, penalty, restarts, seed, samples,
                         prefix=True)
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo upper-bound check
-
-
-def feynman_kac_bound(p: ProblemDefinition, q, t: float, eps: float,
-                      M: int, seed: int) -> float:
-    """eps log of the Monte Carlo mean of
-    g(q_eps(t)) * exp(eps^{-1} int_0^t c(q_eps, 0)) over M paths started
-    at rest from q.
-
-    Each sample is a log weight (paths ending where g = 0 give -inf):
-    ldpcheck.path_values returns all M, and one log-sum-exp reduces them,
-    so growth or decay never overflows; no path reaching G0 gives -inf.
-    """
-    from scipy.special import logsumexp   # importing scipy.special is slow
-
-    p.require("g", "c")
-    sp = SimParams(eps=eps, T=t, h=snap_step(t, default_step(p, eps)))
-
-    def log_weight(tr, noise):
-        integral = np.trapezoid(p.eval_c(tr.q, u=0.0), dx=sp.h, axis=-1)
-        gvals = p.eval_g(tr.q[:, -1, :])
-        with np.errstate(divide="ignore"):
-            return np.where(gvals > 0, np.log(np.maximum(gvals, 1e-300)),
-                            -np.inf) + integral / eps
-
-    logw = path_values(p, sp, q, np.zeros(p.d), M, seed, 0, log_weight)
-    return eps * float(logsumexp(logw) - math.log(M))

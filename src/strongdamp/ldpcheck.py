@@ -11,10 +11,13 @@ Three independent checks:
   min over paths of (terminal cost + action), the two sides computed by
   unrelated machinery (Monte Carlo vs path optimization).
 
-path_values is the one Monte Carlo path loop.  The three checks and
-front.feynman_kac_bound reduce its (M,) array of per-path values once
-(math.fsum for a mean, logsumexp for a log mean), so the batch split
-changes no result.
+path_values is the one Monte Carlo path loop, and the ladder reader
+below is the one way a ladder is read, here and in exit.exit_scaling:
+rung_mean (compensated mean, 1.96 sqrt(var/n) half-width) and
+rung_log_mean (log-sum-exp mean, relative standard error) reduce a rung's
+(M,) array of per-path values once, so the batch split changes no
+result, and fit_line is the one least-squares line through the rungs,
+linear in eps for a limit or log-log for an exponent.
 """
 
 from __future__ import annotations
@@ -46,21 +49,57 @@ class ScalingFit:
     metric_values: np.ndarray
     fitted_exponent: float
     r_squared: float
+    intercept: float            # log metric of the log-log line at eps = 1
 
 
-def _fit_loglog(eps_values: np.ndarray, metrics) -> ScalingFit:
-    metrics = np.asarray(metrics, dtype=float)
-    if np.any(metrics <= 0):
+# ---------------------------------------------------------------------------
+# Ladder reader: one rung estimate and one line fit for every eps ladder
+
+
+def rung_mean(x) -> tuple[float, float]:
+    """(mean, 1.96 sqrt(var/n) half-width) of one rung's samples x, both
+    sums compensated (math.fsum), var on n - 1 degrees of freedom; the
+    half-width is inf with one sample, and both are nan with none."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n == 0:
+        return math.nan, math.nan
+    mean = math.fsum(x.tolist()) / n
+    if n == 1:
+        return mean, math.inf
+    # float_power is libm's pow, as a float's ** 2 is; numpy's ** 2 is a
+    # square, which rounds some terms the other way
+    var = math.fsum(np.float_power(x - mean, 2).tolist()) / (n - 1)
+    return mean, 1.96 * math.sqrt(var / n)
+
+
+def rung_log_mean(logw: np.ndarray) -> tuple[float, float]:
+    """(log of the mean of exp(logw), relative standard error of that
+    mean) over one rung's log weights: a log-sum-exp, so no weight
+    overflows, and the standard error is rung_mean's half-width / 1.96
+    over the weights normalized by their largest (inf with one sample)."""
+    from scipy.special import logsumexp   # importing scipy.special is slow
+
+    mean, ci = rung_mean(np.exp(logw - logw.max()))
+    return float(logsumexp(logw)) - math.log(logw.size), ci / 1.96 / mean
+
+
+def fit_line(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept through the rungs:
+    (slope, intercept, r^2).  Through one point: (nan, y, nan).
+    NumericalError if a y is not finite (a zero metric read in log-log)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
         raise NumericalError(
-            "degenerate scaling fit: a rung produced a zero metric")
-    x = np.log(eps_values)
-    y = np.log(metrics)
+            "degenerate ladder fit: a rung's value is not finite")
+    if x.size == 1:
+        return math.nan, float(y[0]), math.nan
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return ScalingFit(eps_values=eps_values, metric_values=metrics,
-                      fitted_exponent=float(slope), r_squared=r2)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return float(slope), float(intercept), r2
 
 
 def path_values(p: ProblemDefinition, sp: SimParams, q0, p0, M: int,
@@ -112,10 +151,15 @@ def h_eps_scaling(p: ProblemDefinition, eps_ladder, M: int, T: float,
     metrics = []
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        vals = path_values(p, sp, p.O, np.zeros(p.d), M, seed, j * M, value)
-        mean = math.fsum(vals) / M
+        mean, _ = rung_mean(
+            path_values(p, sp, p.O, np.zeros(p.d), M, seed, j * M, value))
         metrics.append(mean if k is None else mean ** (1.0 / k))
-    return _fit_loglog(ladder, metrics)
+    metrics = np.array(metrics)
+    with np.errstate(divide="ignore"):      # a zero metric is degenerate
+        slope, intercept, r2 = fit_line(np.log(ladder), np.log(metrics))
+    return ScalingFit(eps_values=ladder, metric_values=metrics,
+                      fitted_exponent=slope, r_squared=r2,
+                      intercept=intercept)
 
 
 def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
@@ -151,12 +195,15 @@ def controlled_convergence(p: ProblemDefinition, u: ControlSignal,
             lambda tr, noise: np.max(
                 np.linalg.norm(tr.q - g_ref, axis=-1), axis=-1),
             control=u_grid[:-1])
-        metrics.append(math.fsum(vals) / M)
-    if ladder.size < 3:
-        m = np.asarray(metrics)
-        return ScalingFit(eps_values=ladder, metric_values=m,
-                          fitted_exponent=math.nan, r_squared=math.nan)
-    return _fit_loglog(ladder, metrics)
+        metrics.append(rung_mean(vals)[0])
+    metrics = np.array(metrics)
+    slope = intercept = r2 = math.nan        # fewer than 3 rungs fit nothing
+    if ladder.size >= 3:
+        with np.errstate(divide="ignore"):  # a zero metric is degenerate
+            slope, intercept, r2 = fit_line(np.log(ladder), np.log(metrics))
+    return ScalingFit(eps_values=ladder, metric_values=metrics,
+                      fitted_exponent=slope, r_squared=r2,
+                      intercept=intercept)
 
 
 CostLike = Union[str, ScalarExpr]
@@ -190,7 +237,7 @@ def minimize_terminal_plus_action(p: ProblemDefinition, q_start, T: float,
 class LaplaceReport:
     eps_values: np.ndarray
     lhs_values: np.ndarray      # -eps log E exp(-cost/eps) per rung
-    flagged: np.ndarray         # rungs whose Monte Carlo CI is too wide
+    flagged: np.ndarray         # rungs whose relative std error is too large
     extrapolated: float         # linear-in-eps extrapolation to eps = 0
     variational_value: float
     minimizer_endpoint: np.ndarray
@@ -202,14 +249,14 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
                   ci_threshold: float = 0.2) -> LaplaceReport:
     """Monte Carlo Laplace functional against the variational value.
 
-    The left side is assembled in log space per rung and extrapolated
-    linearly in eps; the right side is one deterministic path
-    optimization with a free endpoint.  Rungs whose relative CI of
-    E exp(-cost/eps) exceeds ci_threshold, or that hold one sample, are
-    flagged (and still used).
+    The left side is read per rung by rung_log_mean and extrapolated
+    linearly in eps by fit_line; the right side is one deterministic path
+    optimization with a free endpoint.  A rung is flagged (and still used)
+    when the relative standard error of its mean weight E exp(-cost/eps)
+    exceeds ci_threshold, or when it holds one sample.  That is a
+    dimensionless standard error of the weight mean, not the 1.96
+    half-width in time units that exit_scaling reports as a rung's `ci`.
     """
-    from scipy.special import logsumexp   # importing scipy.special is slow
-
     cost = q_field(terminal_cost, p.d, "terminal cost")
     q0 = p.point(p.O if q0 is None else q0, "q0")
     ladder = check_ladder(eps_ladder, 2)
@@ -218,17 +265,13 @@ def laplace_check(p: ProblemDefinition, terminal_cost: CostLike, eps_ladder,
     flagged = np.zeros(ladder.size, dtype=bool)
     for j, eps in enumerate(ladder):
         sp = SimParams(eps=eps, T=T, h=_sim_step(p, eps, T))
-        logw = path_values(
+        log_mean, rel_se = rung_log_mean(path_values(
             p, sp, q0, np.zeros(p.d), M, seed, j * M,
-            lambda tr, noise: -evaluate(cost, tr.q[:, -1, :]) / eps)
-        lhs[j] = -eps * (logsumexp(logw) - math.log(M))
-        # relative CI of the weight mean via normalized weights; one
-        # sample gives no CI, so its rung is flagged
-        w = np.exp(logw - logw.max())
-        se = float(np.std(w, ddof=1)) / math.sqrt(M) if M > 1 else math.inf
-        flagged[j] = se > ci_threshold * float(np.mean(w))
+            lambda tr, noise: -evaluate(cost, tr.q[:, -1, :]) / eps))
+        lhs[j] = -eps * log_mean
+        flagged[j] = rel_se > ci_threshold
 
-    extrap = float(np.polyfit(ladder, lhs, 1)[1])
+    extrap = fit_line(ladder, lhs)[1]
     var_val, endpoint, _ = minimize_terminal_plus_action(
         p, q0, T, cost, N=N, seed=seed)
     gap = abs(extrap - var_val) / max(abs(var_val), 1e-30)

@@ -315,6 +315,15 @@ def test_all_rungs_capped_is_an_error():
         exit_scaling(P1, [0.08], M=3, seed=5, max_steps=40)
 
 
+def test_barrier_hint_beyond_float_range_warns_then_times_out():
+    """At V0_hint/eps = 1000, e^{V0/eps} is no float: the hint is compared
+    in log space, warns about the step cap and lets the run time out."""
+    with pytest.warns(UserWarning, match=r"e\^1000 approaches the step-cap"):
+        with pytest.raises(NumericalError, match="every rung"):
+            exit_scaling(P1, [0.001], M=1, seed=0, max_steps=10,
+                         V0_hint=1.0)
+
+
 def test_exit_concentrates_at_boundary():
     """Small noise concentrates exits at the lowest boundary points; the
     coordinate histogram puts its mode right at one of them."""

@@ -7,10 +7,10 @@ from strongdamp import front
 from strongdamp.action import action_kernel
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import ProblemError, load_preset, load_problem
-from strongdamp.front import (FrontContour, extract_front, feynman_kac_bound,
-                              fit_front_speed, front_field_constant,
-                              front_field_path, front_field_prefix,
-                              g0_samples, riemannian_distance)
+from strongdamp.front import (FrontContour, extract_front, fit_front_speed,
+                              front_field_constant, front_field_path,
+                              front_field_prefix, g0_samples,
+                              riemannian_distance)
 
 
 FRONT2D = load_preset("front2d")
@@ -251,24 +251,3 @@ def test_g0_samples_guard():
     s = g0_samples(KPP1D)
     assert np.all(KPP1D.eval_g(s) > 0)
 
-
-def test_feynman_kac_zero_mass_far_from_support():
-    """Paths that never reach the seeded region contribute exactly zero."""
-    fk = feynman_kac_bound(KPP1D, q=[3.5], t=0.05, eps=0.25, M=64, seed=0)
-    assert np.isinf(fk) and fk < 0
-
-
-def test_feynman_kac_inside_support_grows():
-    # mass at the seed is positive and the reaction term makes the
-    # log estimate grow with the horizon
-    early = feynman_kac_bound(KPP1D, q=[0.0], t=0.2, eps=0.25, M=64,
-                              seed=0)
-    late = feynman_kac_bound(KPP1D, q=[0.0], t=1.0, eps=0.25, M=64, seed=0)
-    assert np.isfinite(early)
-    assert late > early
-
-
-def test_feynman_kac_requires_reaction_data():
-    with pytest.raises(ProblemError):
-        feynman_kac_bound(load_preset("p1"), q=[0.0], t=0.1, eps=0.25,
-                          M=8, seed=0)

@@ -1,3 +1,5 @@
+import math
+import statistics
 import warnings
 
 import numpy as np
@@ -8,10 +10,10 @@ import strongdamp.sde
 from strongdamp.action import ControlSignal
 from strongdamp.errors import ConfigError, NumericalError
 from strongdamp.fields import load_preset, load_problem
-from strongdamp.front import feynman_kac_bound
-from strongdamp.ldpcheck import (controlled_convergence, h_eps_scaling,
-                                 laplace_check,
-                                 minimize_terminal_plus_action)
+from strongdamp.ldpcheck import (controlled_convergence, fit_line,
+                                 h_eps_scaling, laplace_check,
+                                 minimize_terminal_plus_action, rung_log_mean,
+                                 rung_mean)
 from strongdamp.sde import NoisePath
 
 
@@ -186,19 +188,14 @@ def test_every_check_rejects_a_bad_ladder_before_any_path(
         LADDER_CHECKS[check](ladder)
 
 
-@pytest.mark.parametrize("check", sorted(LADDER_CHECKS)
-                         + ["feynman_kac_bound"])
+@pytest.mark.parametrize("check", sorted(LADDER_CHECKS))
 def test_every_path_loop_rejects_zero_samples_before_any_path(
         monkeypatch, check):
     """M = 0 is a ConfigError from the one path loop, not a division by
     zero or a log of zero after it."""
     _no_batches(monkeypatch)
     with pytest.raises(ConfigError, match="at least one sample path"):
-        if check == "feynman_kac_bound":
-            feynman_kac_bound(load_preset("kpp1d"), q=[0.0], t=0.05,
-                              eps=0.25, M=0, seed=0)
-        else:
-            LADDER_CHECKS[check]((0.2, 0.1, 0.05), M=0)
+        LADDER_CHECKS[check]((0.2, 0.1, 0.05), M=0)
 
 
 def test_laplace_flags_every_one_sample_rung():
@@ -219,20 +216,74 @@ def test_controlled_initial_momentum_is_checked_before_any_path(
         controlled_convergence(P1, u, (0.3,), M=4, seed=0, p0=[0.0, 1.0])
 
 
-@pytest.mark.parametrize("check", ["h_eps_scaling", "controlled_convergence"])
+@pytest.mark.parametrize("check", ["h_eps_scaling", "controlled_convergence",
+                                   "laplace_check"])
 def test_batch_split_reaches_no_result(monkeypatch, check):
-    """Every path's value lands in one array that one compensated sum
-    reduces, so the rows drawn per batch change no metric bit."""
+    """Every path's value lands in one array that one rung estimate
+    reduces, so the rows drawn per batch change no result bit: neither a
+    metric nor a Laplace rung's value or flag."""
     u = ControlSignal(T=0.5, values=np.sin(np.linspace(0, 0.5, 33)))
     run = {"h_eps_scaling": lambda: h_eps_scaling(
-               P2, (0.2, 0.1, 0.05), M=300, T=2e-4, seed=7),
+               P2, (0.2, 0.1, 0.05), M=300, T=2e-4, seed=7).metric_values,
            "controlled_convergence": lambda: controlled_convergence(
-               P2, u, (0.2, 0.1, 0.05), M=60, seed=5)}[check]
-    metrics, used = [], []
+               P2, u, (0.2, 0.1, 0.05), M=60, seed=5).metric_values,
+           "laplace_check": lambda: _laplace_rungs(laplace_check(
+               P1, "2*(q1 - 0.5)^2", (0.25, 0.125), M=300, T=0.5, seed=3,
+               N=16))}[check]
+    results, used = [], []
     for rows in (250, 64, 7):
         monkeypatch.setattr(strongdamp.sde, "batch_rows",
                             lambda steps, rows=rows: used.append(rows) or rows)
-        metrics.append(run().metric_values)
+        results.append(run())
     assert set(used) == {250, 64, 7}
-    for got in metrics[1:]:
-        assert got.tobytes() == metrics[0].tobytes()
+    for got in results[1:]:
+        assert got.tobytes() == results[0].tobytes()
+
+
+def _laplace_rungs(rep):
+    return np.concatenate([rep.lhs_values, rep.flagged.astype(float)])
+
+
+def test_rung_mean_matches_statistics():
+    """The one rung rule: a compensated mean and a 1.96 sqrt(var/n)
+    half-width, as statistics computes them."""
+    x = np.random.default_rng(11).exponential(2.0, size=500)
+    mean, ci = rung_mean(x)
+    assert mean == statistics.fmean(x)
+    assert ci / 1.96 == pytest.approx(
+        statistics.stdev(x) / math.sqrt(x.size), rel=1e-13)
+
+
+def test_rung_mean_edges():
+    mean, ci = rung_mean(np.array([]))
+    assert math.isnan(mean) and math.isnan(ci)
+    assert rung_mean(np.array([2.5])) == (2.5, math.inf)
+
+
+def test_rung_log_mean_of_constant_weights_is_exact():
+    log_mean, rel_se = rung_log_mean(np.full(8, -3.0))
+    assert log_mean == -3.0
+    assert rel_se == 0.0
+    log_mean, rel_se = rung_log_mean(np.array([-3.0]))
+    assert log_mean == -3.0 and rel_se == math.inf
+
+
+def test_rung_log_mean_survives_weights_beyond_float_range():
+    """A log-sum-exp: log weights of 1000 neither overflow nor lose the
+    relative error of the normalized weights."""
+    logw = np.array([1000.0, 1000.0 + math.log(3.0)])
+    log_mean, rel_se = rung_log_mean(logw)
+    assert log_mean == pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
+    # weights 1/3 and 1 after normalization: mean 2/3, std err 1/3
+    assert rel_se == pytest.approx(0.5, rel=1e-14)
+
+
+def test_fit_line_through_points():
+    slope, intercept, r2 = fit_line([0.1, 0.2, 0.4], [1.3, 1.6, 2.2])
+    assert slope == pytest.approx(3.0, rel=1e-12)
+    assert intercept == pytest.approx(1.0, rel=1e-12)
+    assert r2 == pytest.approx(1.0, rel=1e-12)
+    slope, intercept, r2 = fit_line([0.1], [0.8])
+    assert math.isnan(slope) and intercept == 0.8 and math.isnan(r2)
+    with pytest.raises(NumericalError, match="degenerate"):
+        fit_line([0.1, 0.2], [0.5, -math.inf])
